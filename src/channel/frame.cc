@@ -1,5 +1,6 @@
 #include "channel/frame.h"
 
+#include <algorithm>
 #include <array>
 #include <cassert>
 
@@ -11,39 +12,56 @@ namespace bcc {
 
 namespace {
 
-/// Copies `nbits` bits from `reader` into `writer` in 32-bit chunks.
-Status CopyBits(BitReader* reader, BitWriter* writer, uint64_t nbits) {
-  while (nbits > 0) {
-    const unsigned chunk = static_cast<unsigned>(nbits < 32 ? nbits : 32);
-    uint32_t value = 0;
-    BCC_RETURN_IF_ERROR(reader->Read(chunk, &value));
-    writer->Write(value, chunk);
-    nbits -= chunk;
+/// CRC32 lookup tables for slicing-by-8: kCrcTables[0] is the classic
+/// byte-at-a-time table, kCrcTables[k][b] the CRC of byte b followed by k
+/// zero bytes.
+using CrcTables = std::array<std::array<uint32_t, 256>, 8>;
+
+constexpr CrcTables MakeCrcTables() {
+  CrcTables t{};
+  for (uint32_t i = 0; i < 256; ++i) {
+    uint32_t c = i;
+    for (int k = 0; k < 8; ++k) c = (c & 1u) != 0 ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+    t[0][i] = c;
   }
-  return Status::OK();
+  for (size_t k = 1; k < 8; ++k) {
+    for (uint32_t i = 0; i < 256; ++i) t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xFFu];
+  }
+  return t;
 }
 
-void AppendPayloadBits(BitWriter* writer, const Payload& payload) {
-  BitReader reader(payload.bytes);
-  const Status s = CopyBits(&reader, writer, payload.bits);
-  assert(s.ok());
-  (void)s;
+constexpr CrcTables kCrcTables = MakeCrcTables();
+
+/// True when `nbits` bits of `a` at `a_bit` equal those of `b` at `b_bit`.
+bool SameBits(std::span<const uint8_t> a, uint64_t a_bit, std::span<const uint8_t> b,
+              uint64_t b_bit, uint64_t nbits) {
+  for (uint64_t done = 0; done < nbits;) {
+    const unsigned chunk = static_cast<unsigned>(std::min<uint64_t>(nbits - done, 56));
+    if (LoadBits(a, a_bit + done, chunk) != LoadBits(b, b_bit + done, chunk)) return false;
+    done += chunk;
+  }
+  return true;
+}
+
+uint32_t LoadLE32(const uint8_t* p) {
+  return static_cast<uint32_t>(p[0]) | static_cast<uint32_t>(p[1]) << 8 |
+         static_cast<uint32_t>(p[2]) << 16 | static_cast<uint32_t>(p[3]) << 24;
 }
 
 }  // namespace
 
 uint32_t Crc32(std::span<const uint8_t> bytes) {
-  static const std::array<uint32_t, 256> table = [] {
-    std::array<uint32_t, 256> t{};
-    for (uint32_t i = 0; i < 256; ++i) {
-      uint32_t c = i;
-      for (int k = 0; k < 8; ++k) c = (c & 1u) != 0 ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-      t[i] = c;
-    }
-    return t;
-  }();
+  const auto& t = kCrcTables;
+  const uint8_t* p = bytes.data();
+  size_t n = bytes.size();
   uint32_t crc = 0xFFFFFFFFu;
-  for (const uint8_t b : bytes) crc = table[(crc ^ b) & 0xFFu] ^ (crc >> 8);
+  for (; n >= 8; p += 8, n -= 8) {
+    const uint32_t lo = crc ^ LoadLE32(p);
+    const uint32_t hi = LoadLE32(p + 4);
+    crc = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^ t[5][(lo >> 16) & 0xFFu] ^ t[4][lo >> 24] ^
+          t[3][hi & 0xFFu] ^ t[2][(hi >> 8) & 0xFFu] ^ t[1][(hi >> 16) & 0xFFu] ^ t[0][hi >> 24];
+  }
+  for (; n > 0; ++p, --n) crc = t[0][(crc ^ *p) & 0xFFu] ^ (crc >> 8);
   return crc ^ 0xFFFFFFFFu;
 }
 
@@ -92,112 +110,128 @@ void FrameCodec::EncodeStreamInto(FrameKind kind, uint32_t stream_id, Cycle cycl
   const uint64_t num_frames = payload.bits == 0 ? 1 : (payload.bits + capacity - 1) / capacity;
   assert(num_frames <= (1ull << kSeqBits));
 
-  BitReader reader(payload.bytes);
-  uint64_t remaining = payload.bits;
-  for (uint64_t seq = 0; seq < num_frames; ++seq) {
-    const uint64_t chunk = remaining < capacity ? remaining : capacity;
+  uint64_t offset = 0;
+  for (uint64_t seq = 0; seq < num_frames; ++seq, ++used) {
+    const uint64_t chunk = std::min(payload.bits - offset, capacity);
     const bool last = seq + 1 == num_frames;
+    Frame& frame = used < out.size() ? out[used] : out.emplace_back();
 
-    BitWriter w;
+    BitWriter w(std::move(frame.bytes));
     w.Write(stamp_codec_.Encode(cycle), stamp_codec_.bits());
     w.Write(static_cast<uint32_t>(kind), kKindBits);
     w.Write(stream_id, kStreamIdBits);
     w.Write(static_cast<uint32_t>(seq), kSeqBits);
     w.Write(last ? 1u : 0u, kLastBits);
     w.Write(static_cast<uint32_t>(chunk), kPayloadLenBits);
-    const Status copied = CopyBits(&reader, &w, chunk);
-    assert(copied.ok());
-    (void)copied;
-    remaining -= chunk;
+    w.WriteBits(payload.bytes, offset, chunk);
+    offset += chunk;
     // Zero-pad to the CRC position, then seal the frame.
-    uint64_t pad = frame_bits_ - kCrcBits - w.bit_size();
-    while (pad > 0) {
-      const unsigned step = static_cast<unsigned>(pad < 32 ? pad : 32);
-      w.Write(0, step);
-      pad -= step;
+    w.WriteZeros(frame_bits_ - kCrcBits - w.bit_size());
+    frame.bytes = std::move(w).Take();
+    const uint32_t crc = Crc32(frame.bytes);
+    for (unsigned shift = 0; shift < kCrcBits; shift += 8) {
+      frame.bytes.push_back(static_cast<uint8_t>(crc >> shift));
     }
-    const uint32_t crc = Crc32(w.bytes());
-    w.Write(crc, kCrcBits);
-    if (used < out.size()) {
-      out[used].bytes.assign(w.bytes().begin(), w.bytes().end());
-    } else {
-      out.push_back(Frame{w.bytes()});
-    }
-    ++used;
   }
+}
+
+StatusOr<FrameHeader> FrameCodec::DecodeHeader(std::span<const uint8_t> frame) const {
+  if (frame.size() != frame_bytes()) {
+    return Status::InvalidArgument(
+        StrFormat("frame is %zu bytes, expected %zu", frame.size(), frame_bytes()));
+  }
+  const size_t body = frame.size() - kCrcBits / 8;
+  if (LoadBits(frame, 8 * body, kCrcBits) != Crc32(frame.first(body))) {
+    return Status::InvalidArgument("frame CRC mismatch");
+  }
+
+  uint64_t bit = 0;
+  const auto field = [&](unsigned bits) {
+    const uint32_t v = static_cast<uint32_t>(LoadBits(frame, bit, bits));
+    bit += bits;
+    return v;
+  };
+  FrameHeader h;
+  h.cycle_residue = field(stamp_codec_.bits());
+  const uint32_t kind = field(kKindBits);
+  if (kind > kMaxFrameKind) return Status::InvalidArgument("unknown frame kind");
+  h.kind = static_cast<FrameKind>(kind);
+  h.stream_id = field(kStreamIdBits);
+  h.seq = field(kSeqBits);
+  h.last = field(kLastBits) != 0;
+  h.payload_bits = field(kPayloadLenBits);
+  if (h.payload_bits > payload_capacity_bits()) {
+    return Status::InvalidArgument("frame payload length exceeds capacity");
+  }
+  // EncodeStream fills every frame but a stream's last one.
+  if (!h.last && h.payload_bits != payload_capacity_bits()) {
+    return Status::InvalidArgument("non-final frame is not full");
+  }
+  return h;
 }
 
 StatusOr<DecodedFrame> FrameCodec::Decode(const Frame& frame) const {
-  if (frame.bytes.size() != frame_bytes()) {
-    return Status::InvalidArgument(StrFormat("frame is %zu bytes, expected %zu",
-                                             frame.bytes.size(), frame_bytes()));
-  }
-  const std::span<const uint8_t> body(frame.bytes.data(), frame.bytes.size() - kCrcBits / 8);
-  BitReader crc_reader(
-      std::span<const uint8_t>(frame.bytes.data() + body.size(), kCrcBits / 8));
-  uint32_t stored_crc = 0;
-  BCC_RETURN_IF_ERROR(crc_reader.Read(kCrcBits, &stored_crc));
-  if (stored_crc != Crc32(body)) return Status::InvalidArgument("frame CRC mismatch");
-
-  BitReader r(body);
   DecodedFrame out;
-  uint32_t v = 0;
-  BCC_RETURN_IF_ERROR(r.Read(stamp_codec_.bits(), &v));
-  out.header.cycle_residue = v;
-  BCC_RETURN_IF_ERROR(r.Read(kKindBits, &v));
-  if (v > kMaxFrameKind) return Status::InvalidArgument("unknown frame kind");
-  out.header.kind = static_cast<FrameKind>(v);
-  BCC_RETURN_IF_ERROR(r.Read(kStreamIdBits, &v));
-  out.header.stream_id = v;
-  BCC_RETURN_IF_ERROR(r.Read(kSeqBits, &v));
-  out.header.seq = v;
-  BCC_RETURN_IF_ERROR(r.Read(kLastBits, &v));
-  out.header.last = v != 0;
-  BCC_RETURN_IF_ERROR(r.Read(kPayloadLenBits, &v));
-  if (v > payload_capacity_bits()) {
-    return Status::InvalidArgument("frame payload length exceeds capacity");
-  }
-  out.header.payload_bits = v;
-
-  BitWriter payload;
-  BCC_RETURN_IF_ERROR(CopyBits(&r, &payload, v));
-  out.payload.bytes = payload.bytes();
-  out.payload.bits = v;
+  BCC_ASSIGN_OR_RETURN(out.header, DecodeHeader(frame.bytes));
+  out.payload.bits = out.header.payload_bits;
+  out.payload.bytes.resize((out.payload.bits + 7) / 8);
+  CopyBits(frame.bytes, header_bits(), out.payload.bytes, 0, out.payload.bits);
   return out;
 }
 
-void StreamReassembler::Add(const DecodedFrame& frame) {
+void StreamReassembler::Add(const FrameHeader& header, std::span<const uint8_t> src,
+                            uint64_t src_bit) {
   if (broken_) return;
-  const uint32_t seq = frame.header.seq;
+  const uint32_t seq = header.seq;
   if (last_seq_known_) {
     // A frame past the last-flagged sequence, or a second, different
     // last-flagged frame, contradicts the stream's claimed extent.
-    if (seq > last_seq_ || (frame.header.last && seq != last_seq_)) {
+    if (seq > last_seq_ || (header.last && seq != last_seq_)) {
       broken_ = true;
       return;
     }
-  } else if (frame.header.last) {
-    if (!frames_.empty() && frames_.rbegin()->first > seq) {
+  } else if (header.last) {
+    if (!slices_.empty() && slices_.back().seq > seq) {
       broken_ = true;  // already buffered a frame past the claimed last
       return;
     }
     last_seq_ = seq;
     last_seq_known_ = true;
   }
-  const auto [it, inserted] = frames_.emplace(seq, frame.payload);
-  if (!inserted && it->second.bits != frame.payload.bits) {
-    broken_ = true;  // two valid frames for one seq disagreeing on size
+  // Frames almost always arrive in order: append; otherwise find the slot.
+  auto pos = slices_.end();
+  if (!slices_.empty() && slices_.back().seq >= seq) {
+    pos = std::lower_bound(slices_.begin(), slices_.end(), seq,
+                           [](const Slice& s, uint32_t v) { return s.seq < v; });
+    if (pos->seq == seq) {
+      // Duplicate: ignored, unless two valid frames disagree on its content.
+      if (pos->bits != header.payload_bits ||
+          !SameBits(bytes_, 8 * pos->offset, src, src_bit, pos->bits)) {
+        broken_ = true;
+      }
+      return;
+    }
   }
+  const size_t offset = bytes_.size();
+  bytes_.resize(offset + (header.payload_bits + 7) / 8);
+  CopyBits(src, src_bit, bytes_, 8 * offset, header.payload_bits);
+  slices_.insert(pos, Slice{seq, header.payload_bits, offset});
 }
 
-Payload StreamReassembler::Take() {
-  BitWriter w;
-  uint64_t bits = 0;
-  for (auto& [seq, payload] : frames_) {
-    AppendPayloadBits(&w, payload);
-    bits += payload.bits;
-  }
-  return Payload{w.bytes(), bits};
+const Payload& StreamReassembler::Take() {
+  BitWriter w(std::move(out_.bytes));
+  for (const Slice& s : slices_) w.WriteBits(bytes_, 8 * s.offset, s.bits);
+  out_.bits = w.bit_size();
+  out_.bytes = std::move(w).Take();
+  return out_;
+}
+
+void StreamReassembler::Clear() {
+  slices_.clear();
+  bytes_.clear();
+  last_seq_ = 0;
+  last_seq_known_ = false;
+  broken_ = false;
 }
 
 Payload EncodeIndexPayload(const CycleIndex& index) {
@@ -206,7 +240,8 @@ Payload EncodeIndexPayload(const CycleIndex& index) {
   w.Write(index.control_mode, 2);
   w.Write(index.num_objects, FrameCodec::kStreamIdBits);
   w.Write(index.cycle_low, 32);
-  return Payload{w.bytes(), w.bit_size()};
+  const uint64_t bits = w.bit_size();
+  return Payload{std::move(w).Take(), bits};
 }
 
 StatusOr<CycleIndex> DecodeIndexPayload(const Payload& payload) {
@@ -232,37 +267,36 @@ StatusOr<CycleIndex> DecodeIndexPayload(const Payload& payload) {
 }
 
 Payload EncodeObjectPayload(const ObjectVersion& version, uint64_t object_size_bits) {
-  BitWriter w;
+  Payload out;
+  EncodeObjectPayloadInto(version, object_size_bits, &out);
+  return out;
+}
+
+void EncodeObjectPayloadInto(const ObjectVersion& version, uint64_t object_size_bits,
+                             Payload* out) {
+  BitWriter w(std::move(out->bytes));
   w.Write(static_cast<uint32_t>(version.value & 0xFFFFFFFFull), 32);
   w.Write(static_cast<uint32_t>(version.value >> 32), 32);
   w.Write(version.writer, 32);
   w.Write(static_cast<uint32_t>(version.cycle & 0xFFFFFFFFull), 32);
   w.Write(static_cast<uint32_t>(version.cycle >> 32), 32);
-  uint64_t pad =
-      object_size_bits > kObjectVersionBits ? object_size_bits - kObjectVersionBits : 0;
-  while (pad > 0) {
-    const unsigned step = static_cast<unsigned>(pad < 32 ? pad : 32);
-    w.Write(0, step);
-    pad -= step;
-  }
-  return Payload{w.bytes(), w.bit_size()};
+  if (object_size_bits > kObjectVersionBits) w.WriteZeros(object_size_bits - kObjectVersionBits);
+  out->bits = w.bit_size();
+  out->bytes = std::move(w).Take();
 }
 
 StatusOr<ObjectVersion> DecodeObjectPayload(const Payload& payload) {
   if (payload.bits < kObjectVersionBits) {
     return Status::InvalidArgument("object payload shorter than an ObjectVersion");
   }
-  BitReader r(payload.bytes);
-  uint32_t lo = 0, hi = 0;
+  if (payload.bytes.size() * 8 < kObjectVersionBits) {
+    return Status::OutOfRange("bit buffer exhausted");
+  }
+  const std::span<const uint8_t> bytes = payload.bytes;
   ObjectVersion version;
-  BCC_RETURN_IF_ERROR(r.Read(32, &lo));
-  BCC_RETURN_IF_ERROR(r.Read(32, &hi));
-  version.value = (static_cast<uint64_t>(hi) << 32) | lo;
-  BCC_RETURN_IF_ERROR(r.Read(32, &lo));
-  version.writer = lo;
-  BCC_RETURN_IF_ERROR(r.Read(32, &lo));
-  BCC_RETURN_IF_ERROR(r.Read(32, &hi));
-  version.cycle = (static_cast<uint64_t>(hi) << 32) | lo;
+  version.value = LoadBits(bytes, 0, 32) | LoadBits(bytes, 32, 32) << 32;
+  version.writer = static_cast<uint32_t>(LoadBits(bytes, 64, 32));
+  version.cycle = LoadBits(bytes, 96, 32) | LoadBits(bytes, 128, 32) << 32;
   return version;
 }
 
@@ -278,6 +312,7 @@ void EncodeCycleFramesInto(const CycleSnapshot& snap, const FrameCodec& codec,
   const CycleStampCodec& sc = codec.stamp_codec();
   const uint32_t n = static_cast<uint32_t>(snap.values.size());
   size_t used = 0;
+  Payload page;  // object data page, rebuilt in place for every object
 
   const auto emit = [&](FrameKind kind, uint32_t stream_id, const Payload& payload) {
     codec.EncodeStreamInto(kind, stream_id, snap.cycle, payload, out, used);
@@ -308,7 +343,8 @@ void EncodeCycleFramesInto(const CycleSnapshot& snap, const FrameCodec& codec,
                    DeltaCodec::EncodedBits(snap.delta->entries.size(), n, sc.bits())});
     }
     for (uint32_t j = 0; j < n; ++j) {
-      emit(FrameKind::kData, j, EncodeObjectPayload(snap.values[j], object_size_bits));
+      EncodeObjectPayloadInto(snap.values[j], object_size_bits, &page);
+      emit(FrameKind::kData, j, page);
     }
     out.resize(used);
     return;
@@ -318,7 +354,8 @@ void EncodeCycleFramesInto(const CycleSnapshot& snap, const FrameCodec& codec,
   // followed by its control column.
   std::vector<Cycle> sparse_col;
   for (uint32_t j = 0; j < n; ++j) {
-    emit(FrameKind::kData, j, EncodeObjectPayload(snap.values[j], object_size_bits));
+    EncodeObjectPayloadInto(snap.values[j], object_size_bits, &page);
+    emit(FrameKind::kData, j, page);
     if (snap.sparse_f_matrix != nullptr) {
       snap.sparse_f_matrix->MaterializeColumn(j, sparse_col);
       emit(FrameKind::kControlColumn, j,

@@ -27,7 +27,6 @@
 #define BCC_CHANNEL_FRAME_H_
 
 #include <cstdint>
-#include <map>
 #include <span>
 #include <vector>
 
@@ -37,7 +36,7 @@
 
 namespace bcc {
 
-/// CRC32 (IEEE 802.3 polynomial, reflected). Exposed for tests.
+/// CRC32 (IEEE 802.3 polynomial, reflected; slicing-by-8). Exposed for tests.
 uint32_t Crc32(std::span<const uint8_t> bytes);
 
 /// What a frame carries.
@@ -110,14 +109,18 @@ class FrameCodec {
                                   const Payload& payload) const;
 
   /// Appends the stream's frames into `out` starting at index `*used`
-  /// (advancing it), overwriting existing elements in place. Frames are
-  /// fixed-size, so a caller cycling one vector re-fills the same byte
-  /// buffers every cycle instead of reallocating them.
+  /// (advancing it), overwriting existing elements in place. Each frame is
+  /// written straight into its reused byte buffer, so a caller cycling one
+  /// vector re-fills the same buffers every cycle instead of reallocating.
   void EncodeStreamInto(FrameKind kind, uint32_t stream_id, Cycle cycle, const Payload& payload,
                         std::vector<Frame>& out, size_t& used) const;
 
-  /// Validates size, CRC, and header fields; returns the header plus the
-  /// frame's payload slice. InvalidArgument on any framing violation.
+  /// Validates size, CRC, and header fields of a received frame without
+  /// copying it; the payload slice is header.payload_bits bits of `frame`
+  /// starting at bit header_bits(). InvalidArgument on any framing violation.
+  StatusOr<FrameHeader> DecodeHeader(std::span<const uint8_t> frame) const;
+
+  /// DecodeHeader plus a copy of the frame's payload slice.
   StatusOr<DecodedFrame> Decode(const Frame& frame) const;
 
  private:
@@ -131,22 +134,41 @@ class FrameCodec {
 /// (the receiver's stall-on-miss path handles it). Only a *contradictory*
 /// stream is marked broken: a frame sequenced past the last-flagged frame,
 /// two different last-flagged sequence numbers, or two CRC-valid frames for
-/// the same sequence number that disagree on payload size. A broken stream
+/// the same sequence number that disagree on their payload. A broken stream
 /// is never complete.
+///
+/// Slices are copied into one flat byte buffer (each starting on a byte
+/// boundary) indexed by a seq-sorted slice table, and Take() concatenates
+/// them into a reused output payload; Clear() keeps every buffer's capacity,
+/// so a reassembler reused cycle after cycle stops allocating.
 class StreamReassembler {
  public:
-  void Add(const DecodedFrame& frame);
+  void Add(const DecodedFrame& frame) { Add(frame.header, frame.payload.bytes, 0); }
+  /// Same, with the frame's payload slice given as header.payload_bits bits
+  /// of `src` starting at bit `src_bit` (a received frame's bytes and
+  /// FrameCodec::header_bits(), after FrameCodec::DecodeHeader).
+  void Add(const FrameHeader& header, std::span<const uint8_t> src, uint64_t src_bit);
 
   bool complete() const {
-    return !broken_ && last_seq_known_ && frames_.size() == static_cast<size_t>(last_seq_) + 1;
+    return !broken_ && last_seq_known_ && slices_.size() == static_cast<size_t>(last_seq_) + 1;
   }
   bool broken() const { return broken_; }
   /// The reassembled payload, frames concatenated in sequence order
-  /// (meaningful only when complete()).
-  Payload Take();
+  /// (meaningful only when complete(); valid until the next Add or Clear).
+  const Payload& Take();
+
+  /// Forgets the stream, keeping buffer capacity for the next one.
+  void Clear();
 
  private:
-  std::map<uint32_t, Payload> frames_;  // seq -> payload slice, dups ignored
+  struct Slice {
+    uint32_t seq;
+    uint32_t bits;
+    size_t offset;  // byte offset into bytes_
+  };
+  std::vector<Slice> slices_;  // sorted by seq, dups ignored
+  std::vector<uint8_t> bytes_;
+  Payload out_;
   uint32_t last_seq_ = 0;
   bool last_seq_known_ = false;
   bool broken_ = false;
@@ -173,6 +195,10 @@ StatusOr<CycleIndex> DecodeIndexPayload(const Payload& payload);
 inline constexpr uint64_t kObjectVersionBits = 160;
 
 Payload EncodeObjectPayload(const ObjectVersion& version, uint64_t object_size_bits);
+/// Same, re-filling `*out` in place (its byte buffer is reused).
+void EncodeObjectPayloadInto(const ObjectVersion& version, uint64_t object_size_bits,
+                             Payload* out);
+/// Reads only the leading kObjectVersionBits; the zero padding is not examined.
 StatusOr<ObjectVersion> DecodeObjectPayload(const Payload& payload);
 
 /// Packetizes one cycle's whole broadcast: the index segment, then per object

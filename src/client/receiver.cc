@@ -1,18 +1,8 @@
 #include "client/receiver.h"
 
-#include <map>
-
 #include "matrix/wire.h"
 
 namespace bcc {
-
-namespace {
-
-uint64_t StreamKey(FrameKind kind, uint32_t stream_id) {
-  return (static_cast<uint64_t>(kind) << 32) | stream_id;
-}
-
-}  // namespace
 
 ChannelReceiver::ChannelReceiver(uint32_t num_objects, FrameCodec codec,
                                  DeltaMatrixTracker* tracker)
@@ -22,7 +12,25 @@ ChannelReceiver::ChannelReceiver(uint32_t num_objects, FrameCodec codec,
       matrix_(num_objects),
       col_cycle_(num_objects, 0),
       values_(num_objects),
-      data_cycle_(num_objects, 0) {}
+      data_cycle_(num_objects, 0),
+      data_streams_(num_objects),
+      column_streams_(tracker == nullptr ? num_objects : 0) {}
+
+StreamReassembler* ChannelReceiver::Stream(FrameKind kind, uint32_t stream_id) {
+  switch (kind) {
+    case FrameKind::kData:
+      return stream_id < data_streams_.size() ? &data_streams_[stream_id] : nullptr;
+    case FrameKind::kControlColumn:
+      return stream_id < column_streams_.size() ? &column_streams_[stream_id] : nullptr;
+    case FrameKind::kIndex:
+      return stream_id == 0 ? &index_stream_ : nullptr;
+    case FrameKind::kControlDelta:
+      return stream_id == 0 ? &delta_stream_ : nullptr;
+    case FrameKind::kControlRefresh:
+      return stream_id == 0 ? &refresh_stream_ : nullptr;
+  }
+  return nullptr;
+}
 
 void ChannelReceiver::IngestCycle(Cycle cycle, const Transmission& tx, SimTime now) {
   stats_.frames_sent += tx.sent;
@@ -39,24 +47,30 @@ void ChannelReceiver::IngestCycle(Cycle cycle, const Transmission& tx, SimTime n
     trace_->Record(e);
   }
 
+  for (StreamReassembler& s : data_streams_) s.Clear();
+  for (StreamReassembler& s : column_streams_) s.Clear();
+  index_stream_.Clear();
+  delta_stream_.Clear();
+  refresh_stream_.Clear();
+
   const uint32_t residue = codec_.stamp_codec().Encode(cycle);
-  std::map<uint64_t, StreamReassembler> streams;
   for (const Delivery& d : tx.frames) {
-    StatusOr<DecodedFrame> decoded = codec_.Decode(d.frame);
-    if (!decoded.ok() || decoded->header.cycle_residue != residue) {
+    const StatusOr<FrameHeader> header = codec_.DecodeHeader(d.frame.bytes);
+    if (!header.ok() || header->cycle_residue != residue) {
       ++stats_.frames_rejected;
       continue;
     }
     // A damaged frame that still passes CRC and framing would be delivered as
     // valid — counted so the sweep can prove it (essentially) never happens.
     if (d.corrupted) ++stats_.frames_delivered_corrupt;
-    streams[StreamKey(decoded->header.kind, decoded->header.stream_id)].Add(*decoded);
+    if (StreamReassembler* s = Stream(header->kind, header->stream_id)) {
+      s->Add(*header, d.frame.bytes, codec_.header_bits());
+    }
   }
 
-  const auto complete = [&streams](FrameKind kind, uint32_t stream_id) -> StreamReassembler* {
-    const auto it = streams.find(StreamKey(kind, stream_id));
-    if (it == streams.end() || !it->second.complete()) return nullptr;
-    return &it->second;
+  const auto complete = [this](FrameKind kind, uint32_t stream_id) -> StreamReassembler* {
+    StreamReassembler* s = Stream(kind, stream_id);
+    return s != nullptr && s->complete() ? s : nullptr;
   };
 
   // Data pages travel the same way in both control modes.
@@ -78,10 +92,11 @@ void ChannelReceiver::IngestCycle(Cycle cycle, const Transmission& tx, SimTime n
     bool all_ok = true;
     for (uint32_t j = 0; j < n_; ++j) {
       if (StreamReassembler* s = complete(FrameKind::kControlColumn, j)) {
-        const Payload payload = s->Take();
+        const Payload& payload = s->Take();
+        const uint64_t column_bits = static_cast<uint64_t>(n_) * codec_.stamp_codec().bits();
         const StatusOr<std::vector<Cycle>> stamps =
             UnpackStamps(payload.bytes, n_, codec_.stamp_codec(), cycle);
-        if (stamps.ok()) {
+        if (stamps.ok() && payload.bits == column_bits) {
           for (uint32_t i = 0; i < n_; ++i) matrix_.Set(i, j, (*stamps)[i]);
           col_cycle_[j] = cycle;
         }
@@ -132,17 +147,24 @@ bool ChannelReceiver::ObserveControl(Cycle cycle, bool refresh, const Payload& p
   DeltaControl ctl;
   ctl.cycle = cycle;
   ctl.full_refresh = refresh;
+  // The byte-level unpackers cannot see a stream that lost its final bits
+  // (zero padding fills them), so the bit count must match exactly too.
   if (refresh) {
     const StatusOr<FMatrix> on_air =
         UnpackMatrix(payload.bytes, n_, codec_.stamp_codec(), cycle);
-    if (!on_air.ok()) return false;
+    if (!on_air.ok() || payload.bits != FullMatrixControlBits(n_, codec_.stamp_codec().bits())) {
+      return false;
+    }
     tracker_->Observe(ctl, *on_air);
     return true;
   }
   ctl.base_cycle = cycle - 1;
   StatusOr<std::vector<DeltaCodec::Entry>> entries =
       DeltaCodec::Unpack(payload.bytes, n_, codec_.stamp_codec());
-  if (!entries.ok()) return false;
+  if (!entries.ok() ||
+      payload.bits != DeltaCodec::EncodedBits(entries->size(), n_, codec_.stamp_codec().bits())) {
+    return false;
+  }
   ctl.entries = *std::move(entries);
   tracker_->Observe(ctl, matrix_);  // matrix_ unused for a non-refresh block
   return true;

@@ -79,6 +79,10 @@ class ChannelReceiver {
   /// when the payload fails wire validation (treated as a lost segment).
   bool ObserveControl(Cycle cycle, bool refresh, const Payload& payload);
 
+  /// The reassembler for (kind, stream id), or nullptr when no such stream
+  /// exists in this control mode (its frames are ignored).
+  StreamReassembler* Stream(FrameKind kind, uint32_t stream_id);
+
   uint32_t n_;
   FrameCodec codec_;
   DeltaMatrixTracker* tracker_;  // null in full mode
@@ -87,6 +91,13 @@ class ChannelReceiver {
   std::vector<Cycle> col_cycle_;     // cycle each column was last received in
   std::vector<ObjectVersion> values_;
   std::vector<Cycle> data_cycle_;    // cycle each data page was last received in
+
+  // Per-(kind, stream) reassemblers, allocated once and cleared each cycle.
+  std::vector<StreamReassembler> data_streams_;    // by object id
+  std::vector<StreamReassembler> column_streams_;  // by column (full mode only)
+  StreamReassembler index_stream_;
+  StreamReassembler delta_stream_;
+  StreamReassembler refresh_stream_;
 
   bool prev_control_ok_ = true;  // full mode: was last cycle's control complete?
   bool ever_synced_ = false;     // delta mode: has the tracker ever synced?

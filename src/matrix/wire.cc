@@ -52,7 +52,7 @@ std::vector<Cycle> DecodeStamps(std::span<const uint32_t> residues, const CycleS
 std::vector<uint8_t> PackStamps(std::span<const Cycle> stamps, const CycleStampCodec& codec) {
   BitWriter writer;
   for (Cycle c : stamps) writer.Write(codec.Encode(c), codec.bits());
-  return writer.bytes();
+  return std::move(writer).Take();
 }
 
 StatusOr<std::vector<Cycle>> UnpackStamps(std::span<const uint8_t> bytes, size_t count,
@@ -264,7 +264,7 @@ std::vector<uint8_t> DeltaCodec::Pack(std::span<const Entry> entries, uint32_t n
     }
     writer.Write(e.residue, codec.bits());
   }
-  return writer.bytes();
+  return std::move(writer).Take();
 }
 
 StatusOr<std::vector<DeltaCodec::Entry>> DeltaCodec::Unpack(std::span<const uint8_t> bytes,
@@ -319,7 +319,7 @@ std::vector<uint8_t> PackMatrixImpl(const AnyMatrix& matrix, const CycleStampCod
   for (ObjectId j = 0; j < n; ++j) {
     for (const Cycle c : matrix.Column(j)) writer.Write(codec.Encode(c), codec.bits());
   }
-  return writer.bytes();
+  return std::move(writer).Take();
 }
 
 }  // namespace
@@ -342,7 +342,7 @@ std::vector<uint8_t> PackMatrix(const SparseFMatrix& matrix, const CycleStampCod
     matrix.MaterializeColumn(j, column);
     for (const Cycle c : column) writer.Write(codec.Encode(c), codec.bits());
   }
-  return writer.bytes();
+  return std::move(writer).Take();
 }
 
 StatusOr<FMatrix> UnpackMatrix(std::span<const uint8_t> bytes, uint32_t num_objects,

@@ -106,7 +106,7 @@ class ClientRuntime {
   Status Handshake();
   Status CompleteHandshake(const HelloAckMsg& ack);
   Status DrainSocket(UdpSocket* sock);
-  Status HandleDatagram(const InDatagram& d);
+  Status HandleDatagram(const InDatagramView& d);
   Status HandleCycleData(std::span<const uint8_t> bytes);
   Status FlushCycle(Cycle cycle, CycleBuffer&& buffer);
   Status AdvanceSlots(Cycle cycle);
@@ -384,13 +384,14 @@ Status ClientRuntime::CompleteHandshake(const HelloAckMsg& ack) {
 
 Status ClientRuntime::DrainSocket(UdpSocket* sock) {
   while (true) {
-    BCC_ASSIGN_OR_RETURN(const std::vector<InDatagram> batch, sock->RecvBatch(64, 65536));
+    BCC_ASSIGN_OR_RETURN(const std::span<const InDatagramView> batch,
+                         sock->RecvBatchInPlace(64, 65536));
     if (batch.empty()) return Status::OK();
-    for (const InDatagram& d : batch) BCC_RETURN_IF_ERROR(HandleDatagram(d));
+    for (const InDatagramView& d : batch) BCC_RETURN_IF_ERROR(HandleDatagram(d));
   }
 }
 
-Status ClientRuntime::HandleDatagram(const InDatagram& d) {
+Status ClientRuntime::HandleDatagram(const InDatagramView& d) {
   const StatusOr<MsgKind> kind = PeekKind(d.bytes);
   if (!kind.ok()) return Status::OK();  // foreign datagram: ignore
   switch (*kind) {

@@ -1,5 +1,6 @@
 #include "net/datagram.h"
 
+#include <algorithm>
 #include <cstring>
 
 #include "common/format.h"
@@ -9,6 +10,7 @@ namespace bcc {
 namespace {
 
 constexpr size_t kMsgHeaderBytes = 3;  // magic u16 + kind u8
+constexpr size_t kCycleHeaderBytes = kMsgHeaderBytes + 8 + 5 * 2;
 
 void PutHeader(std::vector<uint8_t>* out, MsgKind kind) {
   PutU16(out, kNetMagic);
@@ -161,6 +163,7 @@ StatusOr<HelloAckMsg> DecodeHelloAck(std::span<const uint8_t> bytes) {
 std::vector<uint8_t> EncodeCycleData(const CycleDataHeader& header,
                                      std::span<const Frame> frames) {
   std::vector<uint8_t> out;
+  out.reserve(kCycleHeaderBytes + frames.size() * header.frame_bytes);
   PutHeader(&out, MsgKind::kCycleData);
   PutU64(&out, header.cycle);
   PutU16(&out, header.dgram_seq);
@@ -183,7 +186,7 @@ StatusOr<CycleDataMsg> DecodeCycleData(std::span<const uint8_t> bytes) {
   if (h.frame_bytes == 0) return Status::InvalidArgument("CYCLE_DATA with frame_bytes == 0");
   // A truncated datagram delivers only the frames that arrived whole; the
   // partial tail frame is channel loss, not a framing error.
-  msg.frames.reserve(h.frame_count);
+  msg.frames.reserve(std::min<size_t>(h.frame_count, r.remaining() / h.frame_bytes));
   for (uint16_t i = 0; i < h.frame_count; ++i) {
     std::span<const uint8_t> slice;
     if (!r.ReadBytes(h.frame_bytes, &slice)) break;
@@ -329,7 +332,6 @@ StatusOr<MetricsMsg> DecodeMetrics(std::span<const uint8_t> bytes) {
 
 std::vector<std::vector<uint8_t>> PackCycleDatagrams(Cycle cycle, std::span<const Frame> frames,
                                                      size_t dgram_bytes) {
-  constexpr size_t kCycleHeaderBytes = kMsgHeaderBytes + 8 + 5 * 2;
   std::vector<std::vector<uint8_t>> out;
   if (frames.empty()) return out;
   const size_t frame_bytes = frames[0].bytes.size();

@@ -64,7 +64,7 @@ class ServerDaemon {
   Status FanOutCycle(Cycle cycle);
   Status CollectStats();
   Status DrainUplink();
-  Status HandleUplink(const InDatagram& dgram);
+  Status HandleUplink(const InDatagramView& dgram);
   Status CheckWatchdog() const;
   Status MaybeLogMetrics();
   void MaybeWarnSlowCycle(const CyclePacer& pacer, Cycle cycle, uint64_t cycle_us);
@@ -121,7 +121,7 @@ class ServerDaemon {
   Gauge* m_matrix_nnz_ = nullptr;
   Gauge* m_matrix_control_bytes_ = nullptr;
   Histogram* m_slip_hist_ = nullptr;
-  Histogram* m_cycle_ms_ = nullptr;
+  Histogram* m_cycle_us_ = nullptr;
   Histogram* m_validate_us_ = nullptr;
   /// Per-registered-client live view, fed from uplink traffic.
   struct PerClientMetrics {
@@ -240,7 +240,7 @@ void ServerDaemon::SetUpTelemetry() {
                                   sim_.timestamp_bits / 8));
   }
   m_slip_hist_ = registry_->AddHistogram("pacing.slip_ms_hist", ExponentialBounds(1, 2.0, 12));
-  m_cycle_ms_ = registry_->AddHistogram("server.cycle_ms", ExponentialBounds(1, 2.0, 14));
+  m_cycle_us_ = registry_->AddHistogram("server.cycle_us", ExponentialBounds(16, 2.0, 16));
   m_validate_us_ = registry_->AddHistogram("uplink.validate_us", ExponentialBounds(1, 2.0, 20));
   if (!net_.trace_out.empty()) {
     tracer_ = std::make_unique<Tracer>(net_.trace_capacity);
@@ -333,14 +333,14 @@ Status ServerDaemon::CheckWatchdog() const {
 
 Status ServerDaemon::DrainUplink() {
   for (;;) {
-    BCC_ASSIGN_OR_RETURN(const std::vector<InDatagram> dgrams,
-                         socket_.RecvBatch(/*max_datagrams=*/64, /*max_bytes=*/65536));
+    BCC_ASSIGN_OR_RETURN(const std::span<const InDatagramView> dgrams,
+                         socket_.RecvBatchInPlace(/*max_datagrams=*/64, /*max_bytes=*/65536));
     if (dgrams.empty()) return Status::OK();
-    for (const InDatagram& d : dgrams) BCC_RETURN_IF_ERROR(HandleUplink(d));
+    for (const InDatagramView& d : dgrams) BCC_RETURN_IF_ERROR(HandleUplink(d));
   }
 }
 
-Status ServerDaemon::HandleUplink(const InDatagram& dgram) {
+Status ServerDaemon::HandleUplink(const InDatagramView& dgram) {
   const auto kind = PeekKind(dgram.bytes);
   if (!kind.ok()) return Status::OK();  // stray datagram; ignore
   switch (*kind) {
@@ -639,7 +639,7 @@ Status ServerDaemon::BroadcastCycles() {
     FlushBatch(cycle);
     const uint64_t cycle_us = wall_.ElapsedUs() - cycle_start_us;
     CounterAdd(m_cycles_);
-    HistogramRecord(m_cycle_ms_, cycle_us / 1000);
+    HistogramRecord(m_cycle_us_, cycle_us);
     if (server_ring_ != nullptr) {
       TraceEvent ev;
       ev.type = TraceEventType::kCycleStart;

@@ -8,6 +8,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <utility>
 
 #include "common/format.h"
@@ -53,12 +54,14 @@ StatusOr<SockAddr> ResolveEndpoint(const Endpoint& endpoint) {
 
 UdpSocket::~UdpSocket() { Close(); }
 
-UdpSocket::UdpSocket(UdpSocket&& other) noexcept : fd_(std::exchange(other.fd_, -1)) {}
+UdpSocket::UdpSocket(UdpSocket&& other) noexcept
+    : fd_(std::exchange(other.fd_, -1)), recv_(std::exchange(other.recv_, RecvArea{})) {}
 
 UdpSocket& UdpSocket::operator=(UdpSocket&& other) noexcept {
   if (this != &other) {
     Close();
     fd_ = std::exchange(other.fd_, -1);
+    recv_ = std::exchange(other.recv_, RecvArea{});
   }
   return *this;
 }
@@ -180,35 +183,51 @@ StatusOr<size_t> UdpSocket::SendBatch(std::span<const OutDatagram> datagrams) {
 }
 
 StatusOr<std::vector<InDatagram>> UdpSocket::RecvBatch(size_t max_datagrams, size_t max_bytes) {
-  std::vector<InDatagram> out;
-  std::vector<uint8_t> storage(max_datagrams * max_bytes);
-  std::vector<mmsghdr> headers(max_datagrams);
-  std::vector<iovec> iovs(max_datagrams);
-  std::vector<SockAddr> froms(max_datagrams);
-  for (size_t i = 0; i < max_datagrams; ++i) {
-    iovs[i].iov_base = storage.data() + i * max_bytes;
-    iovs[i].iov_len = max_bytes;
-    msghdr& msg = headers[i].msg_hdr;
-    msg = {};
-    msg.msg_name = &froms[i].sin;
-    msg.msg_namelen = sizeof(froms[i].sin);
-    msg.msg_iov = &iovs[i];
-    msg.msg_iovlen = 1;
-  }
-  const int n = recvmmsg(fd_, headers.data(), static_cast<unsigned>(max_datagrams), 0, nullptr);
-  if (n < 0) {
-    if (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR) return out;
-    return Errno("recvmmsg");
-  }
-  out.reserve(static_cast<size_t>(n));
-  for (int i = 0; i < n; ++i) {
-    InDatagram d;
-    const uint8_t* base = storage.data() + static_cast<size_t>(i) * max_bytes;
-    d.bytes.assign(base, base + headers[i].msg_len);
-    d.from = froms[i];
-    out.push_back(std::move(d));
+  BCC_ASSIGN_OR_RETURN(const std::span<const InDatagramView> views,
+                       RecvBatchInPlace(max_datagrams, max_bytes));
+  std::vector<InDatagram> out(views.size());
+  for (size_t i = 0; i < views.size(); ++i) {
+    out[i].bytes.assign(views[i].bytes.begin(), views[i].bytes.end());
+    out[i].from = views[i].from;
   }
   return out;
+}
+
+StatusOr<std::span<const InDatagramView>> UdpSocket::RecvBatchInPlace(size_t max_datagrams,
+                                                                      size_t max_bytes) {
+  RecvArea& a = recv_;
+  if (a.max_datagrams < max_datagrams || a.max_bytes < max_bytes) {
+    a.max_datagrams = std::max(a.max_datagrams, max_datagrams);
+    a.max_bytes = std::max(a.max_bytes, max_bytes);
+    a.storage = std::make_unique_for_overwrite<uint8_t[]>(a.max_datagrams * a.max_bytes);
+    a.headers.resize(a.max_datagrams);
+    a.iovs.resize(a.max_datagrams);
+    a.froms.resize(a.max_datagrams);
+  }
+  for (size_t i = 0; i < max_datagrams; ++i) {
+    a.iovs[i].iov_base = a.storage.get() + i * a.max_bytes;
+    a.iovs[i].iov_len = max_bytes;
+    msghdr& msg = a.headers[i].msg_hdr;
+    msg = {};
+    msg.msg_name = &a.froms[i].sin;
+    msg.msg_namelen = sizeof(a.froms[i].sin);
+    msg.msg_iov = &a.iovs[i];
+    msg.msg_iovlen = 1;
+  }
+  a.views.clear();
+  const int n = recvmmsg(fd_, a.headers.data(), static_cast<unsigned>(max_datagrams), 0, nullptr);
+  if (n < 0) {
+    if (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR) {
+      return std::span<const InDatagramView>();
+    }
+    return Errno("recvmmsg");
+  }
+  for (size_t i = 0; i < static_cast<size_t>(n); ++i) {
+    a.views.push_back(InDatagramView{
+        std::span<const uint8_t>(a.storage.get() + i * a.max_bytes, a.headers[i].msg_len),
+        a.froms[i]});
+  }
+  return std::span<const InDatagramView>(a.views);
 }
 
 }  // namespace bcc

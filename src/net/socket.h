@@ -9,8 +9,10 @@
 #define BCC_NET_SOCKET_H_
 
 #include <netinet/in.h>
+#include <sys/socket.h>
 
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -41,6 +43,13 @@ struct OutDatagram {
 /// One received datagram: payload bytes plus the sender's address.
 struct InDatagram {
   std::vector<uint8_t> bytes;
+  SockAddr from;
+};
+
+/// A received datagram viewed in place in the socket's receive area; valid
+/// until the socket's next receive call.
+struct InDatagramView {
+  std::span<const uint8_t> bytes;
   SockAddr from;
 };
 
@@ -79,13 +88,31 @@ class UdpSocket {
   /// currently-queued datagrams (each up to `max_bytes`). Returns an empty
   /// vector when the queue is empty — never blocks.
   StatusOr<std::vector<InDatagram>> RecvBatch(size_t max_datagrams, size_t max_bytes);
+  /// Zero-copy variant: the views point into the socket's receive area,
+  /// which is allocated once and reused by every call.
+  StatusOr<std::span<const InDatagramView>> RecvBatchInPlace(size_t max_datagrams,
+                                                              size_t max_bytes);
 
   int fd() const { return fd_; }
   bool valid() const { return fd_ >= 0; }
   void Close();
 
  private:
+  /// recvmmsg scratch, kept across calls and grown on demand. The storage is
+  /// never value-initialized: the kernel writes what it receives and only
+  /// msg_len bytes of each slot are read back.
+  struct RecvArea {
+    std::unique_ptr<uint8_t[]> storage;
+    size_t max_datagrams = 0;
+    size_t max_bytes = 0;
+    std::vector<mmsghdr> headers;
+    std::vector<iovec> iovs;
+    std::vector<SockAddr> froms;
+    std::vector<InDatagramView> views;
+  };
+
   int fd_ = -1;
+  RecvArea recv_;
 };
 
 }  // namespace bcc

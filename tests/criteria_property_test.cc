@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "cc/approx.h"
 #include "cc/update_consistency.h"
 #include "history/random_history.h"
@@ -17,6 +19,10 @@ struct LatticeCase {
   RandomHistoryOptions options;
   int trials;
 };
+
+// Print the case by name: gtest's default byte dump would embed the
+// (address-randomised) `name` pointer in the discovered ctest test names.
+void PrintTo(const LatticeCase& tc, std::ostream* os) { *os << tc.name; }
 
 class LatticePropertyTest : public ::testing::TestWithParam<LatticeCase> {};
 

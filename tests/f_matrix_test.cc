@@ -4,6 +4,7 @@
 
 #include <algorithm>
 
+#include "common/format.h"
 #include "common/rng.h"
 #include "history/history.h"
 #include "matrix/kernels.h"
@@ -228,8 +229,10 @@ INSTANTIATE_TEST_SUITE_P(
                       Theorem2Case{8, 30, 4, 3}, Theorem2Case{2, 15, 2, 4},
                       Theorem2Case{10, 25, 5, 5}, Theorem2Case{6, 40, 3, 6}),
     [](const ::testing::TestParamInfo<Theorem2Case>& info) {
-      return "n" + std::to_string(info.param.num_objects) + "_t" +
-             std::to_string(info.param.num_txns) + "_s" + std::to_string(info.param.seed);
+      // StrFormat, not chained std::string operator+: gcc 12 at -O2/-O3
+      // raises a false -Wrestrict on "literal" + std::string.
+      return StrFormat("n%u_t%u_s%llu", info.param.num_objects, info.param.num_txns,
+                       static_cast<unsigned long long>(info.param.seed));
     });
 
 }  // namespace

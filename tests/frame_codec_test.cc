@@ -283,6 +283,16 @@ TEST(StreamReassemblerTest, ContradictoryFramesBreakTheStream) {
     r.Add(long_stream.back());
     EXPECT_TRUE(r.broken());
   }
+  {  // a duplicate of the same size carrying a different payload
+    StreamReassembler r;
+    r.Add(short_stream.front());
+    r.Add(short_stream.front());  // a true duplicate is ignored
+    EXPECT_FALSE(r.broken());
+    DecodedFrame forged = short_stream.front();
+    forged.payload.bytes[0] ^= 0x01;
+    r.Add(forged);
+    EXPECT_TRUE(r.broken());
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -422,6 +432,66 @@ TEST(WireFormatGoldenTest, PackStampsBytesAreFrozen) {
   // residue mod 256.
   const std::vector<Cycle> stamps = {0, 1, 255, 256, 511};
   EXPECT_EQ(ToHex(PackStamps(stamps, CycleStampCodec(8))), "0001ff00ff");
+}
+
+// The goldens below freeze the unaligned cases: at ts=5 and ts=13 the frame
+// header is not a whole number of bytes, so every payload bit straddles a
+// byte boundary on the air.
+
+Payload UnalignedPayload() {
+  // 71 meaningful bits: three frames at a 35-bit capacity (35 + 35 + 1).
+  Payload p;
+  p.bytes = {0xA5, 0x3C, 0xF0, 0x0F, 0x96, 0x69, 0x12, 0xEF, 0x55};
+  p.bits = 71;
+  p.bytes.back() &= 0x7F;  // zero padding past bit 71
+  return p;
+}
+
+TEST(WireFormatGoldenTest, UnalignedFrameBytesAreFrozenAtTs5) {
+  // ts=5, 128-bit frames: header 5+56 = 61 bits, capacity 128-61-32 = 35.
+  const FrameCodec codec = SmallCodec(5, 128);
+  const std::vector<Frame> frames =
+      codec.EncodeStream(FrameKind::kControlDelta, 0xABCDE, 1000, UnalignedPayload());
+  ASSERT_EQ(frames.size(), 3u);
+  EXPECT_EQ(ToHex(frames[0].bytes), "68debc0a006004a09407fec10b317738");
+  EXPECT_EQ(ToHex(frames[1].bytes), "68debc1a00600440a649bc57b33f6647");
+  EXPECT_EQ(ToHex(frames[2].bytes), "68debc2a0030002000000000f8f615e2");
+}
+
+TEST(WireFormatGoldenTest, UnalignedFrameBytesAreFrozenAtTs13) {
+  // ts=13, 136-bit frames: header 13+56 = 69 bits, capacity 136-69-32 = 35.
+  const FrameCodec codec = SmallCodec(13, 136);
+  const std::vector<Frame> frames =
+      codec.EncodeStream(FrameKind::kData, 4242, 123456, UnalignedPayload());
+  ASSERT_EQ(frames.size(), 3u);
+  EXPECT_EQ(ToHex(frames[0].bytes), "4022921000006004a09407fec1359417d1");
+  EXPECT_EQ(ToHex(frames[1].bytes), "402292101000600440a649bc578d9a06ae");
+  EXPECT_EQ(ToHex(frames[2].bytes), "40229210200030002000000000c653750b");
+
+  // The frozen bytes reassemble to the original payload.
+  StreamReassembler reassembler;
+  for (const Frame& f : frames) {
+    const auto decoded = codec.Decode(f);
+    ASSERT_TRUE(decoded.ok());
+    reassembler.Add(*decoded);
+  }
+  ASSERT_TRUE(reassembler.complete());
+  const Payload out = reassembler.Take();
+  EXPECT_EQ(out.bits, 71u);
+  EXPECT_EQ(out.bytes, UnalignedPayload().bytes);
+}
+
+TEST(WireFormatGoldenTest, UnalignedPackStampsBytesAreFrozenAtTs5) {
+  // Five-bit residues straddle byte boundaries: 9 stamps = 45 bits.
+  const std::vector<Cycle> stamps = {0, 1, 31, 32, 33, 63, 64, 1000, 12345};
+  EXPECT_EQ(ToHex(PackStamps(stamps, CycleStampCodec(5))), "207c103e4019");
+}
+
+TEST(WireFormatGoldenTest, UnalignedDeltaBytesAreFrozenAtTs5) {
+  // n=10: 4-bit row and column indices plus a 5-bit residue per entry.
+  const std::vector<DeltaCodec::Entry> entries = {
+      {0, 1, 3}, {9, 2, 31}, {5, 5, 17}, {7, 0, 0}};
+  EXPECT_EQ(ToHex(DeltaCodec::Pack(entries, 10, CycleStampCodec(5))), "040000001023e557c50300");
 }
 
 }  // namespace

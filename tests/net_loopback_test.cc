@@ -68,6 +68,60 @@ int WaitFor(pid_t pid) {
   return WIFEXITED(status) ? WEXITSTATUS(status) : -WTERMSIG(status);
 }
 
+/// Receives on `sock` until `want` datagrams arrived or ~2 s elapse.
+std::vector<std::vector<uint8_t>> ReceiveInPlace(UdpSocket& sock, size_t want) {
+  std::vector<std::vector<uint8_t>> got;
+  for (int attempt = 0; attempt < 200 && got.size() < want; ++attempt) {
+    const StatusOr<std::span<const InDatagramView>> batch = sock.RecvBatchInPlace(4, 2048);
+    EXPECT_TRUE(batch.ok());
+    if (!batch.ok()) break;
+    for (const InDatagramView& d : *batch) got.emplace_back(d.bytes.begin(), d.bytes.end());
+    if (batch->empty()) std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  return got;
+}
+
+TEST(UdpSocketTest, InPlaceReceiveReusesItsAreaAndMovesWithTheSocket) {
+  UdpSocket sender, receiver;
+  ASSERT_TRUE(sender.Open().ok());
+  ASSERT_TRUE(receiver.Open().ok());
+  ASSERT_TRUE(receiver.Bind(Endpoint{"127.0.0.1", 0}).ok());
+  const StatusOr<Endpoint> local = receiver.local_endpoint();
+  ASSERT_TRUE(local.ok());
+  const StatusOr<SockAddr> to = ResolveEndpoint(*local);
+  ASSERT_TRUE(to.ok());
+
+  // More datagrams than one call takes: the area is refilled per call.
+  std::vector<std::vector<uint8_t>> sent;
+  for (uint8_t i = 0; i < 6; ++i) {
+    sent.push_back(std::vector<uint8_t>(10u + i, static_cast<uint8_t>(0xA0 + i)));
+    ASSERT_TRUE(sender.SendTo(sent.back(), *to).ok());
+  }
+  EXPECT_EQ(ReceiveInPlace(receiver, sent.size()), sent);
+
+  // The moved-to socket keeps receiving through the transferred area.
+  UdpSocket moved(std::move(receiver));
+  EXPECT_FALSE(receiver.valid());
+  const std::vector<uint8_t> after = {1, 2, 3};
+  ASSERT_TRUE(sender.SendTo(after, *to).ok());
+  EXPECT_EQ(ReceiveInPlace(moved, 1), std::vector<std::vector<uint8_t>>{after});
+
+  UdpSocket assigned;
+  assigned = std::move(moved);
+  ASSERT_TRUE(sender.SendTo(after, *to).ok());
+  const StatusOr<std::vector<InDatagram>> owned = [&] {
+    for (int attempt = 0; attempt < 200; ++attempt) {
+      StatusOr<std::vector<InDatagram>> batch = assigned.RecvBatch(4, 2048);
+      if (!batch.ok() || !batch->empty()) return batch;
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+    return StatusOr<std::vector<InDatagram>>(std::vector<InDatagram>{});
+  }();
+  ASSERT_TRUE(owned.ok());
+  ASSERT_EQ(owned->size(), 1u);
+  EXPECT_EQ((*owned)[0].bytes, after);
+}
+
 TEST(NetLoopbackTest, FourClientsReachBitIdenticalStateWithDesOracle) {
   const std::string dir = ::testing::TempDir();
   const std::string endpoint_file = dir + "/bcc_loopback.ep";
@@ -324,6 +378,12 @@ TEST(NetLoopbackTest, TelemetryRunStaysBitIdenticalAndAnswersMetricsReq) {
   EXPECT_TRUE(ValidateJson(server_report).ok());
   EXPECT_NE(server_report.find("\"metrics\":"), std::string::npos) << server_report;
   EXPECT_EQ(ExtractU64(server_report, "slow_cycles"), 0u) << server_report;
+  // Per-cycle wall time is recorded in µs: sub-ms cycles keep a nonzero sum
+  // instead of all truncating into bucket 0.
+  const size_t cycle_hist = server_report.find("\"server.cycle_us\":");
+  ASSERT_NE(cycle_hist, std::string::npos) << server_report;
+  EXPECT_GT(ExtractU64(server_report.substr(cycle_hist), "count"), 0u) << server_report;
+  EXPECT_GT(ExtractU64(server_report.substr(cycle_hist), "sum"), 0u) << server_report;
   for (uint32_t c = 0; c < kClients; ++c) {
     const std::string report = ReadFile(client_jsons[c]);
     ASSERT_FALSE(report.empty()) << client_jsons[c];

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/format.h"
 #include "common/rng.h"
 #include "graph/polygraph.h"
 
@@ -93,9 +94,10 @@ INSTANTIATE_TEST_SUITE_P(Random, PolygraphFuzzTest,
                                            FuzzCase{3, 2, 8, 104, 150},
                                            FuzzCase{7, 8, 4, 105, 150}),
                          [](const ::testing::TestParamInfo<FuzzCase>& info) {
-                           return "n" + std::to_string(info.param.nodes) + "b" +
-                                  std::to_string(info.param.bipaths) + "s" +
-                                  std::to_string(info.param.seed);
+                           // StrFormat, not chained std::string operator+:
+                           // gcc 12 at -O3 raises a false -Wrestrict on it.
+                           return StrFormat("n%ub%us%llu", info.param.nodes, info.param.bipaths,
+                                            static_cast<unsigned long long>(info.param.seed));
                          });
 
 }  // namespace

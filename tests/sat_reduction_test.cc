@@ -8,6 +8,7 @@
 
 #include "cc/update_consistency.h"
 #include "cc/view_serializability.h"
+#include "common/format.h"
 
 namespace bcc {
 namespace {
@@ -196,9 +197,10 @@ INSTANTIATE_TEST_SUITE_P(
                       ReductionCase{3, 5, 2, 14, 15},
                       ReductionCase{3, 4, 3, 15, 15}),
     [](const ::testing::TestParamInfo<ReductionCase>& info) {
-      return "v" + std::to_string(info.param.num_vars) + "c" +
-             std::to_string(info.param.num_clauses) + "w" +
-             std::to_string(info.param.max_width);
+      // StrFormat, not chained std::string operator+: gcc 12 at -O2/-O3
+      // raises a false -Wrestrict on "literal" + std::string.
+      return StrFormat("v%uc%uw%u", info.param.num_vars, info.param.num_clauses,
+                       info.param.max_width);
     });
 
 }  // namespace

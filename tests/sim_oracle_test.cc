@@ -10,6 +10,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "cc/approx.h"
 #include "cc/conflict_serializability.h"
 #include "sim/broadcast_sim.h"
@@ -26,6 +28,10 @@ struct OracleCase {
   unsigned ts_bits;
   uint64_t seed;
 };
+
+// Print the case by name: gtest's default byte dump would embed the
+// (address-randomised) `name` pointer in the discovered ctest test names.
+void PrintTo(const OracleCase& oc, std::ostream* os) { *os << oc.name; }
 
 SimConfig OracleConfig(const OracleCase& oc) {
   SimConfig c;

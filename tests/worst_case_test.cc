@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "cc/conflict_serializability.h"
+#include "common/format.h"
 #include "matrix/f_matrix.h"
 
 namespace bcc {
@@ -123,8 +124,10 @@ INSTANTIATE_TEST_SUITE_P(Random, WorstCasePropertyTest,
                                            RandomCase{9, 4, 3, 30},
                                            RandomCase{13, 20, 4, 20}),
                          [](const ::testing::TestParamInfo<RandomCase>& info) {
-                           return "n" + std::to_string(info.param.num_objects) + "_s" +
-                                  std::to_string(info.param.seed);
+                           // StrFormat, not chained std::string operator+:
+                           // gcc 12 at -O3 raises a false -Wrestrict on it.
+                           return StrFormat("n%u_s%llu", info.param.num_objects,
+                                            static_cast<unsigned long long>(info.param.seed));
                          });
 
 }  // namespace
