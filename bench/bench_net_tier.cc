@@ -9,8 +9,10 @@
 // Each sweep point runs the actual daemon engine (RunServerDaemon) in one
 // thread and N client runtimes (RunClientRuntime) in N threads, all talking
 // over real UDP sockets on 127.0.0.1 with sendmmsg-batched unicast fan-out.
-// The broadcast is unpaced, so cycles/sec is the wall-clock rate at which
-// the tier can snapshot, frame-encode, and fan a cycle out — and the client
+// The broadcast is unpaced, so cycles/sec (ServerReport::cycles_per_sec,
+// timed over the daemon's broadcast loop only — the HELLO barrier and STATS
+// collection are left out) is the wall-clock rate at which the tier can
+// snapshot, frame-encode, and fan a cycle out — and the client
 // p99 is the end-to-end response time of a read transaction whose reads ride
 // the broadcast (a transaction spans client_txn_length cycles by design, so
 // latency is dominated by cycle rate, not socket hops).
@@ -19,7 +21,7 @@
 // receive buffer many times over; residual drops under scheduler stalls are
 // reported per row (frames_dropped, digest_match) rather than hidden.
 //
-// Rows (section "net_tier"): one per client count with wall-clock
+// Rows (section "net_tier"): one per client count with broadcast-loop
 // cycles/sec, aggregate client commits/aborts, the worst client p50/p99
 // response time, fan-out bytes, and whether every client's state digest
 // matched the server's (always true when frames_dropped == 0).

@@ -18,7 +18,7 @@
 // data received in the EXACT cycle being read. Stale columns could carry
 // lower stamps than the current matrix and accept a read the server-side
 // matrix rejects, so the caller must treat a missing column/page as a missed
-// cycle and stall until the next cycle (BroadcastSim::PerformBroadcastRead).
+// cycle and stall until the next cycle (ClientSession::Gate).
 // Loss therefore only ever adds stalls and aborts — never false acceptance.
 
 #ifndef BCC_CLIENT_RECEIVER_H_

@@ -3,17 +3,13 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <chrono>
 #include <map>
 #include <memory>
-#include <optional>
 #include <utility>
 #include <vector>
 
 #include "channel/frame.h"
-#include "client/delta_tracker.h"
-#include "client/read_txn.h"
-#include "client/receiver.h"
+#include "client/session.h"
 #include "common/format.h"
 #include "net/datagram.h"
 #include "net/epoll_loop.h"
@@ -24,16 +20,9 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "obs/trace_export.h"
-#include "sim/workload.h"
 
 namespace bcc {
 namespace {
-
-uint64_t NowMicros() {
-  return static_cast<uint64_t>(std::chrono::duration_cast<std::chrono::microseconds>(
-                                   std::chrono::steady_clock::now().time_since_epoch())
-                                   .count());
-}
 
 uint64_t Quantile(std::vector<uint64_t> sorted, double q) {
   if (sorted.empty()) return 0;
@@ -56,27 +45,12 @@ void AppendChannelStatsJson(JsonWriter& w, const ChannelStats& ch) {
       .EndObject();
 }
 
-/// One open transaction. Slots progress in lockstep with the broadcast: each
-/// ingested cycle advances every idle slot by exactly one read, so a
-/// transaction of L reads spans >= L cycles and its F-Matrix validation runs
-/// against genuinely evolving control info.
-struct TxnSlot {
-  explicit TxnSlot(Algorithm algorithm, std::optional<CycleStampCodec> codec)
-      : protocol(algorithm, codec) {}
-
-  ReadOnlyTxnProtocol protocol;
-  std::vector<ObjectId> read_set;
-  std::vector<ObjectId> write_set;  // nonempty iff is_update
-  bool is_update = false;
-  size_t read_idx = 0;
-  uint64_t start_us = 0;
-  bool stalled_this_attempt = false;
-
-  // Update-uplink state: an UPDATE is in flight and the slot is parked until
-  // the matching UPDATE_REPLY (resent if the reply outwaits reply_wait_cycles).
-  bool awaiting_reply = false;
-  uint32_t update_seq = 0;
-  uint32_t reply_wait_cycles = 0;
+/// An UPDATE in flight for one transaction slot: the slot is parked until
+/// the matching UPDATE_REPLY, and the UPDATE is resent if the reply outwaits
+/// two cycles. `seq` 0 means no UPDATE is in flight.
+struct UplinkWait {
+  uint32_t seq = 0;
+  uint32_t waited_cycles = 0;
 };
 
 /// Per-cycle reassembly buffer: datagrams held until the cycle is flushed
@@ -110,13 +84,14 @@ class ClientRuntime {
   Status HandleCycleData(std::span<const uint8_t> bytes);
   Status FlushCycle(Cycle cycle, CycleBuffer&& buffer);
   Status AdvanceSlots(Cycle cycle);
-  void StartNextTxn(TxnSlot& slot);
-  void CommitSlot(TxnSlot& slot);
-  void AbortSlot(TxnSlot& slot);
-  Status SendUpdate(TxnSlot& slot);
+  /// Completes slot `i`'s transaction and begins the slot's next one.
+  void FinishTxn(size_t i, bool censored);
+  Status SendUpdate(size_t i);
   Status HandleUpdateReply(const UpdateReplyMsg& reply);
   Status SendStats();
   uint64_t ComputeDigest() const;
+  uint64_t commits() const { return session_->completed() - session_->censored(); }
+  uint64_t aborts() const { return session_->abort_causes().TotalAborts(); }
 
   const NetConfig& net_;
   SimConfig sim_;
@@ -127,21 +102,17 @@ class ClientRuntime {
   EpollLoop loop_;
 
   HelloAckMsg ack_;
-  std::optional<CycleStampCodec> stamp_codec_;
-  std::optional<FrameCodec> codec_;
-  std::unique_ptr<DeltaMatrixTracker> tracker_;
-  std::unique_ptr<ChannelReceiver> receiver_;
-  std::unique_ptr<ClientWorkload> workload_;
-  std::vector<std::unique_ptr<TxnSlot>> slots_;
+  /// Null until the HELLO_ACK arrives.
+  std::unique_ptr<ClientSession> session_;
+  /// `txns_per_cycle` transaction slots, advanced one read per ingested
+  /// cycle, and their uplink state.
+  std::vector<ReadTxn> txns_;
+  std::vector<UplinkWait> uplink_waits_;
 
   std::map<Cycle, CycleBuffer> pending_cycles_;
   Cycle last_flushed_ = 0;
   uint64_t cycles_ingested_ = 0;
 
-  uint64_t commits_ = 0;
-  uint64_t aborts_ = 0;
-  uint64_t update_commits_ = 0;
-  uint64_t update_rejects_ = 0;
   uint32_t next_update_seq_ = 1;
   std::vector<uint64_t> response_us_;
 
@@ -169,7 +140,6 @@ class ClientRuntime {
   Histogram* m_cycle_gap_ = nullptr;
   std::unique_ptr<MetricsLogger> metrics_logger_;
   std::unique_ptr<Tracer> tracer_;
-  TraceRing* ring_ = nullptr;
 
   WallClock clock_;
 };
@@ -198,16 +168,17 @@ Status ClientRuntime::Run(ClientReport* report) {
 
   report->client_index = ack_.client_index;
   report->cycles_ingested = cycles_ingested_;
-  report->commits = commits_;
-  report->aborts = aborts_;
-  report->txns = commits_ + aborts_;
-  report->update_commits = update_commits_;
-  report->update_rejects = update_rejects_;
+  report->commits = commits();
+  report->aborts = aborts();
+  report->txns = report->commits + report->aborts;
+  report->update_commits = session_->update_commits();
+  report->update_rejects = session_->update_rejects();
+  report->abort_causes = session_->abort_causes();
   report->digest = ComputeDigest();
   std::sort(response_us_.begin(), response_us_.end());
   report->p50_us = Quantile(response_us_, 0.50);
   report->p99_us = Quantile(response_us_, 0.99);
-  report->channel = receiver_->stats();
+  report->channel = session_->receiver()->stats();
   if (registry_ != nullptr) {
     RefreshSnapshotGauges();
     report->metrics_json = registry_->ToJson();
@@ -252,8 +223,8 @@ void ClientRuntime::RefreshSnapshotGauges() {
   if (registry_ == nullptr) return;
   GaugeSet(m_pending_cycles_, static_cast<int64_t>(pending_cycles_.size()));
   GaugeSet(m_last_cycle_, static_cast<int64_t>(last_flushed_));
-  if (receiver_ != nullptr) {
-    const ChannelStats& ch = receiver_->stats();
+  if (session_ != nullptr) {
+    const ChannelStats& ch = session_->receiver()->stats();
     GaugeSet(m_frames_delivered_, static_cast<int64_t>(ch.frames_delivered));
     GaugeSet(m_frames_dropped_, static_cast<int64_t>(ch.frames_dropped));
   }
@@ -270,7 +241,7 @@ std::string ClientRuntime::MetricsEnvelopeJson() {
   JsonWriter w;
   w.BeginObject();
   w.Key("node").Value(
-      receiver_ != nullptr ? StrFormat("client%u", ack_.client_index) : "client");
+      session_ != nullptr ? StrFormat("client%u", ack_.client_index) : "client");
   w.Key("enabled").Value(registry_ != nullptr);
   w.Key("t_ms").Value(clock_.ElapsedMs());
   w.Key("cycle").Value(static_cast<uint64_t>(last_flushed_));
@@ -309,7 +280,7 @@ Status ClientRuntime::Handshake() {
 
   uint64_t last_send_ms = 0;
   bool first = true;
-  while (receiver_ == nullptr) {
+  while (session_ == nullptr) {
     if (clock_.ElapsedMs() > net_.hello_timeout_ms) {
       return Status::Internal(
           StrFormat("no HELLO_ACK from %s within %llu ms", net_.connect.c_str(),
@@ -346,23 +317,7 @@ Status ClientRuntime::CompleteHandshake(const HelloAckMsg& ack) {
                   sim_.timestamp_bits,
                   static_cast<unsigned long long>(sim_.channel_frame_bits)));
   }
-  const bool delta = ack_.control_mode != CycleIndex::kControlColumns;
-  sim_.delta_broadcast = delta;
-
-  stamp_codec_.emplace(sim_.timestamp_bits);
-  codec_.emplace(*stamp_codec_, sim_.channel_frame_bits);
-  if (delta) tracker_ = std::make_unique<DeltaMatrixTracker>(sim_.num_objects, *stamp_codec_);
-  receiver_ = std::make_unique<ChannelReceiver>(sim_.num_objects, *codec_, tracker_.get());
-  if (tracer_ != nullptr) {
-    ring_ = tracer_->AddTrack(StrFormat("client%u", ack_.client_index));
-    receiver_->set_trace_ring(ring_);
-    if (tracker_ != nullptr) tracker_->set_trace_ring(ring_);
-  }
-  if (registry_ != nullptr) {
-    metrics_logger_ = std::make_unique<MetricsLogger>(
-        net_.metrics_out, net_.metrics_interval_ms, registry_.get(),
-        StrFormat("client%u", ack_.client_index));
-  }
+  sim_.delta_broadcast = ack_.control_mode != CycleIndex::kControlColumns;
 
   // Replicate the DES RNG tree so client `i`'s workload stream is the same
   // one the in-process simulation would hand its client `i`: the root splits
@@ -370,15 +325,21 @@ Status ClientRuntime::CompleteHandshake(const HelloAckMsg& ack) {
   Rng root(sim_.seed);
   (void)root.Split();  // server workload
   for (uint32_t i = 0; i < ack_.client_index; ++i) (void)root.Split();
-  workload_ = std::make_unique<ClientWorkload>(sim_, root.Split());
+  session_ = std::make_unique<ClientSession>(sim_, root.Split());
+  if (tracer_ != nullptr) {
+    session_->set_trace_ring(tracer_->AddTrack(StrFormat("client%u", ack_.client_index)));
+  }
+  if (registry_ != nullptr) {
+    metrics_logger_ = std::make_unique<MetricsLogger>(
+        net_.metrics_out, net_.metrics_interval_ms, registry_.get(),
+        StrFormat("client%u", ack_.client_index));
+  }
 
   for (uint32_t i = 0; i < net_.txns_per_cycle; ++i) {
-    auto slot = std::make_unique<TxnSlot>(sim_.algorithm, stamp_codec_);
-    slot->protocol.set_value_override(&receiver_->values());
-    slot->protocol.set_control_override(tracker_ ? &tracker_->matrix() : &receiver_->matrix());
-    StartNextTxn(*slot);
-    slots_.push_back(std::move(slot));
+    txns_.push_back(session_->NewTxn());
+    session_->Begin(txns_.back(), clock_.ElapsedUs());
   }
+  uplink_waits_.resize(txns_.size());
   return Status::OK();
 }
 
@@ -397,18 +358,18 @@ Status ClientRuntime::HandleDatagram(const InDatagramView& d) {
   switch (*kind) {
     case MsgKind::kHelloAck: {
       BCC_ASSIGN_OR_RETURN(const HelloAckMsg ack, DecodeHelloAck(d.bytes));
-      if (receiver_ != nullptr) return Status::OK();  // duplicates ignored
+      if (session_ != nullptr) return Status::OK();  // duplicates ignored
       return CompleteHandshake(ack);
     }
     case MsgKind::kCycleData:
-      if (receiver_ == nullptr) return Status::OK();  // pre-handshake noise
+      if (session_ == nullptr) return Status::OK();  // pre-handshake noise
       return HandleCycleData(d.bytes);
     case MsgKind::kUpdateReply: {
       BCC_ASSIGN_OR_RETURN(const UpdateReplyMsg reply, DecodeUpdateReply(d.bytes));
       return HandleUpdateReply(reply);
     }
     case MsgKind::kStatsReq: {
-      if (receiver_ == nullptr) return Status::OK();
+      if (session_ == nullptr) return Status::OK();
       // Flush whatever is still buffered (the final cycle completes here
       // when its last datagram arrived before the request), then report.
       while (!pending_cycles_.empty()) {
@@ -476,7 +437,7 @@ Status ClientRuntime::FlushCycle(Cycle cycle, CycleBuffer&& buffer) {
     Transmission lost;
     lost.sent = buffer.cycle_frames;
     lost.dropped = buffer.cycle_frames;
-    receiver_->IngestCycle(gap, lost, clock_.ElapsedUs());
+    session_->receiver()->IngestCycle(gap, lost, clock_.ElapsedUs());
     BCC_RETURN_IF_ERROR(AdvanceSlots(gap));
   }
   last_flushed_ = cycle;
@@ -494,7 +455,7 @@ Status ClientRuntime::FlushCycle(Cycle cycle, CycleBuffer&& buffer) {
   }
   tx.sent = buffer.cycle_frames;
   tx.dropped = tx.sent - std::min<uint64_t>(tx.sent, tx.frames.size());
-  receiver_->IngestCycle(cycle, tx, clock_.ElapsedUs());
+  session_->receiver()->IngestCycle(cycle, tx, clock_.ElapsedUs());
   return AdvanceSlots(cycle);
 }
 
@@ -504,147 +465,91 @@ Status ClientRuntime::AdvanceSlots(Cycle cycle) {
   // cycle number matters (it anchors the windowed stamp decode).
   CycleSnapshot snap;
   snap.cycle = cycle;
+  const SimTime now = clock_.ElapsedUs();
 
-  for (auto& slot_ptr : slots_) {
-    TxnSlot& slot = *slot_ptr;
-    if (slot.awaiting_reply) {
-      if (++slot.reply_wait_cycles >= 2) {
-        slot.reply_wait_cycles = 0;
-        BCC_RETURN_IF_ERROR(SendUpdate(slot));  // reply or request was lost
+  for (size_t i = 0; i < txns_.size(); ++i) {
+    ReadTxn& txn = txns_[i];
+    UplinkWait& wait = uplink_waits_[i];
+    if (wait.seq != 0) {
+      if (++wait.waited_cycles >= 2) {
+        wait.waited_cycles = 0;
+        BCC_RETURN_IF_ERROR(SendUpdate(i));  // reply or request was lost
       }
       continue;
     }
-
-    const ObjectId ob = slot.read_set[slot.read_idx];
-    // Missed-cycle rule, exactly as BroadcastSim::PerformBroadcastRead:
-    // validate only against control info and data received in THIS cycle;
-    // a desynced tracker or a lost column/page stalls the read to the next
-    // cycle rather than substituting stale state.
-    bool stall = tracker_ != nullptr && tracker_->Unusable(cycle);
-    if (!stall) {
-      const bool control_missing =
-          tracker_ == nullptr && !receiver_->ControlUsable(ob, cycle);
-      stall = control_missing || !receiver_->DataUsable(ob, cycle);
-    }
-    if (stall) {
-      receiver_->RecordStall();
-      slot.stalled_this_attempt = true;
+    const ReadGate gate = session_->Gate(txn.next_object(), cycle);
+    if (gate != ReadGate::kReady) {
+      session_->Stall(txn, gate, now, cycle);
       CounterAdd(m_stalls_);
       continue;
     }
-
-    const StatusOr<ObjectVersion> value = slot.protocol.Read(snap, ob);
-    if (!value.ok()) {
-      if (ring_ != nullptr) {
-        TraceEvent ev;
-        ev.type = TraceEventType::kAbort;
-        ev.time = clock_.ElapsedUs();
-        ev.cycle = cycle;
-        ev.object = ob;
-        ev.abort = slot.protocol.last_abort();
-        TraceTo(ring_, ev);
-      }
-      AbortSlot(slot);
-      continue;
-    }
-    CounterAdd(m_reads_);
-    ++slot.read_idx;
-    if (slot.read_idx < slot.read_set.size()) continue;
-    if (slot.is_update) {
-      slot.update_seq = next_update_seq_++;
-      slot.awaiting_reply = true;
-      slot.reply_wait_cycles = 0;
-      BCC_RETURN_IF_ERROR(SendUpdate(slot));
-    } else {
-      CommitSlot(slot);
+    switch (session_->Read(txn, snap, now)) {
+      case TxnStep::kNextRead:
+        CounterAdd(m_reads_);
+        break;
+      case TxnStep::kReadsDone:
+        CounterAdd(m_reads_);
+        if (txn.is_update) {
+          wait.seq = next_update_seq_++;
+          wait.waited_cycles = 0;
+          BCC_RETURN_IF_ERROR(SendUpdate(i));
+        } else {
+          FinishTxn(i, /*censored=*/false);
+        }
+        break;
+      case TxnStep::kRestart:
+        // The transaction program restarts from its first read next cycle;
+        // its response clock keeps running, as in the DES.
+        CounterAdd(m_aborts_);
+        break;
+      case TxnStep::kCensor:
+        CounterAdd(m_aborts_);
+        FinishTxn(i, /*censored=*/true);
+        break;
     }
   }
   return Status::OK();
 }
 
-void ClientRuntime::StartNextTxn(TxnSlot& slot) {
-  slot.read_set = workload_->NextReadSet();
-  slot.is_update = sim_.client_update_fraction > 0 && workload_->NextIsUpdate();
-  slot.write_set = slot.is_update ? workload_->NextWriteSet() : std::vector<ObjectId>{};
-  slot.read_idx = 0;
-  slot.stalled_this_attempt = false;
-  slot.awaiting_reply = false;
-  slot.protocol.Reset();
-  slot.start_us = NowMicros();
-}
-
-void ClientRuntime::CommitSlot(TxnSlot& slot) {
-  ++commits_;
-  const uint64_t resp_us = NowMicros() - slot.start_us;
-  response_us_.push_back(resp_us);
-  CounterAdd(m_commits_);
-  HistogramRecord(m_response_us_, resp_us);
-  if (ring_ != nullptr) {
-    TraceEvent ev;
-    ev.type = TraceEventType::kCommit;
-    ev.time = clock_.ElapsedUs();
-    ev.cycle = last_flushed_;
-    TraceTo(ring_, ev);
+void ClientRuntime::FinishTxn(size_t i, bool censored) {
+  ReadTxn& txn = txns_[i];
+  const SimTime now = clock_.ElapsedUs();
+  session_->Complete(txn, censored, now, last_flushed_);
+  if (!censored) {
+    const uint64_t resp_us = now - txn.begin_time;
+    response_us_.push_back(resp_us);
+    CounterAdd(m_commits_);
+    HistogramRecord(m_response_us_, resp_us);
   }
-  StartNextTxn(slot);
+  session_->Begin(txn, now);
 }
 
-void ClientRuntime::AbortSlot(TxnSlot& slot) {
-  ++aborts_;
-  CounterAdd(m_aborts_);
-  if (slot.stalled_this_attempt) receiver_->RecordLossAttributedAbort();
-  slot.stalled_this_attempt = false;
-  // Restart the same transaction program from its first read; the response
-  // clock keeps running across restarts, as in the DES.
-  slot.protocol.Reset();
-  slot.read_idx = 0;
-}
-
-Status ClientRuntime::SendUpdate(TxnSlot& slot) {
+Status ClientRuntime::SendUpdate(size_t i) {
   UpdateMsg msg;
   msg.client_index = ack_.client_index;
-  msg.seq = slot.update_seq;
-  msg.reads = slot.protocol.reads();
-  msg.writes = slot.write_set;
+  msg.seq = uplink_waits_[i].seq;
+  msg.reads = txns_[i].protocol.reads();
+  msg.writes = txns_[i].write_set;
   CounterAdd(m_updates_sent_);
   return uplink_.SendTo(EncodeUpdate(msg), server_addr_).status();
 }
 
 Status ClientRuntime::HandleUpdateReply(const UpdateReplyMsg& reply) {
-  for (auto& slot_ptr : slots_) {
-    TxnSlot& slot = *slot_ptr;
-    if (!slot.awaiting_reply || slot.update_seq != reply.seq) continue;
-    slot.awaiting_reply = false;
+  for (size_t i = 0; i < txns_.size(); ++i) {
+    if (uplink_waits_[i].seq == 0 || uplink_waits_[i].seq != reply.seq) continue;
+    uplink_waits_[i].seq = 0;
+    const SimTime now = clock_.ElapsedUs();
+    session_->UplinkVerdict(reply.accepted, now, last_flushed_);
     if (reply.accepted) {
-      ++update_commits_;
-      ++commits_;
-      const uint64_t resp_us = NowMicros() - slot.start_us;
-      response_us_.push_back(resp_us);
       CounterAdd(m_update_commits_);
-      CounterAdd(m_commits_);
-      HistogramRecord(m_response_us_, resp_us);
-      if (ring_ != nullptr) {
-        TraceEvent ev;
-        ev.type = TraceEventType::kCommit;
-        ev.time = clock_.ElapsedUs();
-        ev.cycle = last_flushed_;
-        ev.value = 1;  // committed over the uplink
-        TraceTo(ring_, ev);
-      }
-      StartNextTxn(slot);
-    } else {
-      ++update_rejects_;
-      CounterAdd(m_update_rejects_);
-      if (ring_ != nullptr) {
-        TraceEvent ev;
-        ev.type = TraceEventType::kAbort;
-        ev.time = clock_.ElapsedUs();
-        ev.cycle = last_flushed_;
-        ev.abort = AbortInfo{AbortCause::kUplinkReject, 0, 0, 0, 0};
-        TraceTo(ring_, ev);
-      }
-      AbortSlot(slot);
+      FinishTxn(i, /*censored=*/false);
+      return Status::OK();
     }
+    CounterAdd(m_update_rejects_);
+    CounterAdd(m_aborts_);
+    const TxnStep step = session_->Abort(
+        txns_[i], AbortInfo{AbortCause::kUplinkReject, 0, 0, 0, 0}, now, last_flushed_);
+    if (step == TxnStep::kCensor) FinishTxn(i, /*censored=*/true);
     return Status::OK();
   }
   return Status::OK();  // stale duplicate reply
@@ -654,14 +559,14 @@ Status ClientRuntime::SendStats() {
   StatsMsg msg;
   msg.client_index = ack_.client_index;
   msg.digest = ComputeDigest();
-  msg.commits = commits_;
-  msg.aborts = aborts_;
-  msg.txns = commits_ + aborts_;
+  msg.commits = commits();
+  msg.aborts = aborts();
+  msg.txns = msg.commits + msg.aborts;
   std::vector<uint64_t> sorted = response_us_;
   std::sort(sorted.begin(), sorted.end());
   msg.p50_us = Quantile(sorted, 0.50);
   msg.p99_us = Quantile(sorted, 0.99);
-  msg.channel = receiver_->stats();
+  msg.channel = session_->receiver()->stats();
   return uplink_.SendTo(EncodeStats(msg), server_addr_).status();
 }
 
@@ -670,9 +575,11 @@ uint64_t ClientRuntime::ComputeDigest() const {
   // to TS-bit residues. The client stores windowed-decoded absolute cycles,
   // the server stores true absolutes — both reduce to the same residues, so
   // at loss 0 the digests are bit-identical.
-  uint64_t h = DigestValues(receiver_->values());
-  return DigestMatrixResidues(tracker_ ? tracker_->matrix() : receiver_->matrix(), *stamp_codec_,
-                              h);
+  const ChannelReceiver& receiver = *session_->receiver();
+  const DeltaMatrixTracker* tracker = session_->tracker();
+  const uint64_t h = DigestValues(receiver.values());
+  return DigestMatrixResidues(tracker != nullptr ? tracker->matrix() : receiver.matrix(),
+                              CycleStampCodec(sim_.timestamp_bits), h);
 }
 
 }  // namespace
@@ -690,6 +597,11 @@ std::string ClientReport::ToJson() const {
       .Key("digest").Value(digest)
       .Key("p50_us").Value(p50_us)
       .Key("p99_us").Value(p99_us)
+      .Key("abort_causes").BeginObject();
+  for (size_t c = 1; c < kNumAbortCauses; ++c) {
+    w.Key(AbortCauseName(static_cast<AbortCause>(c))).Value(abort_causes.counts[c]);
+  }
+  w.Key("total").Value(abort_causes.TotalAborts()).EndObject()
       .Key("channel");
   AppendChannelStatsJson(w, channel);
   if (!metrics_json.empty()) {

@@ -9,11 +9,12 @@
 //
 // Workload shape: `txns_per_cycle` transaction slots progress in lockstep
 // with the broadcast — each ingested cycle advances every slot by one read
-// (gated on the receiver's usability checks, so a lost page or control
-// column stalls the slot exactly as BroadcastSim::PerformBroadcastRead
-// stalls a DES client). A transaction therefore spans client_txn_length
-// cycles, which is what makes multi-cycle F-Matrix validation — and real
-// conflict aborts against the server's commit stream — reachable.
+// through the same ClientSession the in-process engines use
+// (client/session.h), so a lost page or control column stalls the slot, and
+// an abort is attributed and censored, exactly as for a DES client. A
+// transaction therefore spans client_txn_length cycles, which is what makes
+// multi-cycle F-Matrix validation — and real conflict aborts against the
+// server's commit stream — reachable.
 
 #ifndef BCC_NET_CLIENT_RUNTIME_H_
 #define BCC_NET_CLIENT_RUNTIME_H_
@@ -23,6 +24,7 @@
 
 #include "channel/lossy_channel.h"
 #include "net/net_config.h"
+#include "obs/trace.h"
 
 namespace bcc {
 
@@ -35,6 +37,9 @@ struct ClientReport {
   uint64_t aborts = 0;
   uint64_t update_commits = 0;
   uint64_t update_rejects = 0;
+  /// Per-cause abort attribution (the session's breakdown): the causes
+  /// other than kCensored sum to `aborts`.
+  AbortBreakdown abort_causes;
   uint64_t digest = 0;
   uint64_t p50_us = 0;
   uint64_t p99_us = 0;

@@ -598,6 +598,7 @@ Status ServerDaemon::FanOutCycle(Cycle cycle) {
 Status ServerDaemon::BroadcastCycles() {
   CyclePacer pacer(net_.pace_cycles_per_sec);
   pacer.Start();
+  const WallClock loop_wall;
   const uint64_t cycles = sim_.stop_after_cycles;
   for (Cycle cycle = 1; cycle <= cycles; ++cycle) {
     BCC_RETURN_IF_ERROR(CheckWatchdog());
@@ -651,6 +652,8 @@ Status ServerDaemon::BroadcastCycles() {
     MaybeWarnSlowCycle(pacer, cycle, cycle_us);
   }
   stats_.cycles = cycles;
+  stats_.wall_sec = static_cast<double>(loop_wall.ElapsedUs()) / 1e6;
+  stats_.cycles_per_sec = stats_.wall_sec > 0 ? static_cast<double>(cycles) / stats_.wall_sec : 0;
   return Status::OK();
 }
 
@@ -709,9 +712,6 @@ Status ServerDaemon::Run(ServerReport* report) {
                ? DigestMatrixResidues(*snap.sparse_f_matrix, digest_codec, digest)
                : DigestMatrixResidues(snap.f_matrix, digest_codec, digest);
   stats_.digest = digest;
-  stats_.wall_sec = wall_.ElapsedSec();
-  stats_.cycles_per_sec =
-      stats_.wall_sec > 0 ? static_cast<double>(stats_.cycles) / stats_.wall_sec : 0;
   if (registry_ != nullptr) stats_.metrics_json = registry_->ToJson();
   if (metrics_logger_ != nullptr) {
     BCC_RETURN_IF_ERROR(metrics_logger_->WriteNow(wall_.ElapsedMs()));

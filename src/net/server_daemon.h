@@ -72,6 +72,9 @@ struct ServerReport {
   uint64_t slow_cycles = 0;     ///< paced cycles that overran the watchdog factor
   double max_slip_ms = 0;       ///< worst observed pacing slip
   uint64_t digest = 0;  ///< final-snapshot state digest (net/state_digest.h)
+  /// Wall time of the broadcast loop (first cycle's pacing wait through
+  /// the last cycle's fan-out and fold) and the cycle rate over it. Set-up,
+  /// the HELLO barrier and STATS collection are left out.
   double wall_sec = 0;
   double cycles_per_sec = 0;
   std::vector<StatsMsg> clients;  ///< final report of every registered client

@@ -57,8 +57,7 @@ inline constexpr uint64_t kStallDeltaDesync = 1;  ///< unusable delta tracker
 
 /// Why a transaction attempt aborted. Causes are mutually exclusive per
 /// abort; precedence when several conditions overlap is documented at the
-/// classification sites (BroadcastSim::OnReadAbort and the concurrent
-/// engine's mirror).
+/// one classification site, ClientSession::Abort (client/session.h).
 enum class AbortCause : uint8_t {
   kNone = 0,         ///< no abort recorded
   kControlConflict,  ///< F-family C(i, j) >= read cycle fired

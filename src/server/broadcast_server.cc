@@ -69,17 +69,39 @@ SimTime BroadcastServer::ObjectAvailableTime(ObjectId ob) const {
   return snapshot_.start_time + static_cast<SimTime>(slot + 1) * geometry_.slot_bits;
 }
 
-std::optional<SimTime> BroadcastServer::NextSlotEnd(ObjectId ob, SimTime at_or_after) const {
-  assert(started_ && ob < num_objects_);
-  assert(at_or_after >= snapshot_.start_time);
-  const SimTime offset = at_or_after - snapshot_.start_time;
+namespace {
+
+/// Completion time of the earliest slot of `ob` in the cycle that starts at
+/// `cycle_start` finishing at or after `t`, or nullopt when no appearance of
+/// `ob` remains in that cycle.
+std::optional<SimTime> SlotEndInCycle(const BroadcastSchedule& schedule, SimTime slot_bits,
+                                      ObjectId ob, SimTime t, SimTime cycle_start) {
+  assert(t >= cycle_start);
+  const SimTime offset = t - cycle_start;
   // Smallest slot index s with completion start + (s+1)*slot_bits >= t.
-  const SimTime slot_bits = geometry_.slot_bits;
   const size_t min_slot =
       offset <= slot_bits ? 0 : static_cast<size_t>((offset - 1) / slot_bits);
-  const int64_t slot = schedule_.NextSlotOf(ob, min_slot);
+  const int64_t slot = schedule.NextSlotOf(ob, min_slot);
   if (slot < 0) return std::nullopt;
-  return snapshot_.start_time + static_cast<SimTime>(slot + 1) * slot_bits;
+  return cycle_start + static_cast<SimTime>(slot + 1) * slot_bits;
+}
+
+}  // namespace
+
+SimTime NextReadSlotEnd(const BroadcastSchedule& schedule, const BroadcastGeometry& geometry,
+                        ObjectId ob, SimTime t, SimTime cycle_start) {
+  if (const std::optional<SimTime> end =
+          SlotEndInCycle(schedule, geometry.slot_bits, ob, t, cycle_start)) {
+    return *end;
+  }
+  const SimTime next_start =
+      cycle_start + static_cast<SimTime>(schedule.num_slots()) * geometry.slot_bits;
+  return next_start + static_cast<SimTime>(schedule.SlotsOf(ob).front() + 1) * geometry.slot_bits;
+}
+
+std::optional<SimTime> BroadcastServer::NextSlotEnd(ObjectId ob, SimTime at_or_after) const {
+  assert(started_ && ob < num_objects_);
+  return SlotEndInCycle(schedule_, geometry_.slot_bits, ob, at_or_after, snapshot_.start_time);
 }
 
 SimTime BroadcastServer::CycleEndTime() const {

@@ -50,6 +50,13 @@ struct CycleSnapshot {
   std::optional<DeltaControl> delta;
 };
 
+/// The slot a client reading `ob` at time `t` (in the cycle that starts at
+/// `cycle_start`) waits for: the object's next slot in this cycle, else its
+/// first slot of the next cycle. A stalled read retries with `t` =
+/// `cycle_start` = the next cycle's start.
+SimTime NextReadSlotEnd(const BroadcastSchedule& schedule, const BroadcastGeometry& geometry,
+                        ObjectId ob, SimTime t, SimTime cycle_start);
+
 /// Broadcast scheduling and per-cycle snapshotting.
 class BroadcastServer {
  public:

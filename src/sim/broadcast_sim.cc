@@ -1,52 +1,12 @@
 #include "sim/broadcast_sim.h"
 
 #include <cassert>
-#include <limits>
 
 #include "cc/approx.h"
 #include "cc/conflict_serializability.h"
 #include "common/format.h"
 
 namespace bcc {
-
-BroadcastSim::Client::Client(const SimConfig& config, Rng rng,
-                             std::optional<CycleStampCodec> codec)
-    : workload(config, rng), protocol(config.algorithm, codec) {
-  // The per-read O(n) column capture exists only to validate stale cached
-  // reads; without a cache it is pure overhead (and the dominant read cost
-  // at n = 10^6).
-  protocol.set_capture_columns(config.enable_cache);
-  if (config.enable_cache) {
-    cache = std::make_unique<QuasiCache>(config.cache_capacity, config.cache_currency_bound);
-  }
-  if (config.delta_broadcast) {
-    // In sparse direct mode the tracker reconstructs a SparseFMatrix
-    // (refreshes adopt the snapshot's shared columns); channel-mode trackers
-    // stay dense — they rebuild from on-air bytes, which are byte-identical
-    // regardless of the server's representation.
-    const bool sparse_tracker =
-        config.matrix_mode == MatrixMode::kSparse && !config.channel_broadcast;
-    tracker = std::make_unique<DeltaMatrixTracker>(
-        config.num_objects, CycleStampCodec(config.timestamp_bits), sparse_tracker);
-    // All F-family validation reads the locally reconstructed matrix from
-    // here on; the sim stalls reads while the tracker is unusable.
-    if (sparse_tracker) {
-      protocol.set_sparse_control_override(&tracker->sparse_matrix());
-    } else {
-      protocol.set_control_override(&tracker->matrix());
-    }
-  }
-  if (config.channel_broadcast) {
-    receiver = std::make_unique<ChannelReceiver>(
-        config.num_objects,
-        FrameCodec(CycleStampCodec(config.timestamp_bits), config.channel_frame_bits),
-        tracker.get());
-    // Data pages now come off the reassembled frames; the sim stalls reads
-    // whose page (or, in full mode, control column) was lost this cycle.
-    protocol.set_value_override(&receiver->values());
-    if (!tracker) protocol.set_control_override(&receiver->matrix());
-  }
-}
 
 BroadcastSim::BroadcastSim(SimConfig config)
     : config_(std::move(config)),
@@ -60,61 +20,19 @@ StatusOr<SimSummary> BroadcastSim::Run() {
   ran_ = true;
   BCC_RETURN_IF_ERROR(config_.Validate());
 
-  const bool f_family = config_.algorithm == Algorithm::kFMatrix ||
-                        config_.algorithm == Algorithm::kFMatrixNo;
-  const bool sparse_mode = config_.matrix_mode == MatrixMode::kSparse;
-  const bool hier_mode = config_.matrix_mode == MatrixMode::kHier;
-  TxnManagerOptions manager_options;
-  // In sparse/hier mode the dense matrix is maintained only when the oracle
-  // needs it (record_history) — it is O(n^2) and the snapshot path prefers
-  // the sparse representation regardless.
-  manager_options.maintain_f_matrix =
-      (f_family && !sparse_mode && !hier_mode) || config_.record_history;
-  manager_options.maintain_sparse_matrix = f_family && sparse_mode;
-  manager_options.maintain_hier_matrix = hier_mode;
-  manager_options.hier_options = config_.HierOptions();
-  manager_options.maintain_mc_vector = true;
-  manager_options.record_history = config_.record_history;
-  manager_options.track_dirty_columns = config_.delta_broadcast;
-  manager_ = std::make_unique<ServerTxnManager>(config_.num_objects, manager_options);
-  if (hier_mode) hier_ = manager_->hier_matrix();
+  manager_ = std::make_unique<ServerTxnManager>(config_.num_objects, ManagerOptionsFor(config_));
+  if (config_.matrix_mode == MatrixMode::kHier) hier_ = manager_->hier_matrix();
 
   server_ = std::make_unique<BroadcastServer>(config_.num_objects, geometry_);
   if (config_.delta_broadcast) {
     server_->EnableDeltaBroadcast(CycleStampCodec(config_.timestamp_bits),
                                   config_.delta_refresh_period);
   }
-  if (config_.hot_set_size > 0 && config_.hot_broadcast_frequency > 1) {
-    // Multi-speed disk: hot objects several times per major cycle.
-    std::vector<uint32_t> frequencies(config_.num_objects, 1);
-    for (uint32_t i = 0; i < config_.hot_set_size; ++i) {
-      frequencies[i] = config_.hot_broadcast_frequency;
-    }
-    BCC_ASSIGN_OR_RETURN(BroadcastSchedule schedule,
-                         BroadcastSchedule::FromFrequencies(frequencies));
-    server_->SetSchedule(std::move(schedule));
-  }
-  if (f_family && config_.num_groups > 0 && config_.num_groups < config_.num_objects) {
-    partition_ = ObjectPartition::Blocks(config_.num_objects, config_.num_groups);
-    server_->SetPartition(*partition_);
-  }
+  BCC_RETURN_IF_ERROR(ConfigureBroadcastServer(config_, *server_));
 
   Rng root(config_.seed);
   server_workload_ = std::make_unique<ServerWorkload>(config_, root.Split());
-  if (config_.update_scheme != UpdateScheme::kSequential) {
-    txn_processor_ = std::make_unique<TxnProcessor>(config_.num_objects, config_.update_scheme,
-                                                    config_.update_workers);
-    // Pooled-apply: the cycle-batch F-Matrix fold borrows the processor's
-    // worker pool, partitioned by column (bit-identical to the serial fold).
-    manager_->SetParallelFold(
-        [this](uint32_t shards, const std::function<void(uint32_t)>& body) {
-          txn_processor_->RunShards(shards, body);
-        },
-        config_.update_workers);
-  }
-
-  std::optional<CycleStampCodec> codec;
-  if (config_.use_wire_codec) codec.emplace(config_.timestamp_bits);
+  txn_processor_ = MakePooledProcessor(config_, *manager_);
 
   if (config_.client_update_fraction > 0.0) {
     validator_ = std::make_unique<UpdateValidator>(manager_.get());
@@ -130,24 +48,21 @@ StatusOr<SimSummary> BroadcastSim::Run() {
     }
   }
 
-  clients_.clear();
+  sessions_.clear();
+  txns_.clear();
   for (uint32_t c = 0; c < config_.num_clients; ++c) {
-    clients_.push_back(std::make_unique<Client>(config_, root.Split(), codec));
     // Hier mode: every client validates against the broadcast hierarchical
     // view (raw pointer — no batch flush mid-cycle, see the hier_ comment).
-    if (hier_ != nullptr) clients_.back()->protocol.set_hier_control_override(hier_);
+    sessions_.push_back(std::make_unique<ClientSession>(config_, root.Split(), hier_));
+    txns_.push_back(sessions_.back()->NewTxn());
   }
-  if (config_.record_decisions) decisions_.resize(config_.num_clients);
 
   if (tracer_ != nullptr) {
     // One single-writer ring per simulated actor; registered before any
     // event fires, never resized afterwards.
     server_trace_ = tracer_->AddTrack("server");
-    for (size_t c = 0; c < clients_.size(); ++c) {
-      Client& client = *clients_[c];
-      client.trace = tracer_->AddTrack(StrFormat("client%zu", c));
-      if (client.receiver) client.receiver->set_trace_ring(client.trace);
-      if (client.tracker) client.tracker->set_trace_ring(client.trace);
+    for (size_t c = 0; c < sessions_.size(); ++c) {
+      sessions_[c]->set_trace_ring(tracer_->AddTrack(StrFormat("client%zu", c)));
     }
   }
 
@@ -164,26 +79,31 @@ StatusOr<SimSummary> BroadcastSim::Run() {
   // Prime the loop: cycle 1 begins at t = 0; the first server transaction
   // and each client's first submission follow their think times.
   server_->BeginCycle(1, 0, *manager_);
-  TraceCycleStart();
+  TraceCycleStart(server_trace_, *server_);
   if (config_.delta_broadcast) AttachAndObserveDelta();
   if (channel_) TransmitCycle();
   queue_.ScheduleAt(server_->CycleEndTime(), [this] { StartNextCycle(); });
   queue_.ScheduleAfter(server_workload_->NextInterval(), [this] { ServerCommitEvent(); });
-  for (size_t c = 0; c < clients_.size(); ++c) {
-    queue_.ScheduleAfter(clients_[c]->workload.NextInterTxnDelay(),
+  for (size_t c = 0; c < sessions_.size(); ++c) {
+    queue_.ScheduleAfter(sessions_[c]->workload().NextInterTxnDelay(),
                          [this, c] { SubmitClientTxn(c); });
   }
 
   while (!done_ && queue_.Step()) {
   }
   // Commits staged during the final (partial) cycle still belong to it.
-  FlushServerBatch();
+  FoldPooledCycle(txn_processor_.get(), *manager_, server_->snapshot().cycle,
+                  pending_uplink_txns_, pending_server_txns_, mc_overlay_.get());
 
-  for (const auto& client : clients_) {
-    if (client->receiver) metrics_.AccumulateChannel(client->receiver->stats());
+  for (const auto& session : sessions_) {
+    if (session->receiver()) metrics_.AccumulateChannel(session->receiver()->stats());
   }
   SimSummary summary = metrics_.Summarize(server_->snapshot().cycle, queue_.now(),
                                           TotalCacheHits(), TotalCacheMisses());
+  for (const auto& session : sessions_) {
+    summary.abort_causes.Accumulate(session->abort_causes());
+    if (config_.record_decisions) decisions_.push_back(std::move(session->decisions()));
+  }
   if (config_.matrix_mode == MatrixMode::kSparse) {
     summary.matrix_nnz = manager_->sparse_f_matrix().nnz();
   } else if (hier_ != nullptr) {
@@ -197,44 +117,18 @@ StatusOr<SimSummary> BroadcastSim::Run() {
 
 uint64_t BroadcastSim::TotalCacheHits() const {
   uint64_t total = 0;
-  for (const auto& c : clients_) {
-    if (c->cache) total += c->cache->hits();
+  for (const auto& s : sessions_) {
+    if (s->cache()) total += s->cache()->hits();
   }
   return total;
 }
 
 uint64_t BroadcastSim::TotalCacheMisses() const {
   uint64_t total = 0;
-  for (const auto& c : clients_) {
-    if (c->cache) total += c->cache->misses();
+  for (const auto& s : sessions_) {
+    if (s->cache()) total += s->cache()->misses();
   }
   return total;
-}
-
-void BroadcastSim::FlushServerBatch() {
-  if (txn_processor_ == nullptr) return;
-  const Cycle cycle = server_->snapshot().cycle;
-  if (!pending_uplink_txns_.empty()) {
-    // Accepted uplink transactions commit first, serially, in acceptance
-    // order. Validation guaranteed each one's reads are disjoint from every
-    // write staged before it was accepted, so the serial prefix places each
-    // uplink's commit exactly where the client's broadcast reads put it —
-    // after the prior cycle, before anything of this cycle that could
-    // conflict. Letting the pooled batch order them instead could slot a
-    // later-staged conflicting server commit in front.
-    const std::vector<CommittedServerTxn> committed =
-        txn_processor_->ExecuteSerial(pending_uplink_txns_);
-    FoldIntoManager(committed, *manager_, cycle);
-    pending_uplink_txns_.clear();
-  }
-  if (!pending_server_txns_.empty()) {
-    const std::vector<CommittedServerTxn> committed =
-        txn_processor_->ExecuteBatch(pending_server_txns_);
-    FoldIntoManager(committed, *manager_, cycle);
-    pending_server_txns_.clear();
-  }
-  // The fold published every staged MC effect for real; retire the epoch.
-  if (mc_overlay_ != nullptr) mc_overlay_->Clear();
 }
 
 void BroadcastSim::EndOfCycleMatrixStep(Cycle ending) {
@@ -243,7 +137,11 @@ void BroadcastSim::EndOfCycleMatrixStep(Cycle ending) {
     // exact matrix — the cycle boundary — before policy and accounting run.
     manager_->hier_matrix();
     metrics_.RecordMatrixCycle(hier_->ControlBits(config_.timestamp_bits));
-    hier_->EndOfCycle(ending, metrics_.abort_causes().Count(AbortCause::kControlConflict));
+    uint64_t control_conflicts = 0;
+    for (const auto& s : sessions_) {
+      control_conflicts += s->abort_causes().Count(AbortCause::kControlConflict);
+    }
+    hier_->EndOfCycle(ending, control_conflicts);
     return;
   }
   if (config_.matrix_mode != MatrixMode::kSparse) return;
@@ -261,7 +159,8 @@ void BroadcastSim::StartNextCycle() {
   // Pooled mode: the ending cycle's server transactions execute now, so the
   // snapshot taken at BeginCycle sees them — the same cycle-granular
   // visibility clients get under the sequential path.
-  FlushServerBatch();
+  FoldPooledCycle(txn_processor_.get(), *manager_, server_->snapshot().cycle,
+                  pending_uplink_txns_, pending_server_txns_, mc_overlay_.get());
   EndOfCycleMatrixStep(server_->snapshot().cycle);
   const Cycle next = server_->snapshot().cycle + 1;
   if (config_.stop_after_cycles > 0 && next > config_.stop_after_cycles) {
@@ -269,28 +168,10 @@ void BroadcastSim::StartNextCycle() {
     return;
   }
   server_->BeginCycle(next, server_->CycleEndTime(), *manager_);
-  TraceCycleStart();
+  TraceCycleStart(server_trace_, *server_);
   if (config_.delta_broadcast) AttachAndObserveDelta();
   if (channel_) TransmitCycle();
   queue_.ScheduleAt(server_->CycleEndTime(), [this] { StartNextCycle(); });
-}
-
-void BroadcastSim::TraceCycleStart() {
-  if (server_trace_ == nullptr) return;
-  const CycleSnapshot& snap = server_->snapshot();
-  const SimTime length = server_->CycleLengthBits();
-  TraceEvent cycle;
-  cycle.type = TraceEventType::kCycleStart;
-  cycle.time = server_->CycleEndTime() - length;
-  cycle.duration = length;
-  cycle.cycle = snap.cycle;
-  server_trace_->Record(cycle);
-  TraceEvent tx;
-  tx.type = TraceEventType::kBroadcastTx;
-  tx.time = cycle.time;
-  tx.cycle = snap.cycle;
-  tx.value = config_.num_objects;
-  server_trace_->Record(tx);
 }
 
 void BroadcastSim::AttachAndObserveDelta() {
@@ -302,15 +183,16 @@ void BroadcastSim::AttachAndObserveDelta() {
   // In channel mode the trackers are fed from each client's reassembled
   // frames (TransmitCycle), not from the in-process control block.
   if (config_.channel_broadcast) return;
-  for (auto& client : clients_) {
+  for (auto& session : sessions_) {
+    DeltaMatrixTracker& tracker = *session->tracker();
     if (snap.sparse_f_matrix != nullptr) {
-      client->tracker->Observe(ctl, *snap.sparse_f_matrix);
+      tracker.Observe(ctl, *snap.sparse_f_matrix);
     } else {
-      client->tracker->Observe(ctl, snap.f_matrix);
+      tracker.Observe(ctl, snap.f_matrix);
     }
     // Test knob: model a client that missed this cycle's control block.
     if (config_.delta_desync_at_cycle != 0 && snap.cycle == config_.delta_desync_at_cycle) {
-      client->tracker->ForceDesync();
+      tracker.ForceDesync();
     }
   }
 }
@@ -318,14 +200,14 @@ void BroadcastSim::AttachAndObserveDelta() {
 void BroadcastSim::TransmitCycle() {
   const CycleSnapshot& snap = server_->snapshot();
   EncodeCycleFramesInto(snap, *frame_codec_, config_.object_size_bits, frame_scratch_);
-  for (size_t c = 0; c < clients_.size(); ++c) {
-    Client& client = *clients_[c];
+  for (size_t c = 0; c < sessions_.size(); ++c) {
+    ClientSession& session = *sessions_[c];
     const Transmission tx = channel_->Transmit(static_cast<uint32_t>(c), frame_scratch_);
-    client.receiver->IngestCycle(snap.cycle, tx, queue_.now());
+    session.receiver()->IngestCycle(snap.cycle, tx, queue_.now());
     // The desync knob still works in channel mode (on top of real loss).
-    if (client.tracker && config_.delta_desync_at_cycle != 0 &&
+    if (session.tracker() && config_.delta_desync_at_cycle != 0 &&
         snap.cycle == config_.delta_desync_at_cycle) {
-      client.tracker->ForceDesync();
+      session.tracker()->ForceDesync();
     }
   }
 }
@@ -343,237 +225,74 @@ void BroadcastSim::ServerCommitEvent() {
     manager_->ExecuteAndCommit(txn, server_->snapshot().cycle);
   }
   metrics_.RecordServerCommit();
-  if (server_trace_ != nullptr) {
-    TraceEvent e;
-    e.type = TraceEventType::kCommit;
-    e.time = queue_.now();
-    e.cycle = server_->snapshot().cycle;
-    e.value = txn.id;
-    server_trace_->Record(e);
-  }
+  TraceServerCommit(server_trace_, queue_.now(), server_->snapshot().cycle, txn.id);
   queue_.ScheduleAfter(server_workload_->NextInterval(), [this] { ServerCommitEvent(); });
 }
 
 void BroadcastSim::SubmitClientTxn(size_t c) {
   if (done_) return;
-  Client& client = *clients_[c];
-  client.submit_time = queue_.now();
-  client.read_set = client.workload.NextReadSet();
-  client.is_update = validator_ != nullptr && client.workload.NextIsUpdate();
-  client.write_set =
-      client.is_update ? client.workload.NextWriteSet() : std::vector<ObjectId>{};
-  client.read_idx = 0;
-  client.restarts = 0;
-  client.stalled_this_attempt = false;
-  client.delta_stalled_this_attempt = false;
-  client.protocol.Reset();
-  queue_.ScheduleAfter(client.workload.NextInterOpDelay(), [this, c] { BeginReadOp(c); });
+  sessions_[c]->Begin(txns_[c], queue_.now());
+  queue_.ScheduleAfter(sessions_[c]->workload().NextInterOpDelay(), [this, c] { BeginReadOp(c); });
 }
 
 void BroadcastSim::BeginReadOp(size_t c) {
   if (done_) return;
-  Client& client = *clients_[c];
-  const ObjectId ob = client.read_set[client.read_idx];
-
-  if (client.cache) {
-    if (std::optional<CacheEntry> entry = client.cache->Lookup(ob, queue_.now())) {
-      auto value = client.protocol.ReadFromCache(*entry, ob, server_->snapshot());
-      if (value.ok()) {
-        if (client.trace != nullptr) {
-          TraceEvent e;
-          e.type = TraceEventType::kRead;
-          e.time = queue_.now();
-          e.cycle = server_->snapshot().cycle;
-          e.object = ob;
-          e.value = value->value;
-          client.trace->Record(e);
-        }
-        OnReadSuccess(c);
-        return;
-      }
-      // Failed cache validation: fall back to a fresh broadcast read.
-    }
+  ReadTxn& txn = txns_[c];
+  const CycleSnapshot& snap = server_->snapshot();
+  if (const std::optional<TxnStep> step = sessions_[c]->ReadCached(txn, snap, queue_.now())) {
+    OnStep(c, *step);
+    return;
   }
-
-  if (const std::optional<SimTime> slot = server_->NextSlotEnd(ob, queue_.now())) {
-    queue_.ScheduleAt(*slot, [this, c] { PerformBroadcastRead(c); });
-  } else {
-    // No appearance of `ob` remains this cycle; catch its first slot in the
-    // next cycle (whose start event is already scheduled and fires strictly
-    // earlier than any slot completion).
-    const uint32_t first_slot = server_->schedule().SlotsOf(ob).front();
-    queue_.ScheduleAt(
-        server_->CycleEndTime() + static_cast<SimTime>(first_slot + 1) * geometry_.slot_bits,
-        [this, c] { PerformBroadcastRead(c); });
-  }
+  // A slot of the next cycle is always later than that cycle's start event,
+  // which is already scheduled and so fires first.
+  queue_.ScheduleAt(NextReadSlotEnd(server_->schedule(), geometry_, txn.next_object(),
+                                    queue_.now(), snap.start_time),
+                    [this, c] { PerformBroadcastRead(c); });
 }
 
 void BroadcastSim::PerformBroadcastRead(size_t c) {
   if (done_) return;
-  Client& client = *clients_[c];
-  const ObjectId ob = client.read_set[client.read_idx];
+  ClientSession& session = *sessions_[c];
+  ReadTxn& txn = txns_[c];
   const CycleSnapshot& snap = server_->snapshot();
-  bool stall = false;
-  bool delta_stall = false;
-  if (client.tracker && client.tracker->Unusable(snap.cycle)) {
-    // The reconstructed matrix cannot validate a read in this cycle (tracker
-    // desynced, stale after a lost control block, or past the TS decode
-    // window): stall until the next cycle, whose block may be the
-    // resynchronizing full refresh.
-    metrics_.RecordDeltaStall();
-    stall = true;
-    delta_stall = true;
-  }
-  if (!stall && client.receiver) {
-    // Missed-cycle rule: validate only against control info and data
-    // received in THIS cycle. A stale column could carry lower stamps than
-    // the current matrix and falsely accept a read, so loss means stalling,
-    // never substituting older control info.
-    const bool control_missing =
-        client.tracker == nullptr && !client.receiver->ControlUsable(ob, snap.cycle);
-    stall = control_missing || !client.receiver->DataUsable(ob, snap.cycle);
-  }
-  if (stall) {
-    if (client.trace != nullptr) {
-      TraceEvent e;
-      e.type = TraceEventType::kStall;
-      e.time = queue_.now();
-      e.cycle = snap.cycle;
-      e.object = ob;
-      e.value = delta_stall ? kStallDeltaDesync : kStallChannelLoss;
-      client.trace->Record(e);
-    }
-    // The cycle-start event was inserted earlier, so it fires before this
-    // retry at the object's first slot of the next cycle.
-    if (client.receiver) {
-      client.receiver->RecordStall();
-      client.stalled_this_attempt = true;
-    }
-    if (delta_stall) client.delta_stalled_this_attempt = true;
-    const uint32_t first_slot = server_->schedule().SlotsOf(ob).front();
-    queue_.ScheduleAt(
-        server_->CycleEndTime() + static_cast<SimTime>(first_slot + 1) * geometry_.slot_bits,
-        [this, c] { PerformBroadcastRead(c); });
+  const ReadGate gate = session.Gate(txn.next_object(), snap.cycle);
+  if (gate == ReadGate::kReady) {
+    OnStep(c, session.Read(txn, snap, queue_.now()));
     return;
   }
-  auto value = client.protocol.Read(snap, ob);
-  if (client.trace != nullptr) {
-    TraceEvent e;
-    e.type = TraceEventType::kValidation;
-    e.time = queue_.now();
-    e.cycle = snap.cycle;
-    e.object = ob;
-    e.value = value.ok() ? 1 : 0;
-    client.trace->Record(e);
-  }
-  if (!value.ok()) {
-    OnReadAbort(c);
-    return;
-  }
-  if (client.trace != nullptr) {
-    TraceEvent e;
-    e.type = TraceEventType::kRead;
-    e.time = queue_.now();
-    e.cycle = snap.cycle;
-    e.object = ob;
-    e.value = value->value;
-    client.trace->Record(e);
-  }
-  if (client.cache) {
-    CacheEntry entry;
-    entry.version = *value;
-    entry.cycle = snap.cycle;
-    entry.cached_time = queue_.now();
-    if (snap.f_matrix.num_objects() > 0) {
-      const std::span<const Cycle> col = snap.f_matrix.Column(ob);
-      entry.column.assign(col.begin(), col.end());
-    }
-    if (snap.mc_vector.num_objects() > 0) entry.mc_entry = snap.mc_vector.At(ob);
-    client.cache->Insert(ob, std::move(entry));
-  }
-  OnReadSuccess(c);
+  if (gate == ReadGate::kStallDesync) metrics_.RecordDeltaStall();
+  session.Stall(txn, gate, queue_.now(), snap.cycle);
+  const SimTime next_start = server_->CycleEndTime();
+  queue_.ScheduleAt(
+      NextReadSlotEnd(server_->schedule(), geometry_, txn.next_object(), next_start, next_start),
+      [this, c] { PerformBroadcastRead(c); });
 }
 
-void BroadcastSim::OnReadSuccess(size_t c) {
-  Client& client = *clients_[c];
-  ++client.read_idx;
-  if (client.read_idx == client.read_set.size()) {
-    if (client.is_update) {
-      // Ship the read records and write set to the server over the uplink
-      // ("a list of all the objects written ... and the list of all read
-      // operations performed and the cycle numbers" — Section 3.2.1).
-      queue_.ScheduleAfter(config_.uplink_delay, [this, c] { SendUplinkCommit(c); });
-    } else {
-      CompleteTxn(c, /*censored=*/false);  // read-only commit is local, free
-    }
-    return;
+void BroadcastSim::OnStep(size_t c, TxnStep step) {
+  if (step == TxnStep::kNextRead || step == TxnStep::kRestart) {
+    queue_.ScheduleAfter(sessions_[c]->ThinkTime(step), [this, c] { BeginReadOp(c); });
+  } else if (step == TxnStep::kCensor || !txns_[c].is_update) {
+    CompleteTxn(c, step == TxnStep::kCensor);  // a read-only commit is local and free
+  } else {
+    // Ship the read records and write set to the server over the uplink
+    // ("a list of all the objects written ... and the list of all read
+    // operations performed and the cycle numbers" — Section 3.2.1).
+    queue_.ScheduleAfter(config_.uplink_delay, [this, c] { SendUplinkCommit(c); });
   }
-  queue_.ScheduleAfter(client.workload.NextInterOpDelay(), [this, c] { BeginReadOp(c); });
-}
-
-void BroadcastSim::OnReadAbort(size_t c) {
-  Client& client = *clients_[c];
-  // Attribution precedence: an attempt that stalled on channel loss before
-  // failing validation spanned extra cycles precisely because of the loss,
-  // so the loss outranks the raw protocol cause; a delta-desync stall
-  // likewise. Otherwise the cause is the exact check that fired.
-  AbortInfo info = client.protocol.last_abort();
-  if (client.receiver && client.stalled_this_attempt) {
-    info.cause = AbortCause::kChannelLoss;
-  } else if (client.delta_stalled_this_attempt) {
-    info.cause = AbortCause::kDesyncStall;
-  }
-  OnAbort(c, info);
-}
-
-void BroadcastSim::OnAbort(size_t c, AbortInfo info) {
-  Client& client = *clients_[c];
-  metrics_.RecordAbort(info.cause);
-  if (client.trace != nullptr) {
-    TraceEvent e;
-    e.type = TraceEventType::kAbort;
-    e.time = queue_.now();
-    e.cycle = server_->snapshot().cycle;
-    e.object = info.ob_j;
-    e.abort = info;
-    client.trace->Record(e);
-  }
-  if (client.receiver && client.stalled_this_attempt) {
-    // The attempt both stalled on loss and then failed validation: the extra
-    // cycles it was forced to span raise the abort odds, so attribute it.
-    client.receiver->RecordLossAttributedAbort();
-  }
-  client.stalled_this_attempt = false;
-  client.delta_stalled_this_attempt = false;
-  ++client.restarts;
-  if (client.restarts >= config_.max_restarts_per_txn) {
-    CompleteTxn(c, /*censored=*/true);
-    return;
-  }
-  client.protocol.Reset();
-  client.read_idx = 0;
-  queue_.ScheduleAfter(config_.restart_delay + client.workload.NextInterOpDelay(),
-                       [this, c] { BeginReadOp(c); });
 }
 
 void BroadcastSim::SendUplinkCommit(size_t c) {
   if (done_) return;
-  Client& client = *clients_[c];
+  const ReadTxn& txn = txns_[c];
   ClientUpdateRequest request;
   request.id = next_client_update_id_++;
-  request.reads = client.protocol.reads();
-  request.writes = client.write_set;
-  const auto verdict = validator_->ValidateAndCommit(request, server_->snapshot().cycle);
-  if (client.trace != nullptr) {
-    TraceEvent e;
-    e.type = TraceEventType::kValidation;
-    e.time = queue_.now();
-    e.cycle = server_->snapshot().cycle;
-    e.value = verdict.ok() ? 1 : 0;
-    client.trace->Record(e);
-  }
+  request.reads = txn.protocol.reads();
+  request.writes = txn.write_set;
+  const Cycle cycle = server_->snapshot().cycle;
+  const bool accepted = validator_->ValidateAndCommit(request, cycle).ok();
+  sessions_[c]->UplinkVerdict(accepted, queue_.now(), cycle);
   // The client learns the outcome one uplink delay later.
-  if (verdict.ok()) {
+  if (accepted) {
     metrics_.RecordServerCommit();  // it is also a committed update txn
     metrics_.RecordClientUpdateCommit();
     queue_.ScheduleAfter(config_.uplink_delay, [this, c] { CompleteTxn(c, false); });
@@ -582,43 +301,31 @@ void BroadcastSim::SendUplinkCommit(size_t c) {
     // Capture the validator's structured cause now — by the time the abort
     // fires, another client's rejection may have overwritten last_reject().
     const AbortInfo reject = validator_->last_reject();
-    queue_.ScheduleAfter(config_.uplink_delay, [this, c, reject] { OnAbort(c, reject); });
+    queue_.ScheduleAfter(config_.uplink_delay, [this, c, reject] {
+      OnStep(c, sessions_[c]->Abort(txns_[c], reject, queue_.now(), server_->snapshot().cycle));
+    });
   }
 }
 
 void BroadcastSim::CompleteTxn(size_t c, bool censored) {
-  Client& client = *clients_[c];
+  const ReadTxn& txn = txns_[c];
   // Committed client UPDATE transactions already live in the server's
   // recorded history (via the validator); only read-only transactions need
   // a client-side oracle log.
-  if (config_.record_history && !censored && !client.is_update) {
+  if (config_.record_history && !censored && !txn.is_update) {
     oracle_client_txns_.push_back(ClientTxnLog{
         kClientTxnIdBase + static_cast<TxnId>(oracle_client_txns_.size()),
-        client.protocol.reads(), client.protocol.values()});
+        txn.protocol.reads(), txn.protocol.values()});
   }
-  if (config_.record_decisions) {
-    decisions_[c].push_back(TxnDecision{client.protocol.reads(), client.restarts, censored});
-  }
-  // Censoring is counted in ADDITION to the final attempt's abort cause
-  // (recorded by OnAbort), so breakdown[kCensored] == censored_txns.
-  if (censored) metrics_.RecordAbort(AbortCause::kCensored);
-  if (client.trace != nullptr) {
-    TraceEvent e;
-    e.type = censored ? TraceEventType::kAbort : TraceEventType::kCommit;
-    e.time = queue_.now();
-    e.cycle = server_->snapshot().cycle;
-    e.value = client.protocol.reads().size();
-    if (censored) e.abort.cause = AbortCause::kCensored;
-    client.trace->Record(e);
-  }
-  metrics_.RecordClientTxn(client.submit_time, queue_.now(), client.restarts, censored);
+  sessions_[c]->Complete(txn, censored, queue_.now(), server_->snapshot().cycle);
+  metrics_.RecordClientTxn(txn.begin_time, queue_.now(), txn.restarts, censored);
   ++completed_txns_;
   if (completed_txns_ >= config_.num_client_txns) {
     done_ = true;
     return;
   }
-  client.protocol.Reset();
-  queue_.ScheduleAfter(client.workload.NextInterTxnDelay(), [this, c] { SubmitClientTxn(c); });
+  queue_.ScheduleAfter(sessions_[c]->workload().NextInterTxnDelay(),
+                       [this, c] { SubmitClientTxn(c); });
 }
 
 StatusOr<History> BroadcastSim::BuildOracleHistory() const {
@@ -745,8 +452,8 @@ Status BroadcastSim::VerifyDeltaTrackers() const {
     return final_snap.sparse_f_matrix != nullptr ? final_snap.sparse_f_matrix->At(i, j)
                                                  : truth.At(i, j);
   };
-  for (size_t c = 0; c < clients_.size(); ++c) {
-    const DeltaMatrixTracker& tracker = *clients_[c]->tracker;
+  for (size_t c = 0; c < sessions_.size(); ++c) {
+    const DeltaMatrixTracker& tracker = *sessions_[c]->tracker();
     if (!tracker.synced()) continue;  // desync knob, or real loss in channel mode
     if (tracker.last_sync() != cycle) {
       // Channel mode: a lost final control block legitimately leaves the
@@ -778,255 +485,106 @@ StatusOr<SimSummary> RunSimulation(const SimConfig& config) {
   return BroadcastSim(config).Run();
 }
 
-namespace {
-
-/// Value-equality of two managers' control matrices across representations
-/// (dense vs dense, sparse vs sparse, or sparse vs the dense oracle).
-bool ServerMatricesEqual(const ServerTxnManager& a, const ServerTxnManager& b) {
-  const bool a_sparse = a.sparse_f_matrix().num_objects() > 0;
-  const bool b_sparse = b.sparse_f_matrix().num_objects() > 0;
-  if (a_sparse && b_sparse) return a.sparse_f_matrix() == b.sparse_f_matrix();
-  if (a_sparse) return a.sparse_f_matrix() == b.f_matrix();
-  if (b_sparse) return b.sparse_f_matrix() == a.f_matrix();
-  return a.f_matrix() == b.f_matrix();
+TxnManagerOptions ManagerOptionsFor(const SimConfig& config) {
+  const bool f_family =
+      config.algorithm == Algorithm::kFMatrix || config.algorithm == Algorithm::kFMatrixNo;
+  const bool sparse_mode = config.matrix_mode == MatrixMode::kSparse;
+  const bool hier_mode = config.matrix_mode == MatrixMode::kHier;
+  TxnManagerOptions options;
+  // In sparse/hier mode the dense matrix is maintained only when the oracle
+  // needs it (record_history) — it is O(n^2) and the snapshot path prefers
+  // the sparse representation regardless.
+  options.maintain_f_matrix = (f_family && !sparse_mode && !hier_mode) || config.record_history;
+  options.maintain_sparse_matrix = f_family && sparse_mode;
+  options.maintain_hier_matrix = hier_mode;
+  options.hier_options = config.HierOptions();
+  options.maintain_mc_vector = true;
+  options.record_history = config.record_history;
+  options.track_dirty_columns = config.delta_broadcast;
+  return options;
 }
 
-}  // namespace
-
-Status CrossCheckDeltaBroadcast(SimConfig config) {
-  if (config.stop_after_cycles == 0) {
-    return Status::InvalidArgument("CrossCheckDeltaBroadcast requires stop_after_cycles > 0");
-  }
-  config.record_decisions = true;
-  // The cycle cutoff is the only stop condition, so both runs see the same
-  // timing-independent prefix of every client's transaction stream.
-  config.num_client_txns = std::numeric_limits<uint32_t>::max();
-
-  SimConfig full = config;
-  full.delta_broadcast = false;
-  SimConfig delta = config;
-  delta.delta_broadcast = true;
-
-  BroadcastSim full_sim(full);
-  BCC_ASSIGN_OR_RETURN(const SimSummary full_summary, full_sim.Run());
-  BroadcastSim delta_sim(delta);
-  BCC_ASSIGN_OR_RETURN(const SimSummary delta_summary, delta_sim.Run());
-
-  BCC_RETURN_IF_ERROR(delta_sim.VerifyDeltaTrackers());
-  if (delta_summary.delta_control_bits > delta_summary.full_control_bits) {
-    return Status::Internal(
-        StrFormat("delta mode shipped more control than the full baseline: %llu > %llu",
-                  static_cast<unsigned long long>(delta_summary.delta_control_bits),
-                  static_cast<unsigned long long>(delta_summary.full_control_bits)));
-  }
-
-  // Server state must be identical: the delta pipeline is broadcast-side
-  // only and must not perturb the commit stream.
-  if (full_summary.server_commits != delta_summary.server_commits) {
-    return Status::Internal(StrFormat(
-        "server commit counts diverge: full=%llu delta=%llu",
-        static_cast<unsigned long long>(full_summary.server_commits),
-        static_cast<unsigned long long>(delta_summary.server_commits)));
-  }
-  if (!(full_summary.abort_causes == delta_summary.abort_causes)) {
-    return Status::Internal(StrFormat("abort breakdowns diverge: full=(%s) delta=(%s)",
-                                      full_summary.abort_causes.ToString().c_str(),
-                                      delta_summary.abort_causes.ToString().c_str()));
-  }
-  if (!ServerMatricesEqual(full_sim.manager(), delta_sim.manager())) {
-    return Status::Internal("server F-Matrices diverge between full and delta runs");
-  }
-  if (!(full_sim.manager().store().committed() == delta_sim.manager().store().committed())) {
-    return Status::Internal("server stores diverge between full and delta runs");
-  }
-
-  // Per-client decision parity (the CrossCheckEngines contract).
-  if (full_sim.decisions().size() != delta_sim.decisions().size()) {
-    return Status::Internal("client counts diverge between full and delta runs");
-  }
-  for (size_t c = 0; c < full_sim.decisions().size(); ++c) {
-    const auto& a = full_sim.decisions()[c];
-    const auto& b = delta_sim.decisions()[c];
-    if (a.size() != b.size()) {
-      return Status::Internal(StrFormat("client %zu completed %zu txns full vs %zu delta", c,
-                                        a.size(), b.size()));
+Status ConfigureBroadcastServer(const SimConfig& config, BroadcastServer& server) {
+  if (config.hot_set_size > 0 && config.hot_broadcast_frequency > 1) {
+    // Multi-speed disk: hot objects several times per major cycle.
+    std::vector<uint32_t> frequencies(config.num_objects, 1);
+    for (uint32_t i = 0; i < config.hot_set_size; ++i) {
+      frequencies[i] = config.hot_broadcast_frequency;
     }
-    for (size_t k = 0; k < a.size(); ++k) {
-      if (!(a[k] == b[k])) {
-        return Status::Internal(
-            StrFormat("client %zu txn %zu decisions diverge between full and delta", c, k));
-      }
-    }
+    BCC_ASSIGN_OR_RETURN(BroadcastSchedule schedule,
+                         BroadcastSchedule::FromFrequencies(frequencies));
+    server.SetSchedule(std::move(schedule));
+  }
+  const bool f_family =
+      config.algorithm == Algorithm::kFMatrix || config.algorithm == Algorithm::kFMatrixNo;
+  if (f_family && config.num_groups > 0 && config.num_groups < config.num_objects) {
+    server.SetPartition(ObjectPartition::Blocks(config.num_objects, config.num_groups));
   }
   return Status::OK();
 }
 
-namespace {
-
-/// Field-by-field equality of every non-channel summary field (doubles are
-/// compared bit-exactly: identical event sequences must produce identical
-/// arithmetic).
-Status CompareSummaries(const SimSummary& a, const SimSummary& b,
-                        const char* label_a = "direct", const char* label_b = "channel") {
-  const auto check = [&](const char* field, auto x, auto y) -> Status {
-    if (x == y) return Status::OK();
-    return Status::Internal(StrFormat("summary field %s diverges: %s=%s %s=%s", field, label_a,
-                                      StrFormat("%g", static_cast<double>(x)).c_str(), label_b,
-                                      StrFormat("%g", static_cast<double>(y)).c_str()));
-  };
-  BCC_RETURN_IF_ERROR(check("mean_response_time", a.mean_response_time, b.mean_response_time));
-  BCC_RETURN_IF_ERROR(
-      check("response_ci_half_width", a.response_ci_half_width, b.response_ci_half_width));
-  BCC_RETURN_IF_ERROR(check("response_p50", a.response_p50, b.response_p50));
-  BCC_RETURN_IF_ERROR(check("response_p95", a.response_p95, b.response_p95));
-  BCC_RETURN_IF_ERROR(check("restart_ratio", a.restart_ratio, b.restart_ratio));
-  BCC_RETURN_IF_ERROR(check("measured_txns", a.measured_txns, b.measured_txns));
-  BCC_RETURN_IF_ERROR(check("total_txns", a.total_txns, b.total_txns));
-  BCC_RETURN_IF_ERROR(check("total_restarts", a.total_restarts, b.total_restarts));
-  BCC_RETURN_IF_ERROR(check("cycles_elapsed", a.cycles_elapsed, b.cycles_elapsed));
-  BCC_RETURN_IF_ERROR(check("server_commits", a.server_commits, b.server_commits));
-  BCC_RETURN_IF_ERROR(check("sim_end_time", a.sim_end_time, b.sim_end_time));
-  BCC_RETURN_IF_ERROR(check("censored_txns", a.censored_txns, b.censored_txns));
-  BCC_RETURN_IF_ERROR(check("delta_cycles", a.delta_cycles, b.delta_cycles));
-  BCC_RETURN_IF_ERROR(
-      check("delta_refresh_cycles", a.delta_refresh_cycles, b.delta_refresh_cycles));
-  BCC_RETURN_IF_ERROR(check("delta_control_bits", a.delta_control_bits, b.delta_control_bits));
-  BCC_RETURN_IF_ERROR(check("full_control_bits", a.full_control_bits, b.full_control_bits));
-  BCC_RETURN_IF_ERROR(check("delta_stall_waits", a.delta_stall_waits, b.delta_stall_waits));
-  if (!(a.abort_causes == b.abort_causes)) {
-    return Status::Internal(StrFormat("abort breakdowns diverge: %s=(%s) %s=(%s)", label_a,
-                                      a.abort_causes.ToString().c_str(), label_b,
-                                      b.abort_causes.ToString().c_str()));
-  }
-  return Status::OK();
+std::unique_ptr<TxnProcessor> MakePooledProcessor(const SimConfig& config,
+                                                  ServerTxnManager& manager) {
+  if (config.update_scheme == UpdateScheme::kSequential) return nullptr;
+  auto processor = std::make_unique<TxnProcessor>(config.num_objects, config.update_scheme,
+                                                  config.update_workers);
+  // Pooled-apply: the cycle-batch F-Matrix fold borrows the processor's
+  // worker pool, partitioned by column (bit-identical to the serial fold).
+  manager.SetParallelFold(
+      [pool = processor.get()](uint32_t shards, const std::function<void(uint32_t)>& body) {
+        pool->RunShards(shards, body);
+      },
+      config.update_workers);
+  return processor;
 }
 
-}  // namespace
-
-Status CrossCheckLossless(SimConfig config) {
-  if (config.stop_after_cycles == 0) {
-    return Status::InvalidArgument("CrossCheckLossless requires stop_after_cycles > 0");
+void FoldPooledCycle(TxnProcessor* processor, ServerTxnManager& manager, Cycle cycle,
+                     std::vector<ServerTxn>& uplinks, std::vector<ServerTxn>& server_txns,
+                     McOverlay* overlay) {
+  if (processor == nullptr) return;
+  if (!uplinks.empty()) {
+    // Accepted uplink transactions commit first, serially, in acceptance
+    // order. Validation guaranteed each one's reads are disjoint from every
+    // write staged before it was accepted, so the serial prefix places each
+    // uplink's commit exactly where the client's broadcast reads put it —
+    // after the prior cycle, before anything of this cycle that could
+    // conflict. Letting the pooled batch order them instead could slot a
+    // later-staged conflicting server commit in front.
+    FoldIntoManager(processor->ExecuteSerial(uplinks), manager, cycle);
+    uplinks.clear();
   }
-  config.record_decisions = true;
-  // The cycle cutoff is the only stop condition, so both runs see the same
-  // timing-independent prefix of every client's transaction stream.
-  config.num_client_txns = std::numeric_limits<uint32_t>::max();
-  config.channel_loss_rate = 0;
-  config.channel_corrupt_rate = 0;
-  config.channel_truncate_rate = 0;
-  config.channel_burst = false;
-
-  SimConfig direct = config;
-  direct.channel_broadcast = false;
-  SimConfig channel = config;
-  channel.channel_broadcast = true;
-
-  BroadcastSim direct_sim(direct);
-  BCC_ASSIGN_OR_RETURN(const SimSummary direct_summary, direct_sim.Run());
-  BroadcastSim channel_sim(channel);
-  BCC_ASSIGN_OR_RETURN(const SimSummary channel_summary, channel_sim.Run());
-
-  // A rate-0 channel must deliver every frame undamaged...
-  if (channel_summary.channel.frames_sent == 0) {
-    return Status::Internal("channel run transmitted no frames");
+  if (!server_txns.empty()) {
+    FoldIntoManager(processor->ExecuteBatch(server_txns), manager, cycle);
+    server_txns.clear();
   }
-  if (channel_summary.channel.frames_dropped != 0 ||
-      channel_summary.channel.frames_rejected != 0 ||
-      channel_summary.channel.frames_delivered != channel_summary.channel.frames_sent ||
-      channel_summary.channel.control_losses != 0 ||
-      channel_summary.channel.data_losses != 0 || channel_summary.channel.stalls != 0) {
-    return Status::Internal("rate-0 channel run reported losses or stalls");
-  }
-
-  // ...and reproduce the direct path bit-exactly: summary, server state, and
-  // every client's decision log.
-  BCC_RETURN_IF_ERROR(CompareSummaries(direct_summary, channel_summary));
-  if (!ServerMatricesEqual(direct_sim.manager(), channel_sim.manager())) {
-    return Status::Internal("server F-Matrices diverge between direct and channel runs");
-  }
-  if (!(direct_sim.manager().store().committed() ==
-        channel_sim.manager().store().committed())) {
-    return Status::Internal("server stores diverge between direct and channel runs");
-  }
-  if (direct_sim.decisions().size() != channel_sim.decisions().size()) {
-    return Status::Internal("client counts diverge between direct and channel runs");
-  }
-  for (size_t c = 0; c < direct_sim.decisions().size(); ++c) {
-    const auto& a = direct_sim.decisions()[c];
-    const auto& b = channel_sim.decisions()[c];
-    if (a.size() != b.size()) {
-      return Status::Internal(StrFormat("client %zu completed %zu txns direct vs %zu channel",
-                                        c, a.size(), b.size()));
-    }
-    for (size_t k = 0; k < a.size(); ++k) {
-      if (!(a[k] == b[k])) {
-        return Status::Internal(
-            StrFormat("client %zu txn %zu decisions diverge between direct and channel", c, k));
-      }
-    }
-  }
-  return Status::OK();
+  // The fold published every staged MC effect for real; retire the epoch.
+  if (overlay != nullptr) overlay->Clear();
 }
 
-Status CrossCheckSparseMode(SimConfig config) {
-  if (config.stop_after_cycles == 0) {
-    return Status::InvalidArgument("CrossCheckSparseMode requires stop_after_cycles > 0");
-  }
-  if (config.sparse_compaction_period > 0) {
-    // Compaction aliases stale entries upward; the server's dependency fold
-    // (dep(i) = max_k C(i, k)) then mixes aliased and in-window values, so
-    // decisions are conservative-safe but not bit-identical to dense. Audit
-    // compacted runs with VerifyOracle instead.
-    return Status::InvalidArgument(
-        "CrossCheckSparseMode requires sparse_compaction_period == 0 (compaction is "
-        "conservative, not decision-identical)");
-  }
-  config.record_decisions = true;
-  // The cycle cutoff is the only stop condition, so both runs see the same
-  // timing-independent prefix of every client's transaction stream.
-  config.num_client_txns = std::numeric_limits<uint32_t>::max();
+void TraceServerCommit(TraceRing* ring, SimTime time, Cycle cycle, TxnId id) {
+  if (ring == nullptr) return;
+  TraceEvent e;
+  e.type = TraceEventType::kCommit;
+  e.time = time;
+  e.cycle = cycle;
+  e.value = id;
+  ring->Record(e);
+}
 
-  SimConfig sparse = config;
-  sparse.matrix_mode = MatrixMode::kSparse;
-  SimConfig dense = config;
-  dense.matrix_mode = MatrixMode::kDense;
-  dense.sparse_compaction_period = 0;
-
-  BroadcastSim dense_sim(dense);
-  BCC_ASSIGN_OR_RETURN(const SimSummary dense_summary, dense_sim.Run());
-  BroadcastSim sparse_sim(sparse);
-  BCC_ASSIGN_OR_RETURN(const SimSummary sparse_summary, sparse_sim.Run());
-
-  // The two runs must be bit-identical in every decision-relevant field;
-  // only the matrix_* accounting fields (absent from CompareSummaries) may
-  // differ between representations.
-  BCC_RETURN_IF_ERROR(CompareSummaries(dense_summary, sparse_summary, "dense", "sparse"));
-  if (sparse.delta_broadcast) BCC_RETURN_IF_ERROR(sparse_sim.VerifyDeltaTrackers());
-  if (!ServerMatricesEqual(dense_sim.manager(), sparse_sim.manager())) {
-    return Status::Internal("server control matrices diverge between dense and sparse runs");
-  }
-  if (!(dense_sim.manager().store().committed() ==
-        sparse_sim.manager().store().committed())) {
-    return Status::Internal("server stores diverge between dense and sparse runs");
-  }
-  if (dense_sim.decisions().size() != sparse_sim.decisions().size()) {
-    return Status::Internal("client counts diverge between dense and sparse runs");
-  }
-  for (size_t c = 0; c < dense_sim.decisions().size(); ++c) {
-    const auto& a = dense_sim.decisions()[c];
-    const auto& b = sparse_sim.decisions()[c];
-    if (a.size() != b.size()) {
-      return Status::Internal(StrFormat("client %zu completed %zu txns dense vs %zu sparse", c,
-                                        a.size(), b.size()));
-    }
-    for (size_t k = 0; k < a.size(); ++k) {
-      if (!(a[k] == b[k])) {
-        return Status::Internal(
-            StrFormat("client %zu txn %zu decisions diverge between dense and sparse", c, k));
-      }
-    }
-  }
-  return Status::OK();
+void TraceCycleStart(TraceRing* ring, const BroadcastServer& server) {
+  if (ring == nullptr) return;
+  TraceEvent cycle;
+  cycle.type = TraceEventType::kCycleStart;
+  cycle.time = server.snapshot().start_time;
+  cycle.duration = server.CycleLengthBits();
+  cycle.cycle = server.snapshot().cycle;
+  ring->Record(cycle);
+  TraceEvent tx;
+  tx.type = TraceEventType::kBroadcastTx;
+  tx.time = cycle.time;
+  tx.cycle = cycle.cycle;
+  tx.value = server.num_objects();
+  ring->Record(tx);
 }
 
 }  // namespace bcc

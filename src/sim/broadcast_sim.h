@@ -22,10 +22,7 @@
 #include <vector>
 
 #include "channel/lossy_channel.h"
-#include "client/cache.h"
-#include "client/delta_tracker.h"
-#include "client/read_txn.h"
-#include "client/receiver.h"
+#include "client/session.h"
 #include "common/statusor.h"
 #include "des/event_queue.h"
 #include "history/history.h"
@@ -88,11 +85,6 @@ class BroadcastSim {
   /// cycle's control block was lost.
   Status VerifyDeltaTrackers() const;
 
-  /// One client's channel/receiver counters (requires channel_broadcast).
-  const ChannelStats& ClientChannelStats(size_t c) const {
-    return clients_[c]->receiver->stats();
-  }
-
   /// The final broadcast cycle's snapshot (valid after Run). The networked
   /// tier's loopback test digests this as the in-process oracle for the
   /// daemon's end state.
@@ -109,37 +101,6 @@ class BroadcastSim {
     TxnId id;
     std::vector<ReadRecord> reads;
     std::vector<ObjectVersion> values;
-  };
-
-  /// Per-client protocol state machine.
-  struct Client {
-    Client(const SimConfig& config, Rng rng, std::optional<CycleStampCodec> codec);
-
-    ClientWorkload workload;
-    ReadOnlyTxnProtocol protocol;
-    std::unique_ptr<QuasiCache> cache;
-    /// Delta-broadcast reconstruction state (delta_broadcast mode only); the
-    /// protocol's control override points into it.
-    std::unique_ptr<DeltaMatrixTracker> tracker;
-    /// Channel-mode frame reassembly (channel_broadcast only). Feeds the
-    /// tracker in delta mode; its matrix/values back the protocol's control
-    /// and value overrides otherwise.
-    std::unique_ptr<ChannelReceiver> receiver;
-
-    std::vector<ObjectId> read_set;
-    std::vector<ObjectId> write_set;
-    size_t read_idx = 0;
-    SimTime submit_time = 0;
-    uint32_t restarts = 0;
-    bool is_update = false;
-    /// Channel mode: did the current transaction attempt stall on loss? An
-    /// abort of such an attempt is counted as loss-attributed.
-    bool stalled_this_attempt = false;
-    /// Delta mode: did the current attempt stall on a desynced tracker? An
-    /// abort of such an attempt is attributed to kDesyncStall.
-    bool delta_stalled_this_attempt = false;
-    /// This client's trace ring (null when tracing is off).
-    TraceRing* trace = nullptr;
   };
 
   // Delta-mode per-cycle plumbing: drains the dirty columns into this
@@ -164,21 +125,10 @@ class BroadcastSim {
   void SubmitClientTxn(size_t c);
   void BeginReadOp(size_t c);          // after think time: cache or broadcast
   void PerformBroadcastRead(size_t c);
-  void OnReadSuccess(size_t c);
-  void OnReadAbort(size_t c);
-  /// Shared abort path: records the attributed cause, traces it, and either
-  /// restarts the transaction or censors it.
-  void OnAbort(size_t c, AbortInfo info);
+  /// Schedules client `c`'s next event after a session step.
+  void OnStep(size_t c, TxnStep step);
   void SendUplinkCommit(size_t c);     // client update txn: ship reads+writes
   void CompleteTxn(size_t c, bool censored);
-  /// Pooled update engine (config.update_scheme != kSequential): executes
-  /// the server transactions queued during the ending cycle on the
-  /// TxnProcessor and folds their serialization order into the manager under
-  /// the current cycle number. No-op in sequential mode.
-  void FlushServerBatch();
-  /// Emits the cycle-start slice (and broadcast-tx instant) for the cycle
-  /// just begun on the server track; no-op when tracing is off.
-  void TraceCycleStart();
 
   SimConfig config_;
   BroadcastGeometry geometry_;
@@ -192,7 +142,6 @@ class BroadcastSim {
   /// begin-of-cycle view; the batch flush happens at cycle boundaries
   /// (BuildSnapshot / EndOfCycleMatrixStep).
   HierMatrix* hier_ = nullptr;
-  std::optional<ObjectPartition> partition_;
   std::unique_ptr<ServerWorkload> server_workload_;
   std::unique_ptr<UpdateValidator> validator_;
   /// Pooled update engine and its per-cycle staging queue (null/unused in
@@ -205,7 +154,9 @@ class BroadcastSim {
   /// prefix of the fold (acceptance order = fold order).
   std::unique_ptr<McOverlay> mc_overlay_;
   std::vector<ServerTxn> pending_uplink_txns_;
-  std::vector<std::unique_ptr<Client>> clients_;
+  /// One session and one in-flight transaction per client.
+  std::vector<std::unique_ptr<ClientSession>> sessions_;
+  std::vector<ReadTxn> txns_;
   std::optional<FrameCodec> frame_codec_;   // channel mode
   std::unique_ptr<LossyChannel> channel_;   // channel mode
   // Per-cycle scratch reused across cycles so steady-state cycles allocate
@@ -231,6 +182,37 @@ class BroadcastSim {
 
 /// Convenience: run one configuration and return its summary.
 StatusOr<SimSummary> RunSimulation(const SimConfig& config);
+
+// Server set-up shared by BroadcastSim and ConcurrentSim.
+
+/// The structures the server's manager maintains under `config`.
+TxnManagerOptions ManagerOptionsFor(const SimConfig& config);
+
+/// Installs `config`'s multi-speed schedule and fixed-g partition on
+/// `server` (before its first cycle).
+Status ConfigureBroadcastServer(const SimConfig& config, BroadcastServer& server);
+
+/// The pooled update engine for a non-sequential update_scheme, lending its
+/// worker pool to `manager`'s cycle-batch fold; null for kSequential.
+std::unique_ptr<TxnProcessor> MakePooledProcessor(const SimConfig& config,
+                                                  ServerTxnManager& manager);
+
+/// The pooled engine's cycle-boundary fold: the accepted `uplinks` commit
+/// first as a serial prefix in acceptance order, then the cycle's pooled
+/// `server_txns`; both fold into `manager` under `cycle` and are cleared,
+/// and `overlay` (uplink mode) retires its epoch. No-op without a
+/// `processor` (sequential update scheme).
+void FoldPooledCycle(TxnProcessor* processor, ServerTxnManager& manager, Cycle cycle,
+                     std::vector<ServerTxn>& uplinks, std::vector<ServerTxn>& server_txns,
+                     McOverlay* overlay);
+
+/// Emits a server commit of transaction `id` at `time` in `cycle`; no-op on
+/// a null ring.
+void TraceServerCommit(TraceRing* ring, SimTime time, Cycle cycle, TxnId id);
+
+/// Emits the cycle-start slice and broadcast-tx instant of the cycle
+/// `server` just began; no-op on a null ring.
+void TraceCycleStart(TraceRing* ring, const BroadcastServer& server);
 
 /// Runs `config` twice — once with full-matrix control broadcast, once in
 /// snapshot+delta mode — and verifies identical per-client commit/abort

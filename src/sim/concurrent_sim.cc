@@ -3,13 +3,11 @@
 #include <atomic>
 #include <barrier>
 #include <cassert>
-#include <limits>
 #include <thread>
 
-#include "client/read_txn.h"
-#include "client/receiver.h"
+#include "client/session.h"
 #include "common/format.h"
-#include "sim/broadcast_sim.h"
+#include "sim/broadcast_sim.h"  // kClientTxnIdBase
 
 namespace bcc {
 
@@ -37,10 +35,11 @@ Cycle PhaseOf(SimTime at, bool pre_flip, SimTime cycle_bits) {
 
 }  // namespace
 
-/// Per-client thread state. Everything here is owned by one client thread
-/// for the duration of the run; the only cross-thread traffic is the
-/// published snapshot (read) and the completion counter (fetch_add).
-struct ConcurrentSim::ClientState {
+/// One client thread's private event timeline over its session. Everything
+/// here is owned by one client thread for the duration of the run; the only
+/// cross-thread traffic is the published snapshot (read) and the completion
+/// counter (fetch_add).
+struct ConcurrentSim::ClientTimeline {
   enum class Kind {
     kSubmit,
     kBeginRead,
@@ -55,50 +54,14 @@ struct ConcurrentSim::ClientState {
     bool pre_flip;  // fires before the cycle flip at `time` (boundaries only)
   };
 
-  ClientState(const SimConfig& config, Rng rng, std::optional<CycleStampCodec> codec)
-      : workload(config, rng), protocol(config.algorithm, codec) {
-    // Run rejects the cache, so the O(n) per-read column capture is never
-    // consulted; skipping it mirrors the DES client (decisions unaffected).
-    protocol.set_capture_columns(config.enable_cache);
-    if (config.channel_broadcast) {
-      // Full control mode only (Run rejects delta): the receiver's matrix
-      // and values back the protocol, exactly as in the DES.
-      receiver = std::make_unique<ChannelReceiver>(
-          config.num_objects,
-          FrameCodec(CycleStampCodec(config.timestamp_bits), config.channel_frame_bits),
-          /*tracker=*/nullptr);
-      protocol.set_value_override(&receiver->values());
-      protocol.set_control_override(&receiver->matrix());
-    }
-  }
+  ClientTimeline(const SimConfig& config, Rng rng) : session(config, rng), txn(session.NewTxn()) {}
 
-  ClientWorkload workload;
-  ReadOnlyTxnProtocol protocol;
-  /// Channel-mode frame reassembly; owned and touched by this thread only.
-  std::unique_ptr<ChannelReceiver> receiver;
-
-  std::vector<ObjectId> read_set;
-  std::vector<ObjectId> write_set;  // update txns: kept across restarts
-  size_t read_idx = 0;
-  uint32_t restarts = 0;
-  bool is_update = false;
-  /// Channel mode: did the current transaction attempt stall on loss?
-  bool stalled_this_attempt = false;
+  ClientSession session;
+  ReadTxn txn;
+  Event ev{Kind::kSubmit, 0, false};
   /// Rejection cause captured at the validator desk, consumed by the
   /// kUplinkAbort event one uplink delay later.
   AbortInfo uplink_reject;
-  Event ev{Kind::kSubmit, 0, false};
-  /// This thread's trace ring (null when tracing is off); single-writer.
-  TraceRing* trace = nullptr;
-
-  std::vector<TxnDecision> decisions;
-  uint64_t completed = 0;
-  uint64_t censored = 0;
-  uint64_t total_restarts = 0;
-  uint64_t update_commits = 0;
-  uint64_t update_rejects = 0;
-  /// Per-thread abort attribution, merged into the summary after join.
-  AbortBreakdown abort_causes;
 };
 
 ConcurrentSim::ConcurrentSim(SimConfig config)
@@ -106,163 +69,57 @@ ConcurrentSim::ConcurrentSim(SimConfig config)
 
 ConcurrentSim::~ConcurrentSim() = default;
 
-void ConcurrentSim::ProcessClientPhase(ClientState& cs, Cycle phase, const CycleSnapshot& snap) {
+void ConcurrentSim::ProcessClientPhase(ClientTimeline& cl, Cycle phase, const CycleSnapshot& snap) {
   assert(snap.cycle == phase);
-  using Kind = ClientState::Kind;
+  using Kind = ClientTimeline::Kind;
   const SimTime cycle_start = (phase - 1) * cycle_bits_;
   const BroadcastSchedule& schedule = server_->schedule();
+  ClientSession& session = cl.session;
+  ReadTxn& txn = cl.txn;
 
-  while (PhaseOf(cs.ev.time, cs.ev.pre_flip, cycle_bits_) == phase) {
-    const SimTime t = cs.ev.time;
-    const bool pre = cs.ev.pre_flip;
+  while (PhaseOf(cl.ev.time, cl.ev.pre_flip, cycle_bits_) == phase) {
+    const SimTime t = cl.ev.time;
+    const bool pre = cl.ev.pre_flip;
     const auto schedule_next = [&](Kind kind, SimTime at) {
-      cs.ev = ClientState::Event{kind, at, FiresBeforeFlip(at, t, pre, cycle_bits_)};
+      cl.ev = ClientTimeline::Event{kind, at, FiresBeforeFlip(at, t, pre, cycle_bits_)};
     };
     const auto complete_txn = [&](bool censored) {
-      if (config_.record_decisions) {
-        cs.decisions.push_back(TxnDecision{cs.protocol.reads(), cs.restarts, censored});
-      }
-      // Censoring is counted in ADDITION to the final attempt's abort cause,
-      // mirroring the sequential engine's accounting exactly.
-      if (censored) cs.abort_causes.Record(AbortCause::kCensored);
-      if (cs.trace != nullptr) {
-        TraceEvent e;
-        e.type = censored ? TraceEventType::kAbort : TraceEventType::kCommit;
-        e.time = t;
-        e.cycle = phase;
-        e.value = cs.protocol.reads().size();
-        if (censored) e.abort.cause = AbortCause::kCensored;
-        cs.trace->Record(e);
-      }
-      ++cs.completed;
-      cs.censored += censored ? 1 : 0;
-      cs.total_restarts += cs.restarts;
+      session.Complete(txn, censored, t, phase);
       completions_.fetch_add(1, std::memory_order_relaxed);
-      cs.protocol.Reset();
-      schedule_next(Kind::kSubmit, t + cs.workload.NextInterTxnDelay());
+      schedule_next(Kind::kSubmit, t + session.workload().NextInterTxnDelay());
+    };
+    // Mirrors BroadcastSim::OnStep.
+    const auto on_step = [&](TxnStep step) {
+      if (step == TxnStep::kNextRead || step == TxnStep::kRestart) {
+        schedule_next(Kind::kBeginRead, t + session.ThinkTime(step));
+      } else if (step == TxnStep::kCensor || !txn.is_update) {
+        complete_txn(step == TxnStep::kCensor);
+      } else {
+        schedule_next(Kind::kUplink, t + config_.uplink_delay);
+      }
     };
 
-    switch (cs.ev.kind) {
-      case Kind::kSubmit: {
-        cs.read_set = cs.workload.NextReadSet();
-        // Same RNG draw order as BroadcastSim::SubmitClientTxn: the update
-        // coin and write set are drawn only when uplink mode is on.
-        cs.is_update = validator_ != nullptr && cs.workload.NextIsUpdate();
-        cs.write_set = cs.is_update ? cs.workload.NextWriteSet() : std::vector<ObjectId>{};
-        cs.read_idx = 0;
-        cs.restarts = 0;
-        cs.stalled_this_attempt = false;
-        cs.protocol.Reset();
-        schedule_next(Kind::kBeginRead, t + cs.workload.NextInterOpDelay());
+    switch (cl.ev.kind) {
+      case Kind::kSubmit:
+        session.Begin(txn, t);
+        schedule_next(Kind::kBeginRead, t + session.workload().NextInterOpDelay());
         break;
-      }
-      case Kind::kBeginRead: {
-        // Mirrors BroadcastServer::NextSlotEnd against this phase's window.
-        const ObjectId ob = cs.read_set[cs.read_idx];
-        const SimTime offset = t - cycle_start;
-        const SimTime slot_bits = geometry_.slot_bits;
-        const size_t min_slot =
-            offset <= slot_bits ? 0 : static_cast<size_t>((offset - 1) / slot_bits);
-        const int64_t slot = schedule.NextSlotOf(ob, min_slot);
-        if (slot >= 0) {
-          schedule_next(Kind::kRead,
-                        cycle_start + static_cast<SimTime>(slot + 1) * slot_bits);
-        } else {
-          // No appearance of `ob` remains this cycle: its first slot of the
-          // next one.
-          const uint32_t first_slot = schedule.SlotsOf(ob).front();
-          schedule_next(Kind::kRead, cycle_start + cycle_bits_ +
-                                         static_cast<SimTime>(first_slot + 1) * slot_bits);
-        }
+      case Kind::kBeginRead:
+        schedule_next(Kind::kRead,
+                      NextReadSlotEnd(schedule, geometry_, txn.next_object(), t, cycle_start));
         break;
-      }
       case Kind::kRead: {
-        const ObjectId ob = cs.read_set[cs.read_idx];
-        if (cs.receiver != nullptr &&
-            (!cs.receiver->ControlUsable(ob, phase) || !cs.receiver->DataUsable(ob, phase))) {
-          // The slot's data page or control column was lost this cycle:
-          // missed cycle. Stall until the object's first slot of the next
-          // cycle (mirrors the DES's stall retry); never validate against a
-          // stale snapshot.
-          cs.receiver->RecordStall();
-          cs.stalled_this_attempt = true;
-          if (cs.trace != nullptr) {
-            TraceEvent e;
-            e.type = TraceEventType::kStall;
-            e.time = t;
-            e.cycle = phase;
-            e.object = ob;
-            e.value = kStallChannelLoss;
-            cs.trace->Record(e);
-          }
-          const uint32_t first_slot = schedule.SlotsOf(ob).front();
-          schedule_next(Kind::kRead, cycle_start + cycle_bits_ +
-                                         static_cast<SimTime>(first_slot + 1) *
-                                             geometry_.slot_bits);
+        const ReadGate gate = session.Gate(txn.next_object(), phase);
+        if (gate == ReadGate::kReady) {
+          on_step(session.Read(txn, snap, t));
           break;
         }
-        const auto value = cs.protocol.Read(snap, ob);
-        if (cs.trace != nullptr) {
-          TraceEvent e;
-          e.type = TraceEventType::kValidation;
-          e.time = t;
-          e.cycle = phase;
-          e.object = ob;
-          e.value = value.ok() ? 1 : 0;
-          cs.trace->Record(e);
-        }
-        if (value.ok()) {
-          if (cs.trace != nullptr) {
-            TraceEvent e;
-            e.type = TraceEventType::kRead;
-            e.time = t;
-            e.cycle = phase;
-            e.object = ob;
-            e.value = value->value;
-            cs.trace->Record(e);
-          }
-          ++cs.read_idx;
-          if (cs.read_idx == cs.read_set.size()) {
-            if (cs.is_update) {
-              // Ship the read records + write set to the validator desk one
-              // uplink delay from now (mirrors BroadcastSim::OnReadSuccess).
-              schedule_next(Kind::kUplink, t + config_.uplink_delay);
-            } else {
-              complete_txn(/*censored=*/false);  // read-only commit is local, free
-            }
-          } else {
-            schedule_next(Kind::kBeginRead, t + cs.workload.NextInterOpDelay());
-          }
-        } else {
-          // Same attribution precedence as BroadcastSim::OnReadAbort: a
-          // loss-stalled attempt's abort is the channel's fault; otherwise
-          // the protocol's captured cause stands.
-          AbortInfo info = cs.protocol.last_abort();
-          if (cs.receiver != nullptr && cs.stalled_this_attempt) {
-            info.cause = AbortCause::kChannelLoss;
-            cs.receiver->RecordLossAttributedAbort();
-          }
-          cs.abort_causes.Record(info.cause);
-          if (cs.trace != nullptr) {
-            TraceEvent e;
-            e.type = TraceEventType::kAbort;
-            e.time = t;
-            e.cycle = phase;
-            e.object = info.ob_j;
-            e.abort = info;
-            cs.trace->Record(e);
-          }
-          cs.stalled_this_attempt = false;
-          ++cs.restarts;
-          if (cs.restarts >= config_.max_restarts_per_txn) {
-            complete_txn(/*censored=*/true);
-          } else {
-            cs.protocol.Reset();
-            cs.read_idx = 0;
-            schedule_next(Kind::kBeginRead,
-                          t + config_.restart_delay + cs.workload.NextInterOpDelay());
-          }
-        }
+        // Missed cycle: retry at the object's first slot of the next cycle;
+        // never validate against a stale snapshot.
+        session.Stall(txn, gate, t, phase);
+        const SimTime next_start = cycle_start + cycle_bits_;
+        schedule_next(Kind::kRead, NextReadSlotEnd(schedule, geometry_, txn.next_object(),
+                                                   next_start, next_start));
         break;
       }
       case Kind::kUplink: {
@@ -272,63 +129,26 @@ void ConcurrentSim::ProcessClientPhase(ClientState& cs, Cycle phase, const Cycle
         // never mutated mid-phase, so the MC read under the desk lock is
         // race-free against the server thread.
         bool accepted;
-        AbortInfo reject;
         {
           std::lock_guard<std::mutex> lock(uplink_mu_);
           ClientUpdateRequest request;
           request.id = next_client_update_id_++;
-          request.reads = cs.protocol.reads();
-          request.writes = cs.write_set;
-          const auto verdict = validator_->ValidateAndCommit(request, phase);
-          accepted = verdict.ok();
-          if (!accepted) reject = validator_->last_reject();
+          request.reads = txn.protocol.reads();
+          request.writes = txn.write_set;
+          accepted = validator_->ValidateAndCommit(request, phase).ok();
+          if (!accepted) cl.uplink_reject = validator_->last_reject();
         }
-        if (cs.trace != nullptr) {
-          TraceEvent e;
-          e.type = TraceEventType::kValidation;
-          e.time = t;
-          e.cycle = phase;
-          e.value = accepted ? 1 : 0;
-          cs.trace->Record(e);
-        }
+        session.UplinkVerdict(accepted, t, phase);
         // The client learns the outcome one uplink delay later.
-        if (accepted) {
-          ++cs.update_commits;
-          schedule_next(Kind::kUplinkDone, t + config_.uplink_delay);
-        } else {
-          ++cs.update_rejects;
-          cs.uplink_reject = reject;
-          schedule_next(Kind::kUplinkAbort, t + config_.uplink_delay);
-        }
+        schedule_next(accepted ? Kind::kUplinkDone : Kind::kUplinkAbort, t + config_.uplink_delay);
         break;
       }
-      case Kind::kUplinkDone: {
+      case Kind::kUplinkDone:
         complete_txn(/*censored=*/false);
         break;
-      }
-      case Kind::kUplinkAbort: {
-        const AbortInfo info = cs.uplink_reject;
-        cs.abort_causes.Record(info.cause);
-        if (cs.trace != nullptr) {
-          TraceEvent e;
-          e.type = TraceEventType::kAbort;
-          e.time = t;
-          e.cycle = phase;
-          e.object = info.ob_j;
-          e.abort = info;
-          cs.trace->Record(e);
-        }
-        ++cs.restarts;
-        if (cs.restarts >= config_.max_restarts_per_txn) {
-          complete_txn(/*censored=*/true);
-        } else {
-          cs.protocol.Reset();
-          cs.read_idx = 0;
-          schedule_next(Kind::kBeginRead,
-                        t + config_.restart_delay + cs.workload.NextInterOpDelay());
-        }
+      case Kind::kUplinkAbort:
+        on_step(session.Abort(txn, cl.uplink_reject, t, phase));
         break;
-      }
     }
   }
 }
@@ -336,80 +156,28 @@ void ConcurrentSim::ProcessClientPhase(ClientState& cs, Cycle phase, const Cycle
 void ConcurrentSim::ProcessServerPhase(Cycle phase) {
   while (PhaseOf(next_commit_time_, next_commit_pre_flip_, cycle_bits_) == phase) {
     const ServerTxn txn = server_workload_->NextTxn();
+    if (mc_overlay_ != nullptr) mc_overlay_->Stage(txn.write_set, phase);
     if (txn_processor_ != nullptr) {
       pending_server_txns_.push_back(txn);
     } else {
       manager_->ExecuteAndCommit(txn, phase);
     }
     ++server_commits_;
-    if (server_trace_ != nullptr) {
-      TraceEvent e;
-      e.type = TraceEventType::kCommit;
-      e.time = next_commit_time_;
-      e.cycle = phase;
-      e.value = txn.id;
-      server_trace_->Record(e);
-    }
+    TraceServerCommit(server_trace_, next_commit_time_, phase, txn.id);
     const SimTime prev = next_commit_time_;
     const bool prev_pre = next_commit_pre_flip_;
     next_commit_time_ = prev + server_workload_->NextInterval();
     next_commit_pre_flip_ = FiresBeforeFlip(next_commit_time_, prev, prev_pre, cycle_bits_);
   }
-  // Pooled mode: execute the phase's staged transactions concurrently and
-  // fold the serialization order now — still before the work barrier, so the
-  // snapshot published in the exclusive section reflects every commit of
-  // this phase (the same cycle-granular visibility as the serial path).
-  if (txn_processor_ != nullptr && !pending_server_txns_.empty()) {
-    const std::vector<CommittedServerTxn> committed =
-        txn_processor_->ExecuteBatch(pending_server_txns_);
-    FoldIntoManager(committed, *manager_, phase);
-    pending_server_txns_.clear();
+  // Pooled mode without uplinks: execute the phase's staged transactions
+  // concurrently and fold the serialization order now — still before the
+  // work barrier, so the snapshot published in the exclusive section
+  // reflects every commit of this phase (the same cycle-granular visibility
+  // as the serial path). Uplink mode folds in the exclusive section.
+  if (mc_overlay_ == nullptr) {
+    FoldPooledCycle(txn_processor_.get(), *manager_, phase, pending_uplink_txns_,
+                    pending_server_txns_, nullptr);
   }
-}
-
-void ConcurrentSim::StageServerPhase(Cycle phase) {
-  // Uplink mode: runs inside the exclusive section preceding the phase, so
-  // by the time client threads validate uplinks against the overlay, every
-  // server transaction of their cycle is already staged (conservative
-  // relative to the DES's event-time staging, and immutable all phase).
-  while (PhaseOf(next_commit_time_, next_commit_pre_flip_, cycle_bits_) == phase) {
-    const ServerTxn txn = server_workload_->NextTxn();
-    mc_overlay_->Stage(txn.write_set, phase);
-    pending_server_txns_.push_back(txn);
-    ++server_commits_;
-    if (server_trace_ != nullptr) {
-      TraceEvent e;
-      e.type = TraceEventType::kCommit;
-      e.time = next_commit_time_;
-      e.cycle = phase;
-      e.value = txn.id;
-      server_trace_->Record(e);
-    }
-    const SimTime prev = next_commit_time_;
-    const bool prev_pre = next_commit_pre_flip_;
-    next_commit_time_ = prev + server_workload_->NextInterval();
-    next_commit_pre_flip_ = FiresBeforeFlip(next_commit_time_, prev, prev_pre, cycle_bits_);
-  }
-}
-
-void ConcurrentSim::FoldPhase(Cycle phase) {
-  // Accepted uplinks first, serially, in acceptance order: validation
-  // guaranteed each one's reads are disjoint from every write staged before
-  // it was accepted, so the serial prefix places each uplink exactly where
-  // the client's broadcast reads put it (see BroadcastSim::FlushServerBatch).
-  if (!pending_uplink_txns_.empty()) {
-    const std::vector<CommittedServerTxn> committed =
-        txn_processor_->ExecuteSerial(pending_uplink_txns_);
-    FoldIntoManager(committed, *manager_, phase);
-    pending_uplink_txns_.clear();
-  }
-  if (!pending_server_txns_.empty()) {
-    const std::vector<CommittedServerTxn> committed =
-        txn_processor_->ExecuteBatch(pending_server_txns_);
-    FoldIntoManager(committed, *manager_, phase);
-    pending_server_txns_.clear();
-  }
-  mc_overlay_->Clear();
 }
 
 StatusOr<ConcurrentSummary> ConcurrentSim::Run() {
@@ -442,50 +210,15 @@ StatusOr<ConcurrentSummary> ConcurrentSim::Run() {
 
   // Setup mirrors BroadcastSim::Run — the root RNG split order is part of
   // the cross-engine contract.
-  const bool f_family = config_.algorithm == Algorithm::kFMatrix ||
-                        config_.algorithm == Algorithm::kFMatrixNo;
-  const bool sparse_mode = config_.matrix_mode == MatrixMode::kSparse;
-  TxnManagerOptions manager_options;
-  manager_options.maintain_f_matrix = (f_family && !sparse_mode) || config_.record_history;
-  manager_options.maintain_sparse_matrix = f_family && sparse_mode;
-  manager_options.maintain_mc_vector = true;
-  manager_options.record_history = config_.record_history;
-  manager_ = std::make_unique<ServerTxnManager>(config_.num_objects, manager_options);
-
+  manager_ = std::make_unique<ServerTxnManager>(config_.num_objects, ManagerOptionsFor(config_));
   server_ = std::make_unique<BroadcastServer>(config_.num_objects, geometry_);
-  if (config_.hot_set_size > 0 && config_.hot_broadcast_frequency > 1) {
-    std::vector<uint32_t> frequencies(config_.num_objects, 1);
-    for (uint32_t i = 0; i < config_.hot_set_size; ++i) {
-      frequencies[i] = config_.hot_broadcast_frequency;
-    }
-    BCC_ASSIGN_OR_RETURN(BroadcastSchedule schedule,
-                         BroadcastSchedule::FromFrequencies(frequencies));
-    server_->SetSchedule(std::move(schedule));
-  }
-  std::optional<ObjectPartition> partition;
-  if (f_family && config_.num_groups > 0 && config_.num_groups < config_.num_objects) {
-    partition = ObjectPartition::Blocks(config_.num_objects, config_.num_groups);
-    server_->SetPartition(*partition);
-  }
+  BCC_RETURN_IF_ERROR(ConfigureBroadcastServer(config_, *server_));
 
   Rng root(config_.seed);
   server_workload_ = std::make_unique<ServerWorkload>(config_, root.Split());
-  if (config_.update_scheme != UpdateScheme::kSequential) {
-    txn_processor_ = std::make_unique<TxnProcessor>(config_.num_objects, config_.update_scheme,
-                                                    config_.update_workers);
-    // Pooled-apply: the cycle-batch F-Matrix fold borrows the processor's
-    // worker pool, partitioned by column (bit-identical to the serial fold).
-    // The fold only ever runs in the exclusive section, when the pool is
-    // otherwise idle.
-    manager_->SetParallelFold(
-        [this](uint32_t shards, const std::function<void(uint32_t)>& body) {
-          txn_processor_->RunShards(shards, body);
-        },
-        config_.update_workers);
-  }
-
-  std::optional<CycleStampCodec> codec;
-  if (config_.use_wire_codec) codec.emplace(config_.timestamp_bits);
+  // The fold only ever runs in the exclusive section, when the pool is
+  // otherwise idle.
+  txn_processor_ = MakePooledProcessor(config_, *manager_);
 
   if (config_.client_update_fraction > 0.0) {
     validator_ = std::make_unique<UpdateValidator>(manager_.get());
@@ -498,17 +231,14 @@ StatusOr<ConcurrentSummary> ConcurrentSim::Run() {
 
   clients_.clear();
   for (uint32_t c = 0; c < config_.num_clients; ++c) {
-    clients_.push_back(std::make_unique<ClientState>(config_, root.Split(), codec));
+    clients_.push_back(std::make_unique<ClientTimeline>(config_, root.Split()));
   }
   if (tracer_ != nullptr) {
     // Track registration happens strictly before any thread spawns; after
     // this point each ring has exactly one writer for the whole run.
     server_trace_ = tracer_->AddTrack("server");
     for (size_t c = 0; c < clients_.size(); ++c) {
-      clients_[c]->trace = tracer_->AddTrack(StrFormat("client%zu", c));
-      if (clients_[c]->receiver != nullptr) {
-        clients_[c]->receiver->set_trace_ring(clients_[c]->trace);
-      }
+      clients_[c]->session.set_trace_ring(tracer_->AddTrack(StrFormat("client%zu", c)));
     }
   }
   if (config_.channel_broadcast) {
@@ -521,23 +251,8 @@ StatusOr<ConcurrentSummary> ConcurrentSim::Run() {
   }
 
   cycle_bits_ = server_->CycleLengthBits();
-  const auto trace_cycle_start = [this](Cycle cycle) {
-    if (server_trace_ == nullptr) return;
-    TraceEvent slice;
-    slice.type = TraceEventType::kCycleStart;
-    slice.time = (cycle - 1) * cycle_bits_;
-    slice.duration = cycle_bits_;
-    slice.cycle = cycle;
-    server_trace_->Record(slice);
-    TraceEvent tx;
-    tx.type = TraceEventType::kBroadcastTx;
-    tx.time = slice.time;
-    tx.cycle = cycle;
-    tx.value = config_.num_objects;
-    server_trace_->Record(tx);
-  };
   server_->BeginCycle(1, 0, *manager_);
-  trace_cycle_start(1);
+  TraceCycleStart(server_trace_, *server_);
   published_ = std::make_shared<const CycleSnapshot>(server_->snapshot());
   if (channel_ != nullptr) {
     published_frames_ = std::make_shared<const std::vector<Frame>>(
@@ -546,10 +261,10 @@ StatusOr<ConcurrentSummary> ConcurrentSim::Run() {
 
   next_commit_time_ = server_workload_->NextInterval();
   next_commit_pre_flip_ = FiresBeforeFlip(next_commit_time_, 0, false, cycle_bits_);
-  for (auto& cs : clients_) {
-    const SimTime at = cs->workload.NextInterTxnDelay();
-    cs->ev = ClientState::Event{ClientState::Kind::kSubmit, at,
-                                FiresBeforeFlip(at, 0, false, cycle_bits_)};
+  for (auto& cl : clients_) {
+    const SimTime at = cl->session.workload().NextInterTxnDelay();
+    cl->ev = ClientTimeline::Event{ClientTimeline::Kind::kSubmit, at,
+                                   FiresBeforeFlip(at, 0, false, cycle_bits_)};
   }
 
   // Epoch loop. Per broadcast cycle k: client threads drain their cycle-k
@@ -565,23 +280,22 @@ StatusOr<ConcurrentSummary> ConcurrentSim::Run() {
   // Uplink mode: cycle 1's server transactions are staged before any client
   // thread exists, so the overlay is complete and immutable for the whole
   // first phase (later phases stage in the preceding exclusive section).
-  if (validator_ != nullptr) StageServerPhase(1);
+  if (validator_ != nullptr) ProcessServerPhase(1);
 
   std::vector<std::jthread> threads;
   threads.reserve(config_.num_clients);
   for (uint32_t c = 0; c < config_.num_clients; ++c) {
     threads.emplace_back([this, c, &work_done, &publish_done, &stop] {
-      ClientState& cs = *clients_[c];
+      ClientTimeline& cl = *clients_[c];
       for (Cycle phase = 1;; ++phase) {
         const std::shared_ptr<const CycleSnapshot> snap = published_;
-        if (cs.receiver != nullptr) {
+        if (ChannelReceiver* receiver = cl.session.receiver()) {
           // Per-client fault link and receiver are thread-local; Transmit
           // only touches this client's RNG/burst state inside channel_.
           const std::shared_ptr<const std::vector<Frame>> frames = published_frames_;
-          cs.receiver->IngestCycle(phase, channel_->Transmit(c, *frames),
-                                   (phase - 1) * cycle_bits_);
+          receiver->IngestCycle(phase, channel_->Transmit(c, *frames), (phase - 1) * cycle_bits_);
         }
-        ProcessClientPhase(cs, phase, *snap);
+        ProcessClientPhase(cl, phase, *snap);
         work_done.arrive_and_wait();
         publish_done.arrive_and_wait();
         if (stop) break;
@@ -599,20 +313,23 @@ StatusOr<ConcurrentSummary> ConcurrentSim::Run() {
     work_done.arrive_and_wait();
     // Exclusive section: every client thread is parked between the two
     // barriers, so the snapshot swap and stop verdict are race-free.
-    if (validator_ != nullptr) FoldPhase(phase);
+    if (validator_ != nullptr) {
+      FoldPooledCycle(txn_processor_.get(), *manager_, phase, pending_uplink_txns_,
+                      pending_server_txns_, mc_overlay_.get());
+    }
     cycles = phase;
     stop = config_.stop_after_cycles > 0
                ? phase >= config_.stop_after_cycles
                : completions_.load(std::memory_order_relaxed) >= config_.num_client_txns;
     if (!stop) {
       server_->BeginCycle(phase + 1, phase * cycle_bits_, *manager_);
-      trace_cycle_start(phase + 1);
+      TraceCycleStart(server_trace_, *server_);
       published_ = std::make_shared<const CycleSnapshot>(server_->snapshot());
       if (channel_ != nullptr) {
         published_frames_ = std::make_shared<const std::vector<Frame>>(
             EncodeCycleFrames(*published_, *frame_codec_, config_.object_size_bits));
       }
-      if (validator_ != nullptr) StageServerPhase(phase + 1);
+      if (validator_ != nullptr) ProcessServerPhase(phase + 1);
     }
     publish_done.arrive_and_wait();
     if (stop) break;
@@ -623,90 +340,21 @@ StatusOr<ConcurrentSummary> ConcurrentSim::Run() {
   summary.cycles = cycles;
   summary.server_commits = server_commits_;
   decisions_.clear();
-  for (auto& cs : clients_) {
-    summary.completed_txns += cs->completed;
-    summary.censored_txns += cs->censored;
-    summary.total_restarts += cs->total_restarts;
-    summary.client_update_commits += cs->update_commits;
-    summary.client_update_rejects += cs->update_rejects;
-    summary.abort_causes.Accumulate(cs->abort_causes);
-    if (cs->receiver != nullptr) summary.channel.Accumulate(cs->receiver->stats());
-    if (config_.record_decisions) decisions_.push_back(std::move(cs->decisions));
+  for (auto& cl : clients_) {
+    ClientSession& session = cl->session;
+    summary.completed_txns += session.completed();
+    summary.censored_txns += session.censored();
+    summary.total_restarts += session.restarts();
+    summary.client_update_commits += session.update_commits();
+    summary.client_update_rejects += session.update_rejects();
+    summary.abort_causes.Accumulate(session.abort_causes());
+    if (session.receiver() != nullptr) summary.channel.Accumulate(session.receiver()->stats());
+    if (config_.record_decisions) decisions_.push_back(std::move(session.decisions()));
   }
   // Mirror the DES accounting: accepted uplink transactions are server
   // commits (they enter the manager's committed stream).
   summary.server_commits += summary.client_update_commits;
   return summary;
-}
-
-Status CrossCheckEngines(SimConfig config) {
-  if (config.stop_after_cycles == 0) {
-    return Status::InvalidArgument("CrossCheckEngines requires stop_after_cycles > 0");
-  }
-  config.record_decisions = true;
-  // Both engines must run the full cycle window; the transaction-count
-  // cutoff would stop the DES at a timing-dependent point mid-cycle.
-  config.num_client_txns = std::numeric_limits<uint32_t>::max();
-
-  BroadcastSim sequential(config);
-  BCC_ASSIGN_OR_RETURN(const SimSummary seq_summary, sequential.Run());
-  ConcurrentSim concurrent(config);
-  BCC_ASSIGN_OR_RETURN(const ConcurrentSummary conc_summary, concurrent.Run());
-
-  // The abort-attribution tables must agree cause-by-cause: both engines
-  // classify every abort at the same failing check, and neither filters by
-  // warmup, so the breakdowns are bit-identical, not just statistically
-  // close.
-  if (!(seq_summary.abort_causes == conc_summary.abort_causes)) {
-    return Status::Internal(StrFormat(
-        "abort breakdowns diverged: sequential=(%s) concurrent=(%s)",
-        seq_summary.abort_causes.ToString().c_str(),
-        conc_summary.abort_causes.ToString().c_str()));
-  }
-
-  const auto& seq = sequential.decisions();
-  const auto& conc = concurrent.decisions();
-  if (seq.size() != conc.size()) {
-    return Status::Internal(StrFormat("client count diverged: %zu vs %zu", seq.size(),
-                                      conc.size()));
-  }
-  for (size_t c = 0; c < seq.size(); ++c) {
-    if (seq[c].size() != conc[c].size()) {
-      return Status::Internal(StrFormat("client %zu: %zu sequential vs %zu concurrent txns",
-                                        c, seq[c].size(), conc[c].size()));
-    }
-    for (size_t i = 0; i < seq[c].size(); ++i) {
-      if (!(seq[c][i] == conc[c][i])) {
-        return Status::Internal(StrFormat(
-            "client %zu txn %zu diverged: restarts %u/%u, censored %d/%d, reads %zu/%zu",
-            c, i, seq[c][i].restarts, conc[c][i].restarts, seq[c][i].censored ? 1 : 0,
-            conc[c][i].censored ? 1 : 0, seq[c][i].reads.size(), conc[c][i].reads.size()));
-      }
-    }
-  }
-
-  const ServerTxnManager& a = sequential.manager();
-  const ServerTxnManager& b = concurrent.manager();
-  if (a.num_committed() != b.num_committed()) {
-    return Status::Internal(StrFormat("server commit count diverged: %zu vs %zu",
-                                      a.num_committed(), b.num_committed()));
-  }
-  // Both engines ran the same config, so they maintain the same control
-  // representation; the unmaintained one is size 0 on both sides and
-  // compares trivially equal.
-  if (!(a.f_matrix() == b.f_matrix())) {
-    return Status::Internal("final F-Matrix diverged between engines");
-  }
-  if (!(a.sparse_f_matrix() == b.sparse_f_matrix())) {
-    return Status::Internal("final sparse F-Matrix diverged between engines");
-  }
-  if (!(a.mc_vector() == b.mc_vector())) {
-    return Status::Internal("final MC vector diverged between engines");
-  }
-  if (!(a.store().committed() == b.store().committed())) {
-    return Status::Internal("final committed store diverged between engines");
-  }
-  return Status::OK();
 }
 
 }  // namespace bcc

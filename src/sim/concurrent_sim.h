@@ -36,6 +36,7 @@
 
 #include "channel/frame.h"
 #include "channel/lossy_channel.h"
+#include "client/read_txn.h"
 #include "common/statusor.h"
 #include "obs/trace.h"
 #include "server/broadcast_server.h"
@@ -110,33 +111,24 @@ class ConcurrentSim {
   void set_tracer(Tracer* tracer) { tracer_ = tracer; }
 
  private:
-  struct ClientState;
+  struct ClientTimeline;
 
-  /// Executes every event of client `cs` belonging to broadcast cycle
+  /// Executes every event of client `cl` belonging to broadcast cycle
   /// `phase`, reading from the immutable `snap` (= cycle `phase`'s state).
-  void ProcessClientPhase(ClientState& cs, Cycle phase, const CycleSnapshot& snap);
+  void ProcessClientPhase(ClientTimeline& cl, Cycle phase, const CycleSnapshot& snap);
 
   /// Executes every server commit belonging to broadcast cycle `phase`
   /// into the staging manager. In pooled mode (update_scheme !=
   /// kSequential) the phase's transactions run concurrently on the
   /// TxnProcessor and their serialization order is folded before returning,
-  /// so the snapshot published at the next barrier sees them all. Not used
-  /// in uplink mode (see StageServerPhase/FoldPhase).
+  /// so the snapshot published at the next barrier sees them all. In uplink
+  /// mode it only generates the phase's transactions and stages their MC
+  /// effects into the overlay, without touching the manager; it then runs
+  /// inside the exclusive section *before* the phase's client work, so the
+  /// overlay is immutable to the server for the whole phase and every
+  /// mid-phase uplink validation sees the cycle's server writes (conservative
+  /// relative to the DES's event-time staging).
   void ProcessServerPhase(Cycle phase);
-
-  /// Uplink mode: generates broadcast cycle `phase`'s server transactions
-  /// and stages their MC effects into the overlay, without touching the
-  /// manager. Runs inside the exclusive section *before* the phase's client
-  /// work, so the overlay is immutable to the server for the whole phase
-  /// and every mid-phase uplink validation sees the cycle's server writes.
-  void StageServerPhase(Cycle phase);
-
-  /// Uplink mode: the cycle-boundary fold, inside the exclusive section.
-  /// Accepted uplink transactions commit first as a serial prefix in
-  /// acceptance order (TxnProcessor::ExecuteSerial), then the phase's
-  /// pooled server batch; both fold into the manager and the overlay epoch
-  /// retires.
-  void FoldPhase(Cycle phase);
 
   SimConfig config_;
   BroadcastGeometry geometry_;
@@ -160,7 +152,7 @@ class ConcurrentSim {
   std::vector<ServerTxn> pending_uplink_txns_;
   std::mutex uplink_mu_;
   TxnId next_client_update_id_ = 0;
-  std::vector<std::unique_ptr<ClientState>> clients_;
+  std::vector<std::unique_ptr<ClientTimeline>> clients_;
 
   /// The on-air snapshot of the current cycle. Written by the server thread
   /// only between the phase-end and publish barriers (while every client

@@ -17,22 +17,6 @@
 
 namespace bcc {
 
-/// The observable outcome of one completed client transaction: the read
-/// records of the final (committed or censored) attempt plus how many times
-/// the transaction aborted and restarted on the way. Two engines that agree
-/// on every TxnDecision of every client made identical commit/abort
-/// decisions on identical data — the unit of the sequential-vs-concurrent
-/// cross-check (see sim/concurrent_sim.h).
-struct TxnDecision {
-  std::vector<ReadRecord> reads;
-  uint32_t restarts = 0;
-  bool censored = false;
-
-  friend bool operator==(const TxnDecision& a, const TxnDecision& b) {
-    return a.reads == b.reads && a.restarts == b.restarts && a.censored == b.censored;
-  }
-};
-
 /// Aggregated results of one simulation run. Response times are bit-units.
 struct SimSummary {
   // Steady-state window (transactions after warmup).

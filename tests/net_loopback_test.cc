@@ -3,7 +3,8 @@
 // runs a full broadcast to completion over real UDP sockets, and checks
 // that at loss 0 the daemon's final state digest is bit-identical to the
 // in-process DES oracle's — and that every client independently reconstructed
-// that same digest from the datagrams it received.
+// that same digest from the datagrams it received. One test runs the daemon
+// and a client in-process instead, to set a SimConfig field no flag reaches.
 //
 // Binary paths are injected by CMake (BCC_SERVERD_PATH / BCC_CLIENT_PATH).
 
@@ -19,7 +20,9 @@
 #include <thread>
 #include <vector>
 
+#include "net/client_runtime.h"
 #include "net/datagram.h"
+#include "net/server_daemon.h"
 #include "net/socket.h"
 #include "net/state_digest.h"
 #include "obs/json.h"
@@ -219,6 +222,14 @@ TEST(NetLoopbackTest, FourClientsReachBitIdenticalStateWithDesOracle) {
         << json_path << " diverged: " << report;
     EXPECT_EQ(ExtractU64(report, "cycles_ingested"), kCycles) << report;
     EXPECT_GT(ExtractU64(report, "commits"), 0u) << report;
+    // Every abort is attributed to exactly one cause.
+    ASSERT_NE(report.find("\"abort_causes\":{"), std::string::npos) << report;
+    uint64_t attributed = 0;
+    for (const char* cause :
+         {"control_conflict", "mc_conflict", "channel_loss", "desync_stall", "uplink_reject"}) {
+      attributed += ExtractU64(report, cause);
+    }
+    EXPECT_EQ(attributed, ExtractU64(report, "aborts")) << report;
     // Loss 0 on loopback with a large SO_RCVBUF: nothing may be dropped.
     EXPECT_EQ(ExtractU64(report, "frames_dropped"), 0u) << report;
   }
@@ -426,6 +437,58 @@ TEST(NetLoopbackTest, TelemetryRunStaysBitIdenticalAndAnswersMetricsReq) {
   EXPECT_TRUE(ValidateJson(decisions).ok());
   EXPECT_NE(decisions.find("\"server_commits\""), std::string::npos);
   EXPECT_NE(decisions.find("\"uplinks\""), std::string::npos);
+}
+
+// The socket client runs the same ClientSession as the DES clients, so it
+// censors at max_restarts_per_txn. The daemon and the client run in-process
+// here because no flag sets the restart guard.
+TEST(NetLoopbackTest, SocketClientCensorsAtTheRestartGuard) {
+  SimConfig sim;
+  sim.num_objects = kObjects;
+  sim.object_size_bits = 8 * 1024;
+  sim.seed = kSeed;
+  sim.stop_after_cycles = 48;
+  // Four-read transactions against ~4 commits per cycle: some commit, some abort.
+  sim.client_txn_length = 4;
+  sim.server_txn_interval = 60000;
+  sim.max_restarts_per_txn = 1;
+
+  const std::string endpoint_file = ::testing::TempDir() + "/bcc_censor.ep";
+  ::unlink(endpoint_file.c_str());
+  NetConfig server_net;
+  server_net.listen = "127.0.0.1:0";
+  server_net.endpoint_file = endpoint_file;
+  server_net.pace_cycles_per_sec = 200;
+  server_net.max_wall_ms = 60000;
+  ServerReport server_report;
+  Status server_status;
+  std::thread server([&] { server_status = RunServerDaemon(server_net, sim, &server_report); });
+
+  std::string endpoint;
+  for (int i = 0; i < 400 && endpoint.empty(); ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(25));
+    endpoint = ReadFile(endpoint_file);
+  }
+  while (!endpoint.empty() && (endpoint.back() == '\n' || endpoint.back() == '\r')) {
+    endpoint.pop_back();
+  }
+  NetConfig client_net;
+  client_net.connect = endpoint;
+  client_net.client_id = 1;
+  client_net.max_wall_ms = 60000;
+  ClientReport report;
+  const Status client_status =
+      endpoint.empty() ? Status::Internal("daemon never wrote its endpoint file")
+                       : RunClientRuntime(client_net, sim, &report);
+  server.join();
+  ASSERT_TRUE(server_status.ok()) << server_status.ToString();
+  ASSERT_TRUE(client_status.ok()) << client_status.ToString();
+
+  const uint64_t censored = report.abort_causes.Count(AbortCause::kCensored);
+  EXPECT_GT(censored, 0u) << report.ToJson();
+  EXPECT_EQ(censored, report.aborts) << "with max_restarts_per_txn = 1 every abort censors";
+  EXPECT_EQ(report.abort_causes.TotalAborts(), report.aborts);
+  EXPECT_GT(report.commits, 0u) << report.ToJson();
 }
 
 }  // namespace
