@@ -1,7 +1,7 @@
 // Snapshot+delta control broadcast accounting and server-side cost.
 //
-// Section "cycles": drives the server commit pipeline (ServerWorkload ->
-// ServerTxnManager -> DeltaBroadcaster) across broadcast cycles at several
+// Section "cycles": drives the server's cycle loop (CycleServer in delta
+// mode: workload -> manager -> DeltaBroadcaster) across cycles at several
 // update rates and reports, per cycle, the control bits a delta-mode
 // broadcast ships against the full-matrix baseline. The run FAILS (exit 1)
 // if any cycle's delta control costs more than the full matrix — that
@@ -24,10 +24,10 @@
 #include <vector>
 
 #include "matrix/wire.h"
+#include "server/cycle_server.h"
 #include "server/delta_broadcast.h"
 #include "server/txn_manager.h"
 #include "sim/config.h"
-#include "sim/workload.h"
 
 namespace bcc::bench {
 namespace {
@@ -60,14 +60,14 @@ double NsPerOp(std::chrono::steady_clock::time_point t0, std::chrono::steady_clo
   return std::chrono::duration<double, std::nano>(t1 - t0).count() / static_cast<double>(ops);
 }
 
-/// Section "cycles": full vs delta control bits per broadcast cycle.
+/// Section "cycles": full vs delta control bits of the block each broadcast
+/// cycle puts on the air (it carries the previous cycle's commits).
 /// Returns false if any cycle violates delta_bits <= full_bits.
 bool RunCyclesSection(const Flags& flags) {
   const uint32_t n = 300;
   const unsigned ts = 8;
   const uint64_t refresh_period = 16;
   const uint64_t cycles = flags.smoke ? 8 : 64;
-  const auto geometry = ComputeGeometry(Algorithm::kFMatrix, n, 8 * 1024, ts);
 
   std::printf("== cycles: control bits on the air, full vs delta (n=%u, ts=%u, refresh=%llu)\n", n,
               ts, static_cast<unsigned long long>(refresh_period));
@@ -78,25 +78,19 @@ bool RunCyclesSection(const Flags& flags) {
   for (const uint64_t interval : {50000ull, 250000ull, 1000000ull}) {
     SimConfig config;
     config.num_objects = n;
+    config.object_size_bits = 8 * 1024;
     config.timestamp_bits = ts;
+    config.use_wire_codec = true;
+    config.delta_broadcast = true;
+    config.delta_refresh_period = refresh_period;
     config.server_txn_interval = interval;
     config.seed = flags.seed;
-    ServerWorkload workload(config, Rng(flags.seed));
-    ServerTxnManager manager(n, {.track_dirty_columns = true});
-    DeltaBroadcaster broadcaster(n, CycleStampCodec(ts), refresh_period);
+    std::unique_ptr<CycleServer> server = CycleServer::Create(config, Rng(flags.seed)).value();
 
     uint64_t total_delta = 0, total_full = 0;
-    SimTime next_commit = workload.NextInterval();
+    uint64_t commits = 0;  // staged in the previous cycle: this cycle's delta carries them
     for (Cycle cycle = 1; cycle <= cycles; ++cycle) {
-      const SimTime cycle_end = cycle * geometry.cycle_bits;
-      uint32_t commits = 0;
-      while (next_commit <= cycle_end) {
-        manager.ExecuteAndCommit(workload.NextTxn(), cycle);
-        ++commits;
-        next_commit += workload.NextInterval();
-      }
-      const DeltaControl ctl =
-          broadcaster.BuildControl(manager.f_matrix(), manager.TakeTouchedColumns(), cycle);
+      const DeltaControl& ctl = *server->BeginCycle(cycle).delta;
       total_delta += ctl.control_bits;
       total_full += ctl.full_bits;
       if (ctl.control_bits > ctl.full_bits) {
@@ -107,20 +101,24 @@ bool RunCyclesSection(const Flags& flags) {
         ok = false;
       }
       if (flags.csv) {
-        std::printf("csv,cycles,%llu,%llu,%u,%zu,%d,%llu,%llu\n",
+        std::printf("csv,cycles,%llu,%llu,%llu,%zu,%d,%llu,%llu\n",
                     static_cast<unsigned long long>(interval),
-                    static_cast<unsigned long long>(cycle), commits, ctl.entries.size(),
+                    static_cast<unsigned long long>(cycle),
+                    static_cast<unsigned long long>(commits), ctl.entries.size(),
                     ctl.full_refresh ? 1 : 0, static_cast<unsigned long long>(ctl.control_bits),
                     static_cast<unsigned long long>(ctl.full_bits));
       } else {
-        std::printf("%10llu %6llu %8u %8zu %8s %12llu %12llu %8.4f\n",
+        std::printf("%10llu %6llu %8llu %8zu %8s %12llu %12llu %8.4f\n",
                     static_cast<unsigned long long>(interval),
-                    static_cast<unsigned long long>(cycle), commits, ctl.entries.size(),
+                    static_cast<unsigned long long>(cycle),
+                    static_cast<unsigned long long>(commits), ctl.entries.size(),
                     ctl.full_refresh ? (ctl.scheduled ? "sched" : "adapt") : "-",
                     static_cast<unsigned long long>(ctl.control_bits),
                     static_cast<unsigned long long>(ctl.full_bits),
                     static_cast<double>(ctl.control_bits) / static_cast<double>(ctl.full_bits));
       }
+      commits = server->StageCycle(cycle);
+      server->EndCycle(cycle, /*control_conflicts=*/0);
     }
     std::printf("-- interval=%llu: total delta %llu / full %llu bits (%.2f%%)\n",
                 static_cast<unsigned long long>(interval),

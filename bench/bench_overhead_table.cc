@@ -9,7 +9,7 @@
 
 #include "bench_common.h"
 #include "matrix/wire.h"
-#include "sim/workload.h"
+#include "server/cycle_server.h"
 
 namespace {
 
@@ -60,38 +60,27 @@ void MeasureDeltaTransmission(uint64_t seed) {
   std::printf(
       "== Section 3.2.1 (future work): delta transmission of the C matrix ==\n");
   SimConfig config;
+  config.algorithm = Algorithm::kFMatrix;
   config.seed = seed;
   const CycleStampCodec codec(config.timestamp_bits);
-  ServerTxnManager mgr(config.num_objects);
-  Rng rng(seed);
-  ServerWorkload workload(config, rng);
-
-  const uint64_t cycle_bits =
-      ComputeGeometry(Algorithm::kFMatrix, config.num_objects, config.object_size_bits,
-                      config.timestamp_bits)
-          .cycle_bits;
+  std::unique_ptr<CycleServer> server = CycleServer::Create(config, Rng(seed)).value();
   const uint64_t full_bits =
       static_cast<uint64_t>(config.num_objects) * config.num_objects * config.timestamp_bits;
 
   FMatrix prev(config.num_objects);
-  SimTime now = 0;
   uint64_t total_delta_bits = 0, max_delta_bits = 0;
   const Cycle cycles = 200;
-  Cycle cycle = 1;
-  SimTime next_commit = workload.NextInterval();
-  for (cycle = 1; cycle <= cycles; ++cycle) {
-    const SimTime cycle_end = now + cycle_bits;
-    while (next_commit < cycle_end) {
-      mgr.ExecuteAndCommit(workload.NextTxn(), cycle);
-      next_commit += workload.NextInterval();
-    }
-    now = cycle_end;
-    const auto diff = DeltaCodec::Diff(prev, mgr.f_matrix(), codec);
+  for (Cycle cycle = 1; cycle <= cycles; ++cycle) {
+    server->BeginCycle(cycle);
+    server->StageCycle(cycle);
+    server->EndCycle(cycle, /*control_conflicts=*/0);
+    const FMatrix& matrix = server->manager().f_matrix();
+    const auto diff = DeltaCodec::Diff(prev, matrix, codec);
     const uint64_t bits = DeltaCodec::EncodedBits(diff.size(), config.num_objects,
                                                   config.timestamp_bits);
     total_delta_bits += bits;
     max_delta_bits = std::max(max_delta_bits, bits);
-    prev = mgr.f_matrix();
+    prev = matrix;
   }
   std::printf("full matrix per cycle:      %llu bits\n",
               static_cast<unsigned long long>(full_bits));
@@ -102,7 +91,7 @@ void MeasureDeltaTransmission(uint64_t seed) {
   std::printf("delta max per cycle:        %llu bits\n",
               static_cast<unsigned long long>(max_delta_bits));
   std::printf("(Table 1 workload, %llu cycles, %zu commits)\n\n",
-              static_cast<unsigned long long>(cycles), mgr.num_committed());
+              static_cast<unsigned long long>(cycles), server->manager().num_committed());
 }
 
 }  // namespace

@@ -67,6 +67,24 @@ void ClientSession::set_trace_ring(TraceRing* ring) {
   if (tracker_ != nullptr) tracker_->set_trace_ring(ring);
 }
 
+void ClientSession::ReceiveCycle(const CycleSnapshot& snap, std::span<const Frame> frames,
+                                 LossyChannel* channel, uint32_t client, SimTime now) {
+  if (receiver_ != nullptr) {
+    receiver_->IngestCycle(snap.cycle, channel->Transmit(client, frames), now);
+  } else if (tracker_ != nullptr) {
+    if (snap.sparse_f_matrix != nullptr) {
+      tracker_->Observe(*snap.delta, *snap.sparse_f_matrix);
+    } else {
+      tracker_->Observe(*snap.delta, snap.f_matrix);
+    }
+  }
+  // Test knob: model a client that missed this cycle's control block.
+  if (tracker_ != nullptr && config_.delta_desync_at_cycle != 0 &&
+      snap.cycle == config_.delta_desync_at_cycle) {
+    tracker_->ForceDesync();
+  }
+}
+
 void ClientSession::Begin(ReadTxn& txn, SimTime now) {
   txn.read_set = workload_.NextReadSet();
   txn.is_update = config_.client_update_fraction > 0.0 && workload_.NextIsUpdate();

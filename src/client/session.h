@@ -88,6 +88,13 @@ class ClientSession {
   /// `ring` (null: off).
   void set_trace_ring(TraceRing* ring);
 
+  /// Takes in cycle `snap.cycle`'s broadcast at `now`: in channel mode the
+  /// receiver ingests this client's transmission (`client`) of `frames`
+  /// through `channel`, else the delta tracker observes the snapshot's
+  /// control block. Applies the delta_desync_at_cycle test knob on top.
+  void ReceiveCycle(const CycleSnapshot& snap, std::span<const Frame> frames,
+                    LossyChannel* channel, uint32_t client, SimTime now);
+
   /// Draws the next transaction: read set, then — with client updates on —
   /// the update coin and write set.
   void Begin(ReadTxn& txn, SimTime now);

@@ -1,7 +1,6 @@
 #include "net/server_daemon.h"
 
 #include <algorithm>
-#include <map>
 #include <memory>
 #include <optional>
 
@@ -14,11 +13,6 @@
 #include "obs/json.h"
 #include "obs/metrics.h"
 #include "obs/trace_export.h"
-#include "server/broadcast_server.h"
-#include "server/exec/txn_processor.h"
-#include "server/mc_overlay.h"
-#include "server/validator.h"
-#include "sim/workload.h"
 
 namespace bcc {
 
@@ -59,8 +53,6 @@ class ServerDaemon {
   Status SetUpSocket();
   Status WaitForClients();
   Status BroadcastCycles();
-  Status ReplayCommitsForCycle(Cycle cycle);
-  void FlushBatch(Cycle cycle);
   Status FanOutCycle(Cycle cycle);
   Status CollectStats();
   Status DrainUplink();
@@ -73,22 +65,8 @@ class ServerDaemon {
   NetConfig net_;
   SimConfig sim_;
 
-  // Engine (mirrors BroadcastSim::Run's server-side setup).
-  std::unique_ptr<ServerTxnManager> manager_;
-  std::unique_ptr<BroadcastServer> server_;
-  std::unique_ptr<ServerWorkload> workload_;
-  std::unique_ptr<TxnProcessor> processor_;
-  std::unique_ptr<UpdateValidator> validator_;
-  std::unique_ptr<McOverlay> overlay_;
-  std::vector<ServerTxn> pending_uplink_txns_;
-  std::vector<ServerTxn> pending_server_txns_;
-  std::vector<ObjectId> touched_scratch_;
-  std::optional<FrameCodec> codec_;
-  std::vector<Frame> frame_scratch_;
-
-  // Commit replay clock: virtual time of the next server commit.
-  SimTime next_commit_vt_ = 0;
-  TxnId next_uplink_id_ = 1u << 30;  ///< uplink txn ids, disjoint from workload ids
+  // Engine: the in-process engines' server loop.
+  std::unique_ptr<CycleServer> server_;
 
   // Transport.
   UdpSocket socket_;
@@ -137,16 +115,6 @@ class ServerDaemon {
   TraceRing* server_ring_ = nullptr;
   std::vector<TraceRing*> client_rings_;
 
-  // Decision log (NetConfig::decisions_out). `seq` is the store's commit
-  // order: assigned at the commit call in direct mode; assigned at the
-  // cycle fold in staged mode (uplink serial prefix first, then the server
-  // batch — the same order FlushBatch folds them).
-  bool record_decisions_ = false;
-  DecisionLog decisions_;
-  uint64_t next_commit_seq_ = 1;
-  std::vector<size_t> staged_uplink_decisions_;  ///< indices awaiting a seq
-  std::vector<size_t> staged_server_commits_;    ///< indices awaiting a seq
-
   WallClock wall_;
   ServerReport stats_;
 };
@@ -161,50 +129,17 @@ Status ServerDaemon::SetUpEngine() {
     return Status::InvalidArgument(
         "the networked tier does not support sparse_compaction_period");
   }
-  // Sparse mode swaps the manager's representation only: the on-air bytes
-  // (EncodeCycleFramesInto packs the snapshot's sparse matrix byte-identically)
-  // and every client decision are unchanged.
-  const bool sparse_mode = sim_.matrix_mode == MatrixMode::kSparse;
-  TxnManagerOptions options;
-  options.maintain_f_matrix = !sparse_mode;
-  options.maintain_sparse_matrix = sparse_mode;
-  options.maintain_mc_vector = true;
-  options.track_dirty_columns = sim_.delta_broadcast;
-  manager_ = std::make_unique<ServerTxnManager>(sim_.num_objects, options);
-
-  server_ = std::make_unique<BroadcastServer>(sim_.num_objects, sim_.Geometry());
-  if (sim_.delta_broadcast) {
-    server_->EnableDeltaBroadcast(CycleStampCodec(sim_.timestamp_bits),
-                                  sim_.delta_refresh_period);
-  }
-
   // Same RNG split discipline as BroadcastSim: the server workload takes the
   // root's first split, so the daemon's commit stream is bit-identical to
-  // the DES oracle's for the same (seed, config).
+  // the DES oracle's for the same (seed, config). Sparse mode swaps the
+  // manager's representation only: the on-air bytes and every client
+  // decision are unchanged. The uplink validator is always armed: any
+  // client may submit updates.
+  sim_.record_decisions = !net_.decisions_out.empty();
   Rng root(sim_.seed);
-  workload_ = std::make_unique<ServerWorkload>(sim_, root.Split());
-  next_commit_vt_ = workload_->NextInterval();
-
-  if (sim_.update_scheme != UpdateScheme::kSequential) {
-    processor_ = std::make_unique<TxnProcessor>(sim_.num_objects, sim_.update_scheme,
-                                                sim_.update_workers);
-    manager_->SetParallelFold(
-        [this](uint32_t shards, const std::function<void(uint32_t)>& body) {
-          processor_->RunShards(shards, body);
-        },
-        sim_.update_workers);
-  }
-
-  // The uplink validator is always armed: any client may submit updates.
-  validator_ = std::make_unique<UpdateValidator>(manager_.get());
-  if (processor_ != nullptr) {
-    overlay_ = std::make_unique<McOverlay>(sim_.num_objects);
-    validator_->AttachStagedMode(overlay_.get(), [this](ServerTxn&& txn) {
-      pending_uplink_txns_.push_back(std::move(txn));
-    });
-  }
-
-  codec_.emplace(CycleStampCodec(sim_.timestamp_bits), sim_.channel_frame_bits);
+  CycleServerOptions options;
+  options.first_uplink_id = 1u << 30;  // disjoint from workload ids
+  BCC_ASSIGN_OR_RETURN(server_, CycleServer::Create(sim_, root.Split(), options));
 
   ack_template_.num_objects = sim_.num_objects;
   ack_template_.ts_bits = static_cast<uint8_t>(sim_.timestamp_bits);
@@ -216,7 +151,6 @@ Status ServerDaemon::SetUpEngine() {
 }
 
 void ServerDaemon::SetUpTelemetry() {
-  record_decisions_ = !net_.decisions_out.empty();
   if (!net_.TelemetryEnabled()) return;
   registry_ = std::make_unique<MetricsRegistry>();
   m_cycles_ = registry_->AddCounter("server.cycles");
@@ -369,17 +303,14 @@ Status ServerDaemon::HandleUplink(const InDatagramView& dgram) {
     case MsgKind::kUpdate: {
       const auto update = DecodeUpdate(dgram.bytes);
       if (!update.ok()) return Status::OK();
-      ClientUpdateRequest request;
-      request.id = next_uplink_id_++;
-      request.reads = update->reads;
-      request.writes = update->writes;
+      const uint32_t ci = update->client_index;
       const Cycle current = server_->snapshot().cycle;
       const uint64_t t0_us = wall_.ElapsedUs();
-      const auto verdict = validator_->ValidateAndCommit(request, current);
+      const UplinkOutcome verdict =
+          server_->SubmitUplink(ci, update->reads, update->writes, current);
       HistogramRecord(m_validate_us_, wall_.ElapsedUs() - t0_us);
-      const uint32_t ci = update->client_index;
       const bool tracked = ci < client_metrics_.size();
-      if (verdict.ok()) {
+      if (verdict.accepted) {
         ++stats_.uplink_accepts;
         CounterAdd(m_uplink_accepts_);
         if (tracked) CounterAdd(client_metrics_[ci].accepts);
@@ -400,32 +331,13 @@ Status ServerDaemon::HandleUplink(const InDatagramView& dgram) {
         ev.type = TraceEventType::kValidation;
         ev.time = wall_.ElapsedUs();
         ev.cycle = current;
-        ev.value = verdict.ok() ? 1 : 0;
-        if (!verdict.ok()) ev.abort = validator_->last_reject();
+        ev.value = verdict.accepted ? 1 : 0;
+        if (!verdict.accepted) ev.abort = verdict.cause;
         TraceTo(client_rings_[ci], ev);
-      }
-      if (record_decisions_) {
-        UplinkDecision d;
-        d.id = request.id;
-        d.client_index = ci;
-        d.cycle = current;
-        d.accepted = verdict.ok();
-        if (verdict.ok()) {
-          if (processor_ == nullptr) {
-            d.seq = next_commit_seq_++;  // direct mode commits on the spot
-          } else {
-            staged_uplink_decisions_.push_back(decisions_.uplinks.size());
-          }
-        } else {
-          d.cause = validator_->last_reject();
-        }
-        d.reads = update->reads;
-        d.writes = update->writes;
-        decisions_.uplinks.push_back(std::move(d));
       }
       UpdateReplyMsg reply;
       reply.seq = update->seq;
-      reply.accepted = verdict.ok();
+      reply.accepted = verdict.accepted;
       const std::vector<uint8_t> bytes = EncodeUpdateReply(reply);
       return socket_.SendTo(bytes, dgram.from).status();
     }
@@ -497,71 +409,11 @@ Status ServerDaemon::WaitForClients() {
   return Status::OK();
 }
 
-Status ServerDaemon::ReplayCommitsForCycle(Cycle cycle) {
-  // DES boundary rule: the cycle-start event was inserted before any commit
-  // scheduled at exactly the boundary time, so a commit at vt == cycle_end
-  // belongs to the NEXT cycle — hence the strict <.
-  const SimTime cycle_end = static_cast<SimTime>(cycle) * server_->CycleLengthBits();
-  while (next_commit_vt_ < cycle_end) {
-    const ServerTxn txn = workload_->NextTxn();
-    if (processor_ != nullptr) {
-      if (overlay_ != nullptr) overlay_->Stage(txn.write_set, cycle);
-      pending_server_txns_.push_back(txn);
-    } else {
-      manager_->ExecuteAndCommit(txn, cycle);
-    }
-    if (record_decisions_) {
-      ServerCommitRecord rec;
-      rec.id = txn.id;
-      rec.cycle = cycle;
-      rec.reads = txn.read_set;
-      rec.writes = txn.write_set;
-      if (processor_ == nullptr) {
-        rec.seq = next_commit_seq_++;
-      } else {
-        staged_server_commits_.push_back(decisions_.server_commits.size());
-      }
-      decisions_.server_commits.push_back(std::move(rec));
-    }
-    ++stats_.server_commits;
-    CounterAdd(m_server_commits_);
-    next_commit_vt_ += workload_->NextInterval();
-  }
-  return Status::OK();
-}
-
-void ServerDaemon::FlushBatch(Cycle cycle) {
-  if (processor_ == nullptr) return;
-  if (!pending_uplink_txns_.empty()) {
-    // Accepted uplinks commit first, serially, in acceptance order — the
-    // same serial-prefix rule as the DES engine's cycle fold.
-    const std::vector<CommittedServerTxn> committed =
-        processor_->ExecuteSerial(pending_uplink_txns_);
-    FoldIntoManager(committed, *manager_, cycle);
-    pending_uplink_txns_.clear();
-  }
-  if (!pending_server_txns_.empty()) {
-    const std::vector<CommittedServerTxn> committed =
-        processor_->ExecuteBatch(pending_server_txns_);
-    FoldIntoManager(committed, *manager_, cycle);
-    pending_server_txns_.clear();
-  }
-  if (overlay_ != nullptr) overlay_->Clear();
-  // The fold above is the store's commit point in staged mode: assign the
-  // decision log's commit-order seqs in the same order it folded (uplink
-  // serial prefix in acceptance order, then the server batch).
-  for (size_t i : staged_uplink_decisions_) decisions_.uplinks[i].seq = next_commit_seq_++;
-  staged_uplink_decisions_.clear();
-  for (size_t i : staged_server_commits_) decisions_.server_commits[i].seq = next_commit_seq_++;
-  staged_server_commits_.clear();
-}
-
 Status ServerDaemon::FanOutCycle(Cycle cycle) {
-  const CycleSnapshot& snap = server_->snapshot();
-  EncodeCycleFramesInto(snap, *codec_, sim_.object_size_bits, frame_scratch_);
-  stats_.frames_per_cycle = frame_scratch_.size();
+  const std::span<const Frame> frames = server_->frames();
+  stats_.frames_per_cycle = frames.size();
   const std::vector<std::vector<uint8_t>> dgrams =
-      PackCycleDatagrams(cycle, frame_scratch_, net_.dgram_bytes);
+      PackCycleDatagrams(cycle, frames, net_.dgram_bytes);
 
   std::vector<OutDatagram> batch;
   if (mcast_addr_.has_value()) {
@@ -616,28 +468,24 @@ Status ServerDaemon::BroadcastCycles() {
     HistogramRecord(m_slip_hist_, static_cast<uint64_t>(slip_ms));
     GaugeSet(m_current_cycle_, static_cast<int64_t>(cycle));
     const uint64_t cycle_start_us = wall_.ElapsedUs();
-    server_->BeginCycle(cycle, static_cast<SimTime>(cycle - 1) * server_->CycleLengthBits(),
-                        *manager_);
+    // The previous cycle closes (its uplinks, accepted during the pacing
+    // wait, fold under its stamp) just before this one goes on the air.
+    if (cycle > 1) server_->EndCycle(cycle - 1, /*control_conflicts=*/0);
+    server_->BeginCycle(cycle);
     if (registry_ != nullptr && sim_.matrix_mode == MatrixMode::kSparse) {
       // Cycle boundary: the commit batch was just flushed into the snapshot,
       // so nnz() is the begin-of-cycle footprint clients validate against.
-      const SparseFMatrix& sm = manager_->sparse_f_matrix();
+      const SparseFMatrix& sm = server_->manager().sparse_f_matrix();
       GaugeSet(m_matrix_nnz_, static_cast<int64_t>(sm.nnz()));
       GaugeSet(m_matrix_control_bytes_,
                static_cast<int64_t>(SparseMatrixControlBits(sm, sim_.timestamp_bits) / 8));
     }
-    if (sim_.delta_broadcast) {
-      manager_->DrainTouchedColumns(touched_scratch_);
-      server_->AttachDeltaControl(touched_scratch_);
-    }
     BCC_RETURN_IF_ERROR(FanOutCycle(cycle));
     // The cycle's server commits are staged right after its snapshot goes on
-    // the air: an uplink validated later in the cycle sees their MC effects
-    // (conservative — staging can only add rejects, never false accepts)
-    // and the next BeginCycle folds them in, the same cycle-granular
-    // visibility the DES engines give clients.
-    BCC_RETURN_IF_ERROR(ReplayCommitsForCycle(cycle));
-    FlushBatch(cycle);
+    // the air, so an uplink validated later in the cycle sees them all.
+    const uint64_t staged = server_->StageCycle(cycle);
+    stats_.server_commits += staged;
+    CounterAdd(m_server_commits_, staged);
     const uint64_t cycle_us = wall_.ElapsedUs() - cycle_start_us;
     CounterAdd(m_cycles_);
     HistogramRecord(m_cycle_us_, cycle_us);
@@ -697,10 +545,9 @@ Status ServerDaemon::Run(ServerReport* report) {
   BCC_RETURN_IF_ERROR(WaitForClients());
   BCC_RETURN_IF_ERROR(BroadcastCycles());
   BCC_RETURN_IF_ERROR(CollectStats());
-  // Uplinks accepted after the final fold (stats collection can race
-  // in-flight updates) close out the decision log's commit order.
-  for (size_t i : staged_uplink_decisions_) decisions_.uplinks[i].seq = next_commit_seq_++;
-  staged_uplink_decisions_.clear();
+  // The final cycle closes after stats collection, which can race in-flight
+  // updates: uplinks accepted until then still fold under its stamp.
+  server_->EndCycle(sim_.stop_after_cycles, /*control_conflicts=*/0);
 
   const CycleSnapshot& snap = server_->snapshot();
   uint64_t digest = DigestValues(snap.values);
@@ -719,68 +566,15 @@ Status ServerDaemon::Run(ServerReport* report) {
   if (tracer_ != nullptr && !net_.trace_out.empty()) {
     BCC_RETURN_IF_ERROR(WriteTextFile(net_.trace_out, ExportChromeTrace(*tracer_)));
   }
-  if (record_decisions_) {
-    stats_.decisions = decisions_;
-    BCC_RETURN_IF_ERROR(WriteTextFile(net_.decisions_out, decisions_.ToJson() + "\n"));
+  if (sim_.record_decisions) {
+    stats_.decisions = server_->decisions();
+    BCC_RETURN_IF_ERROR(WriteTextFile(net_.decisions_out, stats_.decisions.ToJson() + "\n"));
   }
   *report = stats_;
   return Status::OK();
 }
 
 }  // namespace
-
-std::string DecisionLog::ToJson() const {
-  JsonWriter w;
-  w.BeginObject();
-  w.Key("server_commits").BeginArray();
-  for (const ServerCommitRecord& r : server_commits) {
-    w.BeginObject();
-    w.Key("id").Value(static_cast<uint64_t>(r.id));
-    w.Key("cycle").Value(static_cast<uint64_t>(r.cycle));
-    w.Key("seq").Value(r.seq);
-    w.Key("reads").BeginArray();
-    for (const ObjectId ob : r.reads) w.Value(static_cast<uint64_t>(ob));
-    w.EndArray();
-    w.Key("writes").BeginArray();
-    for (const ObjectId ob : r.writes) w.Value(static_cast<uint64_t>(ob));
-    w.EndArray();
-    w.EndObject();
-  }
-  w.EndArray();
-  w.Key("uplinks").BeginArray();
-  for (const UplinkDecision& d : uplinks) {
-    w.BeginObject();
-    w.Key("id").Value(static_cast<uint64_t>(d.id));
-    w.Key("client_index").Value(d.client_index);
-    w.Key("cycle").Value(static_cast<uint64_t>(d.cycle));
-    w.Key("seq").Value(d.seq);
-    w.Key("accepted").Value(d.accepted);
-    if (!d.accepted) {
-      w.Key("cause").BeginObject();
-      w.Key("kind").Value(AbortCauseName(d.cause.cause));
-      w.Key("ob_i").Value(static_cast<uint64_t>(d.cause.ob_i));
-      w.Key("ob_j").Value(static_cast<uint64_t>(d.cause.ob_j));
-      w.Key("read_cycle").Value(static_cast<uint64_t>(d.cause.read_cycle));
-      w.Key("c_ij").Value(static_cast<uint64_t>(d.cause.c_ij));
-      w.EndObject();
-    }
-    w.Key("reads").BeginArray();
-    for (const ReadRecord& rr : d.reads) {
-      w.BeginObject();
-      w.Key("object").Value(static_cast<uint64_t>(rr.object));
-      w.Key("cycle").Value(static_cast<uint64_t>(rr.cycle));
-      w.EndObject();
-    }
-    w.EndArray();
-    w.Key("writes").BeginArray();
-    for (const ObjectId ob : d.writes) w.Value(static_cast<uint64_t>(ob));
-    w.EndArray();
-    w.EndObject();
-  }
-  w.EndArray();
-  w.EndObject();
-  return std::move(w).Take();
-}
 
 std::string ServerReport::ToJson() const {
   JsonWriter w;

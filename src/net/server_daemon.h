@@ -5,13 +5,12 @@
 // bench, and sim_cli --listen.
 //
 // Determinism contract: with read-only clients the server's end state is a
-// pure function of (seed, SimConfig) — the commit stream is replayed from
-// ServerWorkload on the DES virtual-time grid (a commit at virtual time t
-// belongs to cycle floor(t / cycle_bits); a tie at a cycle boundary belongs
-// to the next cycle, matching the event queue's insertion order), entirely
-// decoupled from wall-clock pacing and fan-out timing. The loopback test
-// relies on this to compare the daemon's digest against the in-process DES
-// oracle bit for bit.
+// pure function of (seed, SimConfig) — the daemon drives the same
+// CycleServer as the in-process engines, whose commit stream runs on the
+// DES virtual-time grid (the boundary rule places a commit that lands
+// exactly on a cycle boundary), entirely decoupled from wall-clock pacing
+// and fan-out timing. The loopback test relies on this to compare the
+// daemon's digest against the in-process DES oracle bit for bit.
 
 #ifndef BCC_NET_SERVER_DAEMON_H_
 #define BCC_NET_SERVER_DAEMON_H_
@@ -23,42 +22,9 @@
 #include "net/datagram.h"
 #include "net/net_config.h"
 #include "obs/trace.h"
+#include "server/cycle_server.h"  // DecisionLog
 
 namespace bcc {
-
-/// One server workload commit, in semantic commit (fold) order. Part of the
-/// exported decision log (NetConfig::decisions_out).
-struct ServerCommitRecord {
-  TxnId id = kNoTxn;
-  Cycle cycle = 0;    ///< broadcast cycle the commit belongs to
-  uint64_t seq = 0;   ///< global commit-order sequence within the run
-  std::vector<ObjectId> reads;
-  std::vector<ObjectId> writes;
-};
-
-/// One per-uplink validation decision (txn id, cycle, cause), in validation
-/// order. Accepted uplinks carry their commit-order `seq`; rejected ones
-/// carry the structured conflict that fired.
-struct UplinkDecision {
-  TxnId id = kNoTxn;
-  uint32_t client_index = 0;
-  Cycle cycle = 0;    ///< broadcast cycle the uplink was validated in
-  uint64_t seq = 0;   ///< commit-order sequence (accepted only)
-  bool accepted = false;
-  AbortInfo cause;    ///< meaningful when rejected
-  std::vector<ReadRecord> reads;
-  std::vector<ObjectId> writes;
-};
-
-/// The daemon's exported decision log: everything the offline
-/// history/serializability checkers need to audit the run's update
-/// sub-history (tests/net_decision_log_test.cc).
-struct DecisionLog {
-  std::vector<ServerCommitRecord> server_commits;
-  std::vector<UplinkDecision> uplinks;
-
-  std::string ToJson() const;
-};
 
 /// End-of-run summary the daemon prints as JSON.
 struct ServerReport {

@@ -42,7 +42,7 @@ void BroadcastServer::BeginCycle(Cycle cycle, SimTime start_time,
     first_start_ = start_time;
     started_ = true;
   }
-  snapshot_ = BuildSnapshot(cycle, start_time, manager);
+  snapshot_ = std::make_shared<CycleSnapshot>(BuildSnapshot(cycle, start_time, manager));
 }
 
 void BroadcastServer::EnableDeltaBroadcast(const CycleStampCodec& codec,
@@ -53,20 +53,20 @@ void BroadcastServer::EnableDeltaBroadcast(const CycleStampCodec& codec,
 
 void BroadcastServer::AttachDeltaControl(std::span<const ObjectId> touched_columns) {
   assert(started_ && delta_.has_value());
-  assert(!snapshot_.delta.has_value() && "one AttachDeltaControl per BeginCycle");
-  if (snapshot_.sparse_f_matrix != nullptr) {
-    snapshot_.delta =
-        delta_->BuildControl(*snapshot_.sparse_f_matrix, touched_columns, snapshot_.cycle);
+  assert(!snapshot_->delta.has_value() && "one AttachDeltaControl per BeginCycle");
+  if (snapshot_->sparse_f_matrix != nullptr) {
+    snapshot_->delta =
+        delta_->BuildControl(*snapshot_->sparse_f_matrix, touched_columns, snapshot_->cycle);
   } else {
-    snapshot_.delta =
-        delta_->BuildControl(snapshot_.f_matrix, touched_columns, snapshot_.cycle);
+    snapshot_->delta =
+        delta_->BuildControl(snapshot_->f_matrix, touched_columns, snapshot_->cycle);
   }
 }
 
 SimTime BroadcastServer::ObjectAvailableTime(ObjectId ob) const {
   assert(started_ && ob < num_objects_);
   const uint32_t slot = schedule_.SlotsOf(ob).front();
-  return snapshot_.start_time + static_cast<SimTime>(slot + 1) * geometry_.slot_bits;
+  return snapshot_->start_time + static_cast<SimTime>(slot + 1) * geometry_.slot_bits;
 }
 
 namespace {
@@ -101,18 +101,18 @@ SimTime NextReadSlotEnd(const BroadcastSchedule& schedule, const BroadcastGeomet
 
 std::optional<SimTime> BroadcastServer::NextSlotEnd(ObjectId ob, SimTime at_or_after) const {
   assert(started_ && ob < num_objects_);
-  return SlotEndInCycle(schedule_, geometry_.slot_bits, ob, at_or_after, snapshot_.start_time);
+  return SlotEndInCycle(schedule_, geometry_.slot_bits, ob, at_or_after, snapshot_->start_time);
 }
 
 SimTime BroadcastServer::CycleEndTime() const {
   assert(started_);
-  return snapshot_.start_time + CycleLengthBits();
+  return snapshot_->start_time + CycleLengthBits();
 }
 
 Cycle BroadcastServer::CycleAt(SimTime t) const {
   assert(started_ && t >= first_start_);
   const SimTime len = CycleLengthBits();
-  if (len == 0) return snapshot_.cycle;
+  if (len == 0) return snapshot_->cycle;
   return (t - first_start_) / len + 1;
 }
 

@@ -10,6 +10,7 @@
 #ifndef BCC_SERVER_BROADCAST_SERVER_H_
 #define BCC_SERVER_BROADCAST_SERVER_H_
 
+#include <memory>
 #include <optional>
 #include <vector>
 
@@ -102,20 +103,15 @@ class BroadcastServer {
   /// snapshot. Call exactly once per BeginCycle, in cycle order.
   void AttachDeltaControl(std::span<const ObjectId> touched_columns);
 
-  /// Builds the beginning-of-cycle state that cycle `cycle` (starting at
-  /// `start_time`) puts on the air: committed values plus the control
-  /// information the configured algorithm broadcasts. Pure function of
-  /// `manager`'s committed state — it does not touch the server's current
-  /// snapshot, so a concurrent engine can materialize an immutable snapshot
-  /// of cycle k while cycle k+1 commits are already staging in `manager`.
-  CycleSnapshot BuildSnapshot(Cycle cycle, SimTime start_time,
-                              const ServerTxnManager& manager) const;
-
   /// Starts broadcast cycle `cycle` at `start_time`, snapshotting committed
-  /// state and control information from `manager`.
+  /// values and the control information the configured algorithm
+  /// broadcasts from `manager`.
   void BeginCycle(Cycle cycle, SimTime start_time, const ServerTxnManager& manager);
 
-  const CycleSnapshot& snapshot() const { return snapshot_; }
+  const CycleSnapshot& snapshot() const { return *snapshot_; }
+  /// The current snapshot as a shared handle: a reader thread holding it
+  /// keeps that cycle's state alive after the next BeginCycle replaces it.
+  std::shared_ptr<const CycleSnapshot> shared_snapshot() const { return snapshot_; }
 
   /// Time at which object `ob`'s FIRST slot (payload + control) finishes
   /// broadcasting within the current cycle.
@@ -134,10 +130,13 @@ class BroadcastServer {
   Cycle CycleAt(SimTime t) const;
 
  private:
+  CycleSnapshot BuildSnapshot(Cycle cycle, SimTime start_time,
+                              const ServerTxnManager& manager) const;
+
   uint32_t num_objects_;
   BroadcastGeometry geometry_;
   BroadcastSchedule schedule_;
-  CycleSnapshot snapshot_;
+  std::shared_ptr<CycleSnapshot> snapshot_ = std::make_shared<CycleSnapshot>();
   std::optional<ObjectPartition> partition_;
   std::optional<DeltaBroadcaster> delta_;
   SimTime first_start_ = 0;

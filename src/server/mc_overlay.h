@@ -1,25 +1,21 @@
-// Cycle-epoch MC-vector overlay: the mid-cycle side buffer that makes the
-// uplink validator consistent while pooled server updates are in flight
-// (DESIGN.md §4i).
+// Cycle-epoch MC-vector overlay: the side buffer that keeps the uplink
+// validator consistent while pooled server updates are in flight (DESIGN.md
+// §4i).
 //
 // With the sequential update path the manager's MC vector is maintained
-// eagerly, so the validator's backward check (`MC(ob) >= read cycle`?) always
-// sees every commit that precedes the uplink transaction in the serialization
-// order. The pooled path breaks that: a cycle's server transactions execute
-// concurrently and their MC effects land only at the fold point. The overlay
-// restores the eager view without touching the manager mid-cycle — every
-// transaction *accepted into the current cycle* (pooled server txns at
-// generation time, accepted uplink txns at validation time) stages its write
-// set here, and the validator reads the merged view
-//     max(manager.mc_vector().At(ob), overlay.At(ob)).
-// Staged entries always stamp the current cycle, which is >= any manager
-// entry, so the merge equals the MC vector the sequential path would show at
-// the same instant. At the fold point the staged effects reach the manager
-// for real and Clear() retires the epoch in O(1).
+// eagerly, so the validator's backward check (`MC(ob) >= read cycle`?) sees
+// every commit that precedes the uplink transaction in the serialization
+// order. A pooled cycle's commits reach the manager only at the fold, so
+// every transaction accepted into the current cycle — the cycle's server
+// transactions when CycleServer stages them, accepted uplinks when they
+// validate — stages its write set here, and the validator reads
+// max(manager.mc_vector().At(ob), overlay.At(ob)). Staged entries stamp the
+// current cycle, which is >= any manager entry, so the merge equals the MC
+// vector the sequential path would show. The fold publishes the staged
+// effects for real and Clear() retires the epoch in O(1).
 //
-// Single-writer: stage/clear/read all happen under the engine's uplink
-// serialization (the DES event loop, or the concurrent engine's uplink desk
-// mutex). The overlay adds no locking of its own.
+// Single-writer: the owner serializes every stage, clear and read (the
+// concurrent engine through its validator desk mutex); no locking here.
 
 #ifndef BCC_SERVER_MC_OVERLAY_H_
 #define BCC_SERVER_MC_OVERLAY_H_
@@ -37,8 +33,6 @@ namespace bcc {
 class McOverlay {
  public:
   explicit McOverlay(uint32_t num_objects) : stamp_(num_objects, 0), tag_(num_objects, 0) {}
-
-  uint32_t num_objects() const { return static_cast<uint32_t>(stamp_.size()); }
 
   /// Stages a transaction accepted into the current cycle: every written
   /// object's staged entry moves to `commit_cycle`.

@@ -20,54 +20,32 @@ StatusOr<SimSummary> BroadcastSim::Run() {
   ran_ = true;
   BCC_RETURN_IF_ERROR(config_.Validate());
 
-  manager_ = std::make_unique<ServerTxnManager>(config_.num_objects, ManagerOptionsFor(config_));
-  if (config_.matrix_mode == MatrixMode::kHier) hier_ = manager_->hier_matrix();
-
-  server_ = std::make_unique<BroadcastServer>(config_.num_objects, geometry_);
-  if (config_.delta_broadcast) {
-    server_->EnableDeltaBroadcast(CycleStampCodec(config_.timestamp_bits),
-                                  config_.delta_refresh_period);
-  }
-  BCC_RETURN_IF_ERROR(ConfigureBroadcastServer(config_, *server_));
-
+  // The root RNG split order (server workload first, then one split per
+  // client) is part of the cross-engine contract.
   Rng root(config_.seed);
-  server_workload_ = std::make_unique<ServerWorkload>(config_, root.Split());
-  txn_processor_ = MakePooledProcessor(config_, *manager_);
-
-  if (config_.client_update_fraction > 0.0) {
-    validator_ = std::make_unique<UpdateValidator>(manager_.get());
-    if (txn_processor_ != nullptr) {
-      // Pooled mode: the cycle's commits (pooled server txns and accepted
-      // uplinks) reach the manager only at the fold point, so the validator
-      // reads the MC vector through the cycle-epoch overlay, and accepted
-      // uplink transactions queue for the serial prefix of the fold.
-      mc_overlay_ = std::make_unique<McOverlay>(config_.num_objects);
-      validator_->AttachStagedMode(mc_overlay_.get(), [this](ServerTxn&& txn) {
-        pending_uplink_txns_.push_back(std::move(txn));
-      });
-    }
-  }
+  CycleServerOptions options;
+  options.metrics = &metrics_;
+  BCC_ASSIGN_OR_RETURN(server_, CycleServer::Create(config_, root.Split(), options));
 
   sessions_.clear();
   txns_.clear();
   for (uint32_t c = 0; c < config_.num_clients; ++c) {
     // Hier mode: every client validates against the broadcast hierarchical
-    // view (raw pointer — no batch flush mid-cycle, see the hier_ comment).
-    sessions_.push_back(std::make_unique<ClientSession>(config_, root.Split(), hier_));
+    // view (no batch flush mid-cycle, see CycleServer::hier).
+    sessions_.push_back(std::make_unique<ClientSession>(config_, root.Split(), server_->hier()));
     txns_.push_back(sessions_.back()->NewTxn());
   }
 
   if (tracer_ != nullptr) {
     // One single-writer ring per simulated actor; registered before any
     // event fires, never resized afterwards.
-    server_trace_ = tracer_->AddTrack("server");
+    server_->set_trace_ring(tracer_->AddTrack("server"));
     for (size_t c = 0; c < sessions_.size(); ++c) {
       sessions_[c]->set_trace_ring(tracer_->AddTrack(StrFormat("client%zu", c)));
     }
   }
 
   if (config_.channel_broadcast) {
-    frame_codec_.emplace(CycleStampCodec(config_.timestamp_bits), config_.channel_frame_bits);
     // The channel draws from its own salted streams (never from root), so
     // workload RNG draws — and hence the rate-0 decision logs — are
     // untouched by enabling the channel.
@@ -76,14 +54,9 @@ StatusOr<SimSummary> BroadcastSim::Run() {
                                        config_.num_clients);
   }
 
-  // Prime the loop: cycle 1 begins at t = 0; the first server transaction
-  // and each client's first submission follow their think times.
-  server_->BeginCycle(1, 0, *manager_);
-  TraceCycleStart(server_trace_, *server_);
-  if (config_.delta_broadcast) AttachAndObserveDelta();
-  if (channel_) TransmitCycle();
-  queue_.ScheduleAt(server_->CycleEndTime(), [this] { StartNextCycle(); });
-  queue_.ScheduleAfter(server_workload_->NextInterval(), [this] { ServerCommitEvent(); });
+  // Prime the loop: cycle 1 begins at t = 0; each client's first submission
+  // follows its think time.
+  BeginCycle(1);
   for (size_t c = 0; c < sessions_.size(); ++c) {
     queue_.ScheduleAfter(sessions_[c]->workload().NextInterTxnDelay(),
                          [this, c] { SubmitClientTxn(c); });
@@ -92,141 +65,56 @@ StatusOr<SimSummary> BroadcastSim::Run() {
   while (!done_ && queue_.Step()) {
   }
   // Commits staged during the final (partial) cycle still belong to it.
-  FoldPooledCycle(txn_processor_.get(), *manager_, server_->snapshot().cycle,
-                  pending_uplink_txns_, pending_server_txns_, mc_overlay_.get());
+  server_->Fold(server_->snapshot().cycle);
 
+  uint64_t cache_hits = 0;
+  uint64_t cache_misses = 0;
+  AbortBreakdown abort_causes;
   for (const auto& session : sessions_) {
     if (session->receiver()) metrics_.AccumulateChannel(session->receiver()->stats());
-  }
-  SimSummary summary = metrics_.Summarize(server_->snapshot().cycle, queue_.now(),
-                                          TotalCacheHits(), TotalCacheMisses());
-  for (const auto& session : sessions_) {
-    summary.abort_causes.Accumulate(session->abort_causes());
+    if (session->cache()) {
+      cache_hits += session->cache()->hits();
+      cache_misses += session->cache()->misses();
+    }
+    abort_causes.Accumulate(session->abort_causes());
     if (config_.record_decisions) decisions_.push_back(std::move(session->decisions()));
   }
+  SimSummary summary =
+      metrics_.Summarize(server_->snapshot().cycle, queue_.now(), cache_hits, cache_misses);
+  summary.abort_causes.Accumulate(abort_causes);
   if (config_.matrix_mode == MatrixMode::kSparse) {
-    summary.matrix_nnz = manager_->sparse_f_matrix().nnz();
-  } else if (hier_ != nullptr) {
-    summary.matrix_nnz = hier_->exact().nnz();
-    summary.hier = hier_->stats();
-    summary.hier_groups = hier_->num_groups();
-    summary.hier_refined_columns = hier_->refined_columns();
+    summary.matrix_nnz = manager().sparse_f_matrix().nnz();
+  } else if (HierMatrix* hier = server_->hier()) {
+    summary.matrix_nnz = hier->exact().nnz();
+    summary.hier = hier->stats();
+    summary.hier_groups = hier->num_groups();
+    summary.hier_refined_columns = hier->refined_columns();
   }
   return summary;
 }
 
-uint64_t BroadcastSim::TotalCacheHits() const {
-  uint64_t total = 0;
-  for (const auto& s : sessions_) {
-    if (s->cache()) total += s->cache()->hits();
+void BroadcastSim::BeginCycle(Cycle cycle) {
+  const CycleSnapshot& snap = server_->BeginCycle(cycle);
+  for (uint32_t c = 0; c < sessions_.size(); ++c) {
+    sessions_[c]->ReceiveCycle(snap, server_->frames(), channel_.get(), c, queue_.now());
   }
-  return total;
-}
-
-uint64_t BroadcastSim::TotalCacheMisses() const {
-  uint64_t total = 0;
-  for (const auto& s : sessions_) {
-    if (s->cache()) total += s->cache()->misses();
-  }
-  return total;
-}
-
-void BroadcastSim::EndOfCycleMatrixStep(Cycle ending) {
-  if (hier_ != nullptr) {
-    // The flushing accessor folds the ending cycle's queued commits into the
-    // exact matrix — the cycle boundary — before policy and accounting run.
-    manager_->hier_matrix();
-    metrics_.RecordMatrixCycle(hier_->ControlBits(config_.timestamp_bits));
-    uint64_t control_conflicts = 0;
-    for (const auto& s : sessions_) {
-      control_conflicts += s->abort_causes().Count(AbortCause::kControlConflict);
-    }
-    hier_->EndOfCycle(ending, control_conflicts);
-    return;
-  }
-  if (config_.matrix_mode != MatrixMode::kSparse) return;
-  if (config_.sparse_compaction_period > 0 && ending % config_.sparse_compaction_period == 0) {
-    metrics_.RecordSparseCompaction(
-        manager_->CompactSparseMatrix(CycleStampCodec(config_.timestamp_bits), ending));
-  }
-  // O(1): the sparse matrix keeps nnz / nonempty-column counters.
-  metrics_.RecordMatrixCycle(
-      SparseMatrixControlBits(manager_->sparse_f_matrix(), config_.timestamp_bits));
+  server_->StageCycle(cycle);
+  queue_.ScheduleAt(server_->broadcast().CycleEndTime(), [this] { StartNextCycle(); });
 }
 
 void BroadcastSim::StartNextCycle() {
   if (done_) return;
-  // Pooled mode: the ending cycle's server transactions execute now, so the
-  // snapshot taken at BeginCycle sees them — the same cycle-granular
-  // visibility clients get under the sequential path.
-  FoldPooledCycle(txn_processor_.get(), *manager_, server_->snapshot().cycle,
-                  pending_uplink_txns_, pending_server_txns_, mc_overlay_.get());
-  EndOfCycleMatrixStep(server_->snapshot().cycle);
-  const Cycle next = server_->snapshot().cycle + 1;
-  if (config_.stop_after_cycles > 0 && next > config_.stop_after_cycles) {
+  const Cycle ending = server_->snapshot().cycle;
+  uint64_t control_conflicts = 0;  // the hier policy's input
+  for (const auto& s : sessions_) {
+    control_conflicts += s->abort_causes().Count(AbortCause::kControlConflict);
+  }
+  server_->EndCycle(ending, control_conflicts);
+  if (config_.stop_after_cycles > 0 && ending >= config_.stop_after_cycles) {
     done_ = true;
     return;
   }
-  server_->BeginCycle(next, server_->CycleEndTime(), *manager_);
-  TraceCycleStart(server_trace_, *server_);
-  if (config_.delta_broadcast) AttachAndObserveDelta();
-  if (channel_) TransmitCycle();
-  queue_.ScheduleAt(server_->CycleEndTime(), [this] { StartNextCycle(); });
-}
-
-void BroadcastSim::AttachAndObserveDelta() {
-  manager_->DrainTouchedColumns(touched_scratch_);
-  server_->AttachDeltaControl(touched_scratch_);
-  const CycleSnapshot& snap = server_->snapshot();
-  const DeltaControl& ctl = *snap.delta;
-  metrics_.RecordDeltaCycle(ctl.full_refresh, ctl.control_bits, ctl.full_bits);
-  // In channel mode the trackers are fed from each client's reassembled
-  // frames (TransmitCycle), not from the in-process control block.
-  if (config_.channel_broadcast) return;
-  for (auto& session : sessions_) {
-    DeltaMatrixTracker& tracker = *session->tracker();
-    if (snap.sparse_f_matrix != nullptr) {
-      tracker.Observe(ctl, *snap.sparse_f_matrix);
-    } else {
-      tracker.Observe(ctl, snap.f_matrix);
-    }
-    // Test knob: model a client that missed this cycle's control block.
-    if (config_.delta_desync_at_cycle != 0 && snap.cycle == config_.delta_desync_at_cycle) {
-      tracker.ForceDesync();
-    }
-  }
-}
-
-void BroadcastSim::TransmitCycle() {
-  const CycleSnapshot& snap = server_->snapshot();
-  EncodeCycleFramesInto(snap, *frame_codec_, config_.object_size_bits, frame_scratch_);
-  for (size_t c = 0; c < sessions_.size(); ++c) {
-    ClientSession& session = *sessions_[c];
-    const Transmission tx = channel_->Transmit(static_cast<uint32_t>(c), frame_scratch_);
-    session.receiver()->IngestCycle(snap.cycle, tx, queue_.now());
-    // The desync knob still works in channel mode (on top of real loss).
-    if (session.tracker() && config_.delta_desync_at_cycle != 0 &&
-        snap.cycle == config_.delta_desync_at_cycle) {
-      session.tracker()->ForceDesync();
-    }
-  }
-}
-
-void BroadcastSim::ServerCommitEvent() {
-  if (done_) return;
-  const ServerTxn txn = server_workload_->NextTxn();
-  if (txn_processor_ != nullptr) {
-    // Stage the MC effect at event time: an uplink validated later this
-    // cycle must see this write exactly as the sequential path's eager MC
-    // maintenance would have shown it.
-    if (mc_overlay_ != nullptr) mc_overlay_->Stage(txn.write_set, server_->snapshot().cycle);
-    pending_server_txns_.push_back(txn);
-  } else {
-    manager_->ExecuteAndCommit(txn, server_->snapshot().cycle);
-  }
-  metrics_.RecordServerCommit();
-  TraceServerCommit(server_trace_, queue_.now(), server_->snapshot().cycle, txn.id);
-  queue_.ScheduleAfter(server_workload_->NextInterval(), [this] { ServerCommitEvent(); });
+  BeginCycle(ending + 1);
 }
 
 void BroadcastSim::SubmitClientTxn(size_t c) {
@@ -245,7 +133,7 @@ void BroadcastSim::BeginReadOp(size_t c) {
   }
   // A slot of the next cycle is always later than that cycle's start event,
   // which is already scheduled and so fires first.
-  queue_.ScheduleAt(NextReadSlotEnd(server_->schedule(), geometry_, txn.next_object(),
+  queue_.ScheduleAt(NextReadSlotEnd(server_->broadcast().schedule(), geometry_, txn.next_object(),
                                     queue_.now(), snap.start_time),
                     [this, c] { PerformBroadcastRead(c); });
 }
@@ -262,10 +150,10 @@ void BroadcastSim::PerformBroadcastRead(size_t c) {
   }
   if (gate == ReadGate::kStallDesync) metrics_.RecordDeltaStall();
   session.Stall(txn, gate, queue_.now(), snap.cycle);
-  const SimTime next_start = server_->CycleEndTime();
-  queue_.ScheduleAt(
-      NextReadSlotEnd(server_->schedule(), geometry_, txn.next_object(), next_start, next_start),
-      [this, c] { PerformBroadcastRead(c); });
+  const SimTime next_start = server_->broadcast().CycleEndTime();
+  queue_.ScheduleAt(NextReadSlotEnd(server_->broadcast().schedule(), geometry_,
+                                    txn.next_object(), next_start, next_start),
+                    [this, c] { PerformBroadcastRead(c); });
 }
 
 void BroadcastSim::OnStep(size_t c, TxnStep step) {
@@ -284,24 +172,15 @@ void BroadcastSim::OnStep(size_t c, TxnStep step) {
 void BroadcastSim::SendUplinkCommit(size_t c) {
   if (done_) return;
   const ReadTxn& txn = txns_[c];
-  ClientUpdateRequest request;
-  request.id = next_client_update_id_++;
-  request.reads = txn.protocol.reads();
-  request.writes = txn.write_set;
   const Cycle cycle = server_->snapshot().cycle;
-  const bool accepted = validator_->ValidateAndCommit(request, cycle).ok();
-  sessions_[c]->UplinkVerdict(accepted, queue_.now(), cycle);
+  const UplinkOutcome outcome =
+      server_->SubmitUplink(static_cast<uint32_t>(c), txn.protocol.reads(), txn.write_set, cycle);
+  sessions_[c]->UplinkVerdict(outcome.accepted, queue_.now(), cycle);
   // The client learns the outcome one uplink delay later.
-  if (accepted) {
-    metrics_.RecordServerCommit();  // it is also a committed update txn
-    metrics_.RecordClientUpdateCommit();
+  if (outcome.accepted) {
     queue_.ScheduleAfter(config_.uplink_delay, [this, c] { CompleteTxn(c, false); });
   } else {
-    metrics_.RecordClientUpdateReject();
-    // Capture the validator's structured cause now — by the time the abort
-    // fires, another client's rejection may have overwritten last_reject().
-    const AbortInfo reject = validator_->last_reject();
-    queue_.ScheduleAfter(config_.uplink_delay, [this, c, reject] {
+    queue_.ScheduleAfter(config_.uplink_delay, [this, c, reject = outcome.cause] {
       OnStep(c, sessions_[c]->Abort(txns_[c], reject, queue_.now(), server_->snapshot().cycle));
     });
   }
@@ -342,10 +221,10 @@ StatusOr<History> BroadcastSim::BuildOracleHistory() const {
   std::vector<Block> server_blocks;
   {
     Block current{{}, 0};
-    for (const Operation& op : manager_->recorded_history().ops()) {
+    for (const Operation& op : manager().recorded_history().ops()) {
       current.ops.push_back(op);
       if (op.type == OpType::kCommit || op.type == OpType::kAbort) {
-        current.cycle = manager_->commit_cycles().at(op.txn);
+        current.cycle = manager().commit_cycles().at(op.txn);
         server_blocks.push_back(std::move(current));
         current = Block{{}, 0};
       }
@@ -483,108 +362,6 @@ Status BroadcastSim::VerifyDeltaTrackers() const {
 
 StatusOr<SimSummary> RunSimulation(const SimConfig& config) {
   return BroadcastSim(config).Run();
-}
-
-TxnManagerOptions ManagerOptionsFor(const SimConfig& config) {
-  const bool f_family =
-      config.algorithm == Algorithm::kFMatrix || config.algorithm == Algorithm::kFMatrixNo;
-  const bool sparse_mode = config.matrix_mode == MatrixMode::kSparse;
-  const bool hier_mode = config.matrix_mode == MatrixMode::kHier;
-  TxnManagerOptions options;
-  // In sparse/hier mode the dense matrix is maintained only when the oracle
-  // needs it (record_history) — it is O(n^2) and the snapshot path prefers
-  // the sparse representation regardless.
-  options.maintain_f_matrix = (f_family && !sparse_mode && !hier_mode) || config.record_history;
-  options.maintain_sparse_matrix = f_family && sparse_mode;
-  options.maintain_hier_matrix = hier_mode;
-  options.hier_options = config.HierOptions();
-  options.maintain_mc_vector = true;
-  options.record_history = config.record_history;
-  options.track_dirty_columns = config.delta_broadcast;
-  return options;
-}
-
-Status ConfigureBroadcastServer(const SimConfig& config, BroadcastServer& server) {
-  if (config.hot_set_size > 0 && config.hot_broadcast_frequency > 1) {
-    // Multi-speed disk: hot objects several times per major cycle.
-    std::vector<uint32_t> frequencies(config.num_objects, 1);
-    for (uint32_t i = 0; i < config.hot_set_size; ++i) {
-      frequencies[i] = config.hot_broadcast_frequency;
-    }
-    BCC_ASSIGN_OR_RETURN(BroadcastSchedule schedule,
-                         BroadcastSchedule::FromFrequencies(frequencies));
-    server.SetSchedule(std::move(schedule));
-  }
-  const bool f_family =
-      config.algorithm == Algorithm::kFMatrix || config.algorithm == Algorithm::kFMatrixNo;
-  if (f_family && config.num_groups > 0 && config.num_groups < config.num_objects) {
-    server.SetPartition(ObjectPartition::Blocks(config.num_objects, config.num_groups));
-  }
-  return Status::OK();
-}
-
-std::unique_ptr<TxnProcessor> MakePooledProcessor(const SimConfig& config,
-                                                  ServerTxnManager& manager) {
-  if (config.update_scheme == UpdateScheme::kSequential) return nullptr;
-  auto processor = std::make_unique<TxnProcessor>(config.num_objects, config.update_scheme,
-                                                  config.update_workers);
-  // Pooled-apply: the cycle-batch F-Matrix fold borrows the processor's
-  // worker pool, partitioned by column (bit-identical to the serial fold).
-  manager.SetParallelFold(
-      [pool = processor.get()](uint32_t shards, const std::function<void(uint32_t)>& body) {
-        pool->RunShards(shards, body);
-      },
-      config.update_workers);
-  return processor;
-}
-
-void FoldPooledCycle(TxnProcessor* processor, ServerTxnManager& manager, Cycle cycle,
-                     std::vector<ServerTxn>& uplinks, std::vector<ServerTxn>& server_txns,
-                     McOverlay* overlay) {
-  if (processor == nullptr) return;
-  if (!uplinks.empty()) {
-    // Accepted uplink transactions commit first, serially, in acceptance
-    // order. Validation guaranteed each one's reads are disjoint from every
-    // write staged before it was accepted, so the serial prefix places each
-    // uplink's commit exactly where the client's broadcast reads put it —
-    // after the prior cycle, before anything of this cycle that could
-    // conflict. Letting the pooled batch order them instead could slot a
-    // later-staged conflicting server commit in front.
-    FoldIntoManager(processor->ExecuteSerial(uplinks), manager, cycle);
-    uplinks.clear();
-  }
-  if (!server_txns.empty()) {
-    FoldIntoManager(processor->ExecuteBatch(server_txns), manager, cycle);
-    server_txns.clear();
-  }
-  // The fold published every staged MC effect for real; retire the epoch.
-  if (overlay != nullptr) overlay->Clear();
-}
-
-void TraceServerCommit(TraceRing* ring, SimTime time, Cycle cycle, TxnId id) {
-  if (ring == nullptr) return;
-  TraceEvent e;
-  e.type = TraceEventType::kCommit;
-  e.time = time;
-  e.cycle = cycle;
-  e.value = id;
-  ring->Record(e);
-}
-
-void TraceCycleStart(TraceRing* ring, const BroadcastServer& server) {
-  if (ring == nullptr) return;
-  TraceEvent cycle;
-  cycle.type = TraceEventType::kCycleStart;
-  cycle.time = server.snapshot().start_time;
-  cycle.duration = server.CycleLengthBits();
-  cycle.cycle = server.snapshot().cycle;
-  ring->Record(cycle);
-  TraceEvent tx;
-  tx.type = TraceEventType::kBroadcastTx;
-  tx.time = cycle.time;
-  tx.cycle = cycle.cycle;
-  tx.value = server.num_objects();
-  ring->Record(tx);
 }
 
 }  // namespace bcc

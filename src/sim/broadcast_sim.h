@@ -18,7 +18,6 @@
 #define BCC_SIM_BROADCAST_SIM_H_
 
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "channel/lossy_channel.h"
@@ -26,22 +25,12 @@
 #include "common/statusor.h"
 #include "des/event_queue.h"
 #include "history/history.h"
-#include "matrix/group_matrix.h"
 #include "obs/trace.h"
-#include "server/broadcast_server.h"
-#include "server/exec/txn_processor.h"
-#include "server/mc_overlay.h"
-#include "server/validator.h"
+#include "server/cycle_server.h"
 #include "sim/config.h"
 #include "sim/metrics.h"
-#include "sim/workload.h"
 
 namespace bcc {
-
-/// First TxnId used for client read-only transactions in recorded oracle
-/// histories (server transactions count up from 1); client update
-/// transactions use ids from 2 * kClientTxnIdBase.
-inline constexpr TxnId kClientTxnIdBase = 1u << 20;
 
 /// One simulation run. Construct, Run() once, then inspect.
 class BroadcastSim {
@@ -54,13 +43,10 @@ class BroadcastSim {
   StatusOr<SimSummary> Run();
 
   const SimConfig& config() const { return config_; }
-  const ServerTxnManager& manager() const { return *manager_; }
+  const ServerTxnManager& manager() const { return server_->manager(); }
   /// Per-client transaction decision logs, in completion order (empty
   /// unless config.record_decisions).
   const std::vector<std::vector<TxnDecision>>& decisions() const { return decisions_; }
-  /// Aggregate cache counters across clients (0s when caching is off).
-  uint64_t TotalCacheHits() const;
-  uint64_t TotalCacheMisses() const;
 
   /// Reconstructs the paper-semantics global history of the run: per cycle,
   /// client reads (which observe the state at the beginning of the cycle)
@@ -89,6 +75,8 @@ class BroadcastSim {
   /// tier's loopback test digests this as the in-process oracle for the
   /// daemon's end state.
   const CycleSnapshot& final_snapshot() const { return server_->snapshot(); }
+  /// The server's decision log (empty unless config.record_decisions).
+  const DecisionLog& server_decisions() const { return server_->decisions(); }
 
   /// Attaches an event tracer (not owned; must outlive the sim). Call before
   /// Run: tracks — "server" plus one per client — are registered during
@@ -103,25 +91,13 @@ class BroadcastSim {
     std::vector<ObjectVersion> values;
   };
 
-  // Delta-mode per-cycle plumbing: drains the dirty columns into this
-  // cycle's DeltaControl and feeds it to every client's tracker (directly,
-  // or through the receivers in channel mode).
-  void AttachAndObserveDelta();
-
-  // Sparse/hier end-of-cycle control-plane step, run when cycle `ending`
-  // closes: accounts the cycle's control footprint (matrix.nnz, control
-  // bits), runs scheduled sparse compaction, and drives the hierarchical
-  // refinement/regroup policy (HierMatrix::EndOfCycle) with the run's
-  // cumulative control-conflict abort count. No-op in dense mode.
-  void EndOfCycleMatrixStep(Cycle ending);
-
-  // Channel-mode per-cycle plumbing: packetizes the cycle's broadcast and
-  // delivers each client its independently-faulted copy.
-  void TransmitCycle();
+  // Puts cycle `cycle` on the air: every client takes in its control
+  // broadcast, the cycle's server commits are staged, and the flip that
+  // ends it is scheduled.
+  void BeginCycle(Cycle cycle);
 
   // Event handlers (`c` = client index).
   void StartNextCycle();
-  void ServerCommitEvent();
   void SubmitClientTxn(size_t c);
   void BeginReadOp(size_t c);          // after think time: cache or broadcast
   void PerformBroadcastRead(size_t c);
@@ -134,42 +110,15 @@ class BroadcastSim {
   BroadcastGeometry geometry_;
   EventQueue queue_;
 
-  std::unique_ptr<ServerTxnManager> manager_;
-  std::unique_ptr<BroadcastServer> server_;
-  /// Hier mode: raw pointer into the manager's HierMatrix, grabbed once at
-  /// setup. Protocol scans go through this pointer WITHOUT the flushing
-  /// accessor, so mid-cycle validation always sees the frozen
-  /// begin-of-cycle view; the batch flush happens at cycle boundaries
-  /// (BuildSnapshot / EndOfCycleMatrixStep).
-  HierMatrix* hier_ = nullptr;
-  std::unique_ptr<ServerWorkload> server_workload_;
-  std::unique_ptr<UpdateValidator> validator_;
-  /// Pooled update engine and its per-cycle staging queue (null/unused in
-  /// sequential mode).
-  std::unique_ptr<TxnProcessor> txn_processor_;
-  std::vector<ServerTxn> pending_server_txns_;
-  /// Pooled mode + client updates: the cycle-epoch MC overlay the validator
-  /// merges read-only (staged at ServerCommitEvent/acceptance time, cleared
-  /// at the fold), and the accepted uplink transactions awaiting the serial
-  /// prefix of the fold (acceptance order = fold order).
-  std::unique_ptr<McOverlay> mc_overlay_;
-  std::vector<ServerTxn> pending_uplink_txns_;
+  std::unique_ptr<CycleServer> server_;
   /// One session and one in-flight transaction per client.
   std::vector<std::unique_ptr<ClientSession>> sessions_;
   std::vector<ReadTxn> txns_;
-  std::optional<FrameCodec> frame_codec_;   // channel mode
   std::unique_ptr<LossyChannel> channel_;   // channel mode
-  // Per-cycle scratch reused across cycles so steady-state cycles allocate
-  // nothing: drained dirty columns (delta mode) and the encoded frame vector
-  // with its per-frame byte buffers (channel mode).
-  std::vector<ObjectId> touched_scratch_;
-  std::vector<Frame> frame_scratch_;
   SimMetrics metrics_;
   Tracer* tracer_ = nullptr;        // not owned; null = tracing off
-  TraceRing* server_trace_ = nullptr;
 
   uint32_t completed_txns_ = 0;
-  TxnId next_client_update_id_ = 2 * kClientTxnIdBase;  // disjoint id range
   bool done_ = false;
   bool ran_ = false;
 
@@ -182,37 +131,6 @@ class BroadcastSim {
 
 /// Convenience: run one configuration and return its summary.
 StatusOr<SimSummary> RunSimulation(const SimConfig& config);
-
-// Server set-up shared by BroadcastSim and ConcurrentSim.
-
-/// The structures the server's manager maintains under `config`.
-TxnManagerOptions ManagerOptionsFor(const SimConfig& config);
-
-/// Installs `config`'s multi-speed schedule and fixed-g partition on
-/// `server` (before its first cycle).
-Status ConfigureBroadcastServer(const SimConfig& config, BroadcastServer& server);
-
-/// The pooled update engine for a non-sequential update_scheme, lending its
-/// worker pool to `manager`'s cycle-batch fold; null for kSequential.
-std::unique_ptr<TxnProcessor> MakePooledProcessor(const SimConfig& config,
-                                                  ServerTxnManager& manager);
-
-/// The pooled engine's cycle-boundary fold: the accepted `uplinks` commit
-/// first as a serial prefix in acceptance order, then the cycle's pooled
-/// `server_txns`; both fold into `manager` under `cycle` and are cleared,
-/// and `overlay` (uplink mode) retires its epoch. No-op without a
-/// `processor` (sequential update scheme).
-void FoldPooledCycle(TxnProcessor* processor, ServerTxnManager& manager, Cycle cycle,
-                     std::vector<ServerTxn>& uplinks, std::vector<ServerTxn>& server_txns,
-                     McOverlay* overlay);
-
-/// Emits a server commit of transaction `id` at `time` in `cycle`; no-op on
-/// a null ring.
-void TraceServerCommit(TraceRing* ring, SimTime time, Cycle cycle, TxnId id);
-
-/// Emits the cycle-start slice and broadcast-tx instant of the cycle
-/// `server` just began; no-op on a null ring.
-void TraceCycleStart(TraceRing* ring, const BroadcastServer& server);
 
 /// Runs `config` twice — once with full-matrix control broadcast, once in
 /// snapshot+delta mode — and verifies identical per-client commit/abort

@@ -1,30 +1,24 @@
 // Shared-memory concurrent broadcast engine.
 //
 // The DES in sim/broadcast_sim.h interleaves one server and N clients on a
-// single thread. This engine runs them on real threads using the epoch
-// structure the broadcast model already implies: a broadcast cycle is an
-// epoch. While client threads concurrently execute read-only transactions
-// against an immutable snapshot of cycle k (values + F-Matrix column per
-// read, validated with the paper's C(i, j) < cycle read condition), the
-// server thread applies cycle k's update commits to its private staging
-// state (two-version store + Theorem 2 incremental F-Matrix). At the cycle
-// boundary — a pair of std::barrier rendezvous — the server materializes
-// the staging state as the immutable snapshot of cycle k+1 and publishes
-// it. Readers never observe a half-updated matrix, so Theorem 1's
-// equivalence (read conditions pass iff the serialization graph is acyclic)
-// holds for every transaction exactly as in the sequential engine; see
-// DESIGN.md, "Concurrent engine".
+// single thread. This engine runs them on real threads, with a broadcast
+// cycle as the epoch: client threads execute read-only transactions against
+// the immutable snapshot of cycle k while the server thread stages and
+// folds cycle k's commits into its private state, and at the cycle boundary
+// — a pair of std::barrier rendezvous — the server publishes the snapshot of
+// cycle k+1. Readers never observe a half-updated matrix, so Theorem 1's
+// equivalence holds for every transaction exactly as in the sequential
+// engine; see DESIGN.md, "Concurrent engine".
 //
-// Determinism: client reads touch only the published snapshot and the
-// server touches only its staging state, so within an epoch no ordering
-// between threads is observable. Each client's event timeline (think
-// times, slot waits, restarts) is private and seeded, and the engine
-// reproduces the DES's event semantics per client — including its
-// (time, insertion-order) tie-breaking at cycle boundaries — so a run's
-// commit/abort decisions are a pure function of the SimConfig. The
-// cross-check below replays the same seeded workload through the
-// single-threaded BroadcastSim and demands identical per-client decision
-// logs and identical final server state.
+// Determinism: each client's event timeline is private and seeded and
+// replays the DES's event semantics, including its tie-breaking at cycle
+// boundaries (PhaseOf in server/cycle_server.h). With read-only clients, or
+// one update client, a run's decisions are therefore a pure function of the
+// SimConfig, and CrossCheckEngines demands that they equal the DES's. With
+// two or more update clients they are not: the order in which client
+// threads reach the validator desk within a phase is thread timing, so of
+// two conflicting uplinks in one phase either can be the one rejected. Such
+// runs are serializable, but outside the cross-check.
 
 #ifndef BCC_SIM_CONCURRENT_SIM_H_
 #define BCC_SIM_CONCURRENT_SIM_H_
@@ -34,19 +28,12 @@
 #include <mutex>
 #include <vector>
 
-#include "channel/frame.h"
 #include "channel/lossy_channel.h"
 #include "client/read_txn.h"
 #include "common/statusor.h"
 #include "obs/trace.h"
-#include "server/broadcast_server.h"
-#include "server/exec/txn_processor.h"
-#include "server/mc_overlay.h"
-#include "server/txn_manager.h"
-#include "server/validator.h"
+#include "server/cycle_server.h"
 #include "sim/config.h"
-#include "sim/metrics.h"
-#include "sim/workload.h"
 
 namespace bcc {
 
@@ -71,25 +58,20 @@ struct ConcurrentSummary {
 /// config.num_clients client threads plus uses the calling thread as the
 /// server; it returns after all threads joined.
 ///
-/// Config restrictions (InvalidArgument otherwise): client caching is not
-/// supported yet (quasi-cache currency is wall-clock based). Client update
-/// transactions are supported with a pooled update scheme only: uplink
-/// validation serializes through a per-run "desk" mutex over the validator,
-/// the cycle-epoch McOverlay, and the pending-uplink list, while the manager
-/// itself is mutated only inside the cycle-boundary exclusive section (the
-/// fold), so mid-phase MC reads are race-free. The engine stages a phase's
-/// server transactions — and their overlay MC effects — in the *previous*
-/// exclusive section, so an uplink validated mid-phase sees every server
-/// write of its cycle (conservative relative to the DES, which only sees the
-/// commits whose events already fired; pooled configurations are outside the
-/// bit-parity cross-check either way). Under the sequential scheme uplink
-/// commits would mutate the manager mid-phase, so that combination stays
-/// rejected. channel_broadcast is supported in full control mode: the server thread
-/// packetizes each cycle's broadcast in the exclusive section and every
-/// client thread runs its own fault channel + receiver (thread-local state,
-/// independent per-client RNG streams, so the lossy run is as deterministic
-/// — and as TSan-clean — as the lossless one). channel + delta is rejected
-/// along with delta itself.
+/// The server thread drives the same CycleServer as the DES. Without client
+/// updates it stages and folds cycle k during phase k. With them it stages
+/// cycle k in the exclusive section before phase k and folds it in the one
+/// after, so the manager and overlay stay fixed for the whole phase while
+/// uplinks validate one at a time at a "desk" mutex (DESIGN.md, "Cycle
+/// server"). Each client thread feeds the published delta block or frames
+/// to its own tracker or receiver at phase start.
+///
+/// Config restrictions (InvalidArgument otherwise):
+///   - client caching: the timelines have no cache-hit path;
+///   - matrix_mode = hier: client reads scan the server's live hierarchical
+///     matrix, which the server thread mutates during the phase;
+///   - client updates under the sequential scheme: an accepted uplink would
+///     commit into the manager mid-phase.
 class ConcurrentSim {
  public:
   explicit ConcurrentSim(SimConfig config);
@@ -99,10 +81,12 @@ class ConcurrentSim {
 
   const SimConfig& config() const { return config_; }
   /// Final server state (valid after Run).
-  const ServerTxnManager& manager() const { return *manager_; }
+  const ServerTxnManager& manager() const { return server_->manager(); }
   /// Per-client transaction decision logs, in completion order (empty
   /// unless config.record_decisions).
   const std::vector<std::vector<TxnDecision>>& decisions() const { return decisions_; }
+  /// The server's decision log (empty unless config.record_decisions).
+  const DecisionLog& server_decisions() const { return server_->decisions(); }
 
   /// Attaches an event tracer (not owned; must outlive the sim). Call before
   /// Run. Tracks — "server" plus one per client — are registered before any
@@ -117,58 +101,20 @@ class ConcurrentSim {
   /// `phase`, reading from the immutable `snap` (= cycle `phase`'s state).
   void ProcessClientPhase(ClientTimeline& cl, Cycle phase, const CycleSnapshot& snap);
 
-  /// Executes every server commit belonging to broadcast cycle `phase`
-  /// into the staging manager. In pooled mode (update_scheme !=
-  /// kSequential) the phase's transactions run concurrently on the
-  /// TxnProcessor and their serialization order is folded before returning,
-  /// so the snapshot published at the next barrier sees them all. In uplink
-  /// mode it only generates the phase's transactions and stages their MC
-  /// effects into the overlay, without touching the manager; it then runs
-  /// inside the exclusive section *before* the phase's client work, so the
-  /// overlay is immutable to the server for the whole phase and every
-  /// mid-phase uplink validation sees the cycle's server writes (conservative
-  /// relative to the DES's event-time staging).
-  void ProcessServerPhase(Cycle phase);
-
   SimConfig config_;
   BroadcastGeometry geometry_;
   SimTime cycle_bits_ = 0;
 
-  std::unique_ptr<ServerTxnManager> manager_;
-  std::unique_ptr<BroadcastServer> server_;
-  std::unique_ptr<ServerWorkload> server_workload_;
-  /// Pooled update engine and its per-phase staging queue (null/unused in
-  /// sequential mode). Touched only by the server thread.
-  std::unique_ptr<TxnProcessor> txn_processor_;
-  std::vector<ServerTxn> pending_server_txns_;
-  /// Uplink mode (client_update_fraction > 0, pooled scheme). The desk
-  /// mutex serializes every mid-phase uplink validation: it guards the
-  /// validator, the overlay, the pending-uplink list, and the id counter.
-  /// Desk order is acceptance order is fold order. The server thread reads
-  /// this state only inside the exclusive section (the barriers order it
-  /// against the phase's desk traffic).
-  std::unique_ptr<UpdateValidator> validator_;
-  std::unique_ptr<McOverlay> mc_overlay_;
-  std::vector<ServerTxn> pending_uplink_txns_;
+  /// The server. Its snapshot and frames are the on-air state of the
+  /// current cycle: written by the server thread only between the phase-end
+  /// and publish barriers (while every client thread is blocked), read by
+  /// client threads only during the work phase.
+  std::unique_ptr<CycleServer> server_;
+  /// Uplink mode: the validator desk. Desk order is acceptance order is fold
+  /// order.
   std::mutex uplink_mu_;
-  TxnId next_client_update_id_ = 0;
   std::vector<std::unique_ptr<ClientTimeline>> clients_;
-
-  /// The on-air snapshot of the current cycle. Written by the server thread
-  /// only between the phase-end and publish barriers (while every client
-  /// thread is blocked); read by client threads only during the work phase.
-  std::shared_ptr<const CycleSnapshot> published_;
-  /// Channel mode: the current cycle's frame sequence, published alongside
-  /// the snapshot under the same barrier discipline. Clients transmit it
-  /// through their own fault links (disjoint LossyChannel per-client state).
-  std::shared_ptr<const std::vector<Frame>> published_frames_;
-  std::optional<FrameCodec> frame_codec_;  // channel mode
   std::unique_ptr<LossyChannel> channel_;  // channel mode
-
-  // Server-side commit event state (mirrors the DES commit stream).
-  SimTime next_commit_time_ = 0;
-  bool next_commit_pre_flip_ = false;
-  uint64_t server_commits_ = 0;
 
   /// Completed client transactions across all threads; drives the
   /// transaction-count cutoff when stop_after_cycles is 0.
@@ -176,7 +122,6 @@ class ConcurrentSim {
 
   std::vector<std::vector<TxnDecision>> decisions_;
   Tracer* tracer_ = nullptr;         // not owned; null = tracing off
-  TraceRing* server_trace_ = nullptr;
   bool ran_ = false;
 };
 

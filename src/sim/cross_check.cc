@@ -18,6 +18,7 @@ struct RunView {
   const std::vector<std::vector<TxnDecision>>& decisions;
   const AbortBreakdown& abort_causes;
   uint64_t server_commits;
+  const DecisionLog& server_log;
 };
 
 /// Value-equality of two managers' control matrices across representations:
@@ -36,8 +37,8 @@ bool ServerMatricesEqual(const ServerTxnManager& a, const ServerTxnManager& b) {
 }
 
 /// Diffs what two runs of one seeded workload must share: every client's
-/// decision log, the abort breakdown, the server's commit count, control
-/// matrix, MC vector and committed store.
+/// decision log, the abort breakdown, the server's commit count, decision
+/// log, control matrix, MC vector and committed store.
 Status DiffRuns(const RunView& a, const RunView& b) {
   if (a.decisions.size() != b.decisions.size()) {
     return Status::Internal(StrFormat("client counts diverge: %s=%zu %s=%zu", a.label,
@@ -70,6 +71,10 @@ Status DiffRuns(const RunView& a, const RunView& b) {
         "server commit counts diverge: %s=%llu/%zu %s=%llu/%zu", a.label,
         static_cast<unsigned long long>(a.server_commits), a.manager.num_committed(), b.label,
         static_cast<unsigned long long>(b.server_commits), b.manager.num_committed()));
+  }
+  if (a.server_log.ToJson() != b.server_log.ToJson()) {
+    return Status::Internal(
+        StrFormat("server decision logs diverge between %s and %s", a.label, b.label));
   }
   if (!ServerMatricesEqual(a.manager, b.manager)) {
     return Status::Internal(
@@ -110,9 +115,9 @@ Status CrossCheck(const char* name, SimConfig config, const char* label_a, const
   BCC_RETURN_IF_ERROR(extra(a, a_summary, b, b_summary));
   return DiffRuns(
       RunView{label_a, a.manager(), a.decisions(), a_summary.abort_causes,
-              a_summary.server_commits},
+              a_summary.server_commits, a.server_decisions()},
       RunView{label_b, b.manager(), b.decisions(), b_summary.abort_causes,
-              b_summary.server_commits});
+              b_summary.server_commits, b.server_decisions()});
 }
 
 /// Field-by-field equality of every non-channel summary field (doubles are

@@ -222,12 +222,18 @@ TEST(ConcurrentSimLossyTest, ChannelStatsMatchSequentialEngine) {
       << "per-client fault streams must be engine-independent";
 }
 
-TEST(ConcurrentSimLossyTest, RejectsChannelWithDeltaBroadcast) {
-  SimConfig config = SmallChannelConfig();
-  config.delta_broadcast = true;
-  config.delta_refresh_period = 4;
-  ConcurrentSim sim(config);
-  EXPECT_FALSE(sim.Run().ok());
+TEST(ConcurrentSimLossyTest, ChannelWithDeltaBroadcastMatchesSequentialEngine) {
+  // Each client thread feeds the control blocks it reassembles to its own
+  // tracker, lossless or lossy, exactly as the DES's receivers do.
+  for (const double loss : {0.0, 0.1}) {
+    SimConfig config = SmallChannelConfig();
+    config.num_clients = 3;
+    config.delta_broadcast = true;
+    config.delta_refresh_period = 4;
+    config.channel_loss_rate = loss;
+    const Status status = CrossCheckEngines(config);
+    EXPECT_TRUE(status.ok()) << "loss " << loss << ": " << status.ToString();
+  }
 }
 
 }  // namespace

@@ -88,6 +88,67 @@ TEST(ConcurrentSimTest, MatchesSequentialOracleOnMultiSpeedDisk) {
   EXPECT_EQ(CrossCheckEngines(config), Status::OK());
 }
 
+// One update client on a pooled scheme: both engines stage each cycle's
+// server commits when it begins and fold its accepted uplinks first, so the
+// DES and the concurrent engine make the same uplink decisions. (With two or
+// more update clients the desk order within a phase is thread timing; see
+// concurrent_sim.h.)
+TEST(ConcurrentSimTest, MatchesSequentialOracleWithOneUplinkClient) {
+  for (const uint64_t seed : {21ull, 4711ull, 90001ull}) {
+    SimConfig config = SmallConfig(seed);
+    config.num_clients = 1;
+    config.server_txn_interval = 8000;  // milder contention: some uplinks pass
+    config.stop_after_cycles = 80;
+    config.client_update_fraction = 0.5;
+    config.update_scheme = UpdateScheme::kOcc;
+    config.update_workers = 1;
+    EXPECT_EQ(CrossCheckEngines(config), Status::OK()) << "seed " << seed;
+
+    config.record_decisions = true;
+    ConcurrentSim sim(config);
+    const auto summary = sim.Run();
+    ASSERT_TRUE(summary.ok()) << summary.status().ToString();
+    EXPECT_GT(summary->client_update_commits, 0u) << "seed " << seed;
+    EXPECT_GT(summary->client_update_rejects, 0u) << "seed " << seed;
+  }
+}
+
+TEST(ConcurrentSimTest, MatchesSequentialOracleWithDeltaBroadcast) {
+  SimConfig config = SmallConfig(17);
+  config.use_wire_codec = true;
+  config.delta_broadcast = true;
+  config.delta_refresh_period = 4;
+  EXPECT_EQ(CrossCheckEngines(config), Status::OK());
+}
+
+TEST(ConcurrentSimTest, MatchesSequentialOracleWithChannelAndDelta) {
+  SimConfig config = SmallConfig(19);
+  config.use_wire_codec = true;
+  config.delta_broadcast = true;
+  config.delta_refresh_period = 4;
+  config.channel_broadcast = true;
+  config.channel_frame_bits = 256;
+  config.channel_loss_rate = 0.05;
+  EXPECT_EQ(CrossCheckEngines(config), Status::OK());
+}
+
+TEST(ConcurrentSimTest, MatchesSequentialOracleWithSparseCompaction) {
+  // ts = 4 wraps every 16 cycles, so compaction every 4 cycles rewrites
+  // stamps throughout the 40-cycle run.
+  SimConfig config = SmallConfig(23);
+  config.matrix_mode = MatrixMode::kSparse;
+  config.use_wire_codec = true;
+  config.timestamp_bits = 4;
+  config.sparse_compaction_period = 4;
+  EXPECT_EQ(CrossCheckEngines(config), Status::OK());
+
+  config.record_decisions = true;
+  BroadcastSim des(config);
+  const auto summary = des.Run();
+  ASSERT_TRUE(summary.ok()) << summary.status().ToString();
+  EXPECT_GT(summary->sparse_compaction_drops, 0u) << "compaction never dropped an entry";
+}
+
 TEST(ConcurrentSimTest, StressManyThreadsManyCycles) {
   SimConfig config = SmallConfig(99);
   config.num_clients = 8;
@@ -120,7 +181,7 @@ TEST(ConcurrentSimTest, RejectsUnsupportedFeatures) {
 
   SimConfig update_config = SmallConfig(1);
   update_config.client_update_fraction = 0.5;
-  EXPECT_FALSE(ConcurrentSim(update_config).Run().ok());
+  EXPECT_FALSE(ConcurrentSim(update_config).Run().ok()) << "uplinks need a pooled scheme";
 
   SimConfig no_cutoff = SmallConfig(1);
   no_cutoff.stop_after_cycles = 0;

@@ -1,0 +1,261 @@
+// Tests for the server's per-cycle loop (label: server): the staging rule,
+// the boundary rule against real event-queue semantics, the fold point, the
+// decision log's commit order, and the end-of-cycle matrix accounting.
+
+#include "server/cycle_server.h"
+
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <functional>
+#include <map>
+
+#include "des/event_queue.h"
+#include "matrix/sparse_f_matrix.h"
+#include "sim/metrics.h"
+
+namespace bcc {
+namespace {
+
+// n = 8 objects of 64 bits plus an 8 x 8-bit control column: 1024-bit cycles.
+SimConfig SmallConfig(UpdateScheme scheme) {
+  SimConfig config;
+  config.algorithm = Algorithm::kFMatrix;
+  config.num_objects = 8;
+  config.object_size_bits = 64;
+  config.server_txn_length = 3;
+  config.server_txn_interval = 300;
+  config.update_scheme = scheme;
+  config.update_workers = 1;
+  config.record_decisions = true;
+  config.record_history = true;
+  config.seed = 5;
+  return config;
+}
+
+std::unique_ptr<CycleServer> MakeServer(const SimConfig& config, SimMetrics* metrics = nullptr) {
+  CycleServerOptions options;
+  options.metrics = metrics;
+  auto server = CycleServer::Create(config, Rng(config.seed).Split(), options);
+  EXPECT_TRUE(server.ok()) << server.status().ToString();
+  return std::move(server).value();
+}
+
+/// The cycle each workload commit lands in under the event-queue semantics
+/// the boundary rule replays: the flip at k*L is scheduled by the flip at
+/// (k-1)*L, each commit schedules the next, and equal times fire in
+/// insertion order. Draws the workload exactly as CycleServer does.
+std::vector<Cycle> QueueCommitCycles(const SimConfig& config, SimTime cycle_bits, Cycle cycles) {
+  ServerWorkload workload(config, Rng(config.seed).Split());
+  EventQueue queue;
+  Cycle current = 1;
+  std::vector<Cycle> out;
+  std::function<void()> flip = [&] {
+    ++current;
+    queue.ScheduleAfter(cycle_bits, flip);
+  };
+  std::function<void()> commit = [&] {
+    out.push_back(current);
+    workload.NextTxn();
+    queue.ScheduleAfter(workload.NextInterval(), commit);
+  };
+  queue.ScheduleAt(cycle_bits, flip);
+  queue.ScheduleAfter(workload.NextInterval(), commit);
+  while (current <= cycles && queue.Step()) {
+  }
+  while (!out.empty() && out.back() > cycles) out.pop_back();
+  return out;
+}
+
+/// The cycle CycleServer staged each workload commit in.
+std::vector<Cycle> StagedCommitCycles(const SimConfig& config, Cycle cycles) {
+  std::unique_ptr<CycleServer> server = MakeServer(config);
+  for (Cycle k = 1; k <= cycles; ++k) {
+    server->BeginCycle(k);
+    server->StageCycle(k);
+    server->EndCycle(k, 0);
+  }
+  std::vector<Cycle> out;
+  for (const ServerCommitRecord& r : server->decisions().server_commits) out.push_back(r.cycle);
+  return out;
+}
+
+TEST(CycleServerTest, StagedUplinkSeesEveryServerWriteOfItsCycle) {
+  for (const UpdateScheme scheme : {UpdateScheme::kSequential, UpdateScheme::kOcc}) {
+    SimConfig config = SmallConfig(scheme);
+    config.server_txn_length = 2;
+    config.server_read_probability = 0.0;  // write-only server txns
+    std::unique_ptr<CycleServer> server = MakeServer(config);
+    server->BeginCycle(1);
+    ASSERT_GT(server->StageCycle(1), 0u);
+    std::vector<bool> written(config.num_objects, false);
+    for (const ServerCommitRecord& r : server->decisions().server_commits) {
+      for (ObjectId ob : r.writes) written[ob] = true;
+    }
+    // Even the cycle's last server commit, which fires near the end of the
+    // cycle, is visible to an uplink validated at the cycle's start.
+    const ObjectId last = server->decisions().server_commits.back().writes.front();
+    const UplinkOutcome stale = server->SubmitUplink(0, {{last, 1}}, {last}, 1);
+    EXPECT_FALSE(stale.accepted);
+    EXPECT_EQ(stale.cause.cause, AbortCause::kUplinkReject);
+    EXPECT_EQ(stale.cause.ob_j, last);
+    EXPECT_EQ(stale.cause.c_ij, 1u);
+    const auto untouched = std::find(written.begin(), written.end(), false);
+    ASSERT_NE(untouched, written.end()) << "every object written; nothing to accept";
+    const ObjectId fresh = static_cast<ObjectId>(untouched - written.begin());
+    EXPECT_TRUE(server->SubmitUplink(0, {{fresh, 1}}, {fresh}, 1).accepted);
+  }
+}
+
+TEST(CycleServerTest, BoundaryTiesFollowTheEventQueue) {
+  SimConfig config = SmallConfig(UpdateScheme::kSequential);
+  config.server_interval_exponential = false;
+  const SimTime cycle_bits = config.Geometry().cycle_bits;
+  ASSERT_EQ(cycle_bits % 4, 0u);
+  constexpr Cycle kCycles = 12;
+
+  // A first commit exactly on the first boundary: its parent (set-up, t = 0)
+  // fired no earlier than the flip was scheduled, so it lands in cycle 2,
+  // and so does every later tie.
+  config.server_txn_interval = cycle_bits;
+  std::vector<Cycle> staged = StagedCommitCycles(config, kCycles);
+  EXPECT_EQ(staged, QueueCommitCycles(config, cycle_bits, kCycles));
+  EXPECT_EQ(staged.front(), 2u);
+
+  // Ties with no earlier commit in their cycle: the parent fired before the
+  // flip at k*L was scheduled, so the commit at k*L beats it and belongs to
+  // cycle k.
+  config.server_txn_interval = 2 * cycle_bits;
+  staged = StagedCommitCycles(config, kCycles);
+  EXPECT_EQ(staged, QueueCommitCycles(config, cycle_bits, kCycles));
+  EXPECT_EQ(staged, (std::vector<Cycle>{2, 4, 6, 8, 10, 12}));
+
+  // Ties with an earlier commit in the ending cycle: the parent fired after
+  // the flip was scheduled, so the tie opens the next cycle.
+  config.server_txn_interval = cycle_bits / 2;
+  staged = StagedCommitCycles(config, kCycles);
+  EXPECT_EQ(staged, QueueCommitCycles(config, cycle_bits, kCycles));
+  EXPECT_EQ(std::count(staged.begin(), staged.end(), 1u), 1);
+  EXPECT_EQ(std::count(staged.begin(), staged.end(), 2u), 2);
+
+  // Mixed offsets and the exponential stream.
+  for (const SimTime interval : {cycle_bits / 4, 3 * cycle_bits / 4, 3 * cycle_bits / 2}) {
+    config.server_txn_interval = interval;
+    EXPECT_EQ(StagedCommitCycles(config, kCycles), QueueCommitCycles(config, cycle_bits, kCycles))
+        << "interval " << interval;
+  }
+  config.server_interval_exponential = true;
+  config.server_txn_interval = cycle_bits / 3;
+  EXPECT_EQ(StagedCommitCycles(config, kCycles), QueueCommitCycles(config, cycle_bits, kCycles));
+}
+
+TEST(CycleServerTest, UplinkAcceptedInCycleKIsOnAirInKPlusOneWithStampK) {
+  for (const UpdateScheme scheme : {UpdateScheme::kSequential, UpdateScheme::kOcc}) {
+    SimConfig config = SmallConfig(scheme);
+    config.server_txn_interval = 1u << 30;  // no server commits in the way
+    std::unique_ptr<CycleServer> server = MakeServer(config);
+    for (Cycle k = 1; k <= 2; ++k) {
+      server->BeginCycle(k);
+      server->StageCycle(k);
+      if (k < 2) server->EndCycle(k, 0);
+    }
+    ASSERT_TRUE(server->SubmitUplink(3, {{1, 1}}, {4}, 2).accepted);
+    const TxnId id = server->decisions().uplinks.back().id;
+    server->EndCycle(2, 0);
+    const CycleSnapshot& snap = server->BeginCycle(3);
+    EXPECT_EQ(snap.values[4].writer, id);
+    EXPECT_EQ(snap.values[4].cycle, 2u);
+    EXPECT_EQ(snap.mc_vector.At(4), 2u);
+    EXPECT_EQ(snap.f_matrix.At(4, 4), 2u);
+    EXPECT_EQ(server->manager().commit_cycles().at(id), 2u);
+  }
+}
+
+/// Commit order as the manager's recorded history saw it.
+std::vector<TxnId> HistoryCommitOrder(const ServerTxnManager& manager) {
+  std::vector<TxnId> order;
+  for (const Operation& op : manager.recorded_history().ops()) {
+    if (op.type == OpType::kCommit) order.push_back(op.txn);
+  }
+  return order;
+}
+
+TEST(CycleServerTest, DecisionLogSeqsAreDenseAndInFoldOrder) {
+  for (const UpdateScheme scheme : {UpdateScheme::kSequential, UpdateScheme::kOcc}) {
+    SimConfig config = SmallConfig(scheme);
+    std::unique_ptr<CycleServer> server = MakeServer(config);
+    constexpr Cycle kCycles = 10;
+    for (Cycle k = 1; k <= kCycles; ++k) {
+      server->BeginCycle(k);
+      server->StageCycle(k);
+      // Two uplinks per cycle: one reads the previous cycle (often stale),
+      // one reads nothing and writes two objects (always accepted).
+      const ObjectId a = static_cast<ObjectId>(k % config.num_objects);
+      server->SubmitUplink(0, {{a, k > 1 ? k - 1 : 1}}, {a}, k);
+      server->SubmitUplink(1, {}, {a, static_cast<ObjectId>((k + 3) % config.num_objects)}, k);
+      server->EndCycle(k, 0);
+    }
+    const DecisionLog& log = server->decisions();
+    std::map<uint64_t, TxnId> by_seq;
+    std::map<Cycle, uint64_t> last_uplink_seq, first_server_seq, last_server_seq;
+    for (const ServerCommitRecord& r : log.server_commits) {
+      by_seq.emplace(r.seq, r.id);
+      first_server_seq.try_emplace(r.cycle, r.seq);
+      last_server_seq[r.cycle] = std::max(last_server_seq[r.cycle], r.seq);
+    }
+    size_t accepted = 0;
+    for (const UplinkDecision& d : log.uplinks) {
+      if (!d.accepted) {
+        EXPECT_EQ(d.seq, 0u);
+        continue;
+      }
+      ++accepted;
+      by_seq.emplace(d.seq, d.id);
+      last_uplink_seq[d.cycle] = std::max(last_uplink_seq[d.cycle], d.seq);
+    }
+    ASSERT_GE(accepted, kCycles);
+    ASSERT_EQ(by_seq.size(), log.server_commits.size() + accepted) << "duplicate seq";
+    EXPECT_EQ(by_seq.begin()->first, 1u);
+    EXPECT_EQ(by_seq.rbegin()->first, by_seq.size()) << "seqs are not dense";
+
+    // Seq order is the store's commit order.
+    std::vector<TxnId> seq_order;
+    for (const auto& [seq, id] : by_seq) seq_order.push_back(id);
+    EXPECT_EQ(seq_order, HistoryCommitOrder(server->manager()));
+
+    // Pooled: the cycle's uplinks fold as a prefix before its server batch.
+    // Sequential: the server batch committed when staged, before any uplink
+    // of the cycle.
+    for (const auto& [cycle, uplink_seq] : last_uplink_seq) {
+      if (!first_server_seq.contains(cycle)) continue;
+      if (scheme == UpdateScheme::kOcc) {
+        EXPECT_LT(uplink_seq, first_server_seq[cycle]) << "cycle " << cycle;
+      } else {
+        EXPECT_GT(uplink_seq, last_server_seq[cycle]) << "cycle " << cycle;
+      }
+    }
+  }
+}
+
+TEST(CycleServerTest, SparseControlBitsMatchTheMatrixEncoding) {
+  SimConfig config = SmallConfig(UpdateScheme::kSequential);
+  config.matrix_mode = MatrixMode::kSparse;
+  config.record_history = false;
+  SimMetrics metrics(0);
+  std::unique_ptr<CycleServer> server = MakeServer(config, &metrics);
+  uint64_t expected = 0;
+  for (Cycle k = 1; k <= 6; ++k) {
+    server->BeginCycle(k);
+    server->StageCycle(k);
+    server->EndCycle(k, 0);
+    expected +=
+        SparseMatrixControlBits(server->manager().sparse_f_matrix(), config.timestamp_bits);
+  }
+  const SimSummary summary = metrics.Summarize(6, 0, 0, 0);
+  EXPECT_EQ(summary.matrix_cycles, 6u);
+  EXPECT_EQ(summary.matrix_control_bits, expected);
+  EXPECT_GT(summary.server_commits, 0u);
+}
+
+}  // namespace
+}  // namespace bcc

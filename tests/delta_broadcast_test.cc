@@ -11,7 +11,6 @@
 #include "common/rng.h"
 #include "server/delta_broadcast.h"
 #include "sim/broadcast_sim.h"
-#include "sim/concurrent_sim.h"
 
 namespace bcc {
 namespace {
@@ -387,12 +386,6 @@ TEST(DeltaModeTest, ConfigValidationRejectsUnsupportedCombinations) {
   bad = config;
   bad.delta_refresh_period = 0;
   EXPECT_TRUE(bad.Validate().IsInvalidArgument());
-
-  // The concurrent engine does not support delta mode yet.
-  bad = config;
-  bad.record_decisions = true;
-  ConcurrentSim concurrent(bad);
-  EXPECT_TRUE(concurrent.Run().status().IsInvalidArgument());
 }
 
 // ---------------------------------------------------------------------------

@@ -439,6 +439,51 @@ TEST(NetLoopbackTest, TelemetryRunStaysBitIdenticalAndAnswersMetricsReq) {
   EXPECT_NE(decisions.find("\"uplinks\""), std::string::npos);
 }
 
+/// Runs the daemon and `num_clients` client runtimes in-process over
+/// loopback (for SimConfig fields no flag reaches). Fails the test on any
+/// error.
+void RunInProcessTier(const SimConfig& sim, const std::string& tag, uint32_t num_clients,
+                      ServerReport* server_report, std::vector<ClientReport>* reports) {
+  const std::string endpoint_file = ::testing::TempDir() + "/bcc_" + tag + ".ep";
+  ::unlink(endpoint_file.c_str());
+  NetConfig server_net;
+  server_net.listen = "127.0.0.1:0";
+  server_net.endpoint_file = endpoint_file;
+  server_net.expected_clients = num_clients;
+  server_net.pace_cycles_per_sec = 200;
+  server_net.max_wall_ms = 60000;
+  Status server_status;
+  std::thread server([&] { server_status = RunServerDaemon(server_net, sim, server_report); });
+
+  std::string endpoint;
+  for (int i = 0; i < 400 && endpoint.empty(); ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(25));
+    endpoint = ReadFile(endpoint_file);
+  }
+  while (!endpoint.empty() && (endpoint.back() == '\n' || endpoint.back() == '\r')) {
+    endpoint.pop_back();
+  }
+  reports->assign(num_clients, ClientReport());
+  std::vector<Status> statuses(num_clients);
+  std::vector<std::thread> clients;
+  for (uint32_t c = 0; c < num_clients; ++c) {
+    clients.emplace_back([&, c] {
+      NetConfig client_net;
+      client_net.connect = endpoint;
+      client_net.client_id = c + 1;
+      client_net.max_wall_ms = 60000;
+      statuses[c] = endpoint.empty() ? Status::Internal("daemon never wrote its endpoint file")
+                                     : RunClientRuntime(client_net, sim, &(*reports)[c]);
+    });
+  }
+  for (std::thread& t : clients) t.join();
+  server.join();
+  ASSERT_TRUE(server_status.ok()) << server_status.ToString();
+  for (uint32_t c = 0; c < num_clients; ++c) {
+    ASSERT_TRUE(statuses[c].ok()) << "client " << c << ": " << statuses[c].ToString();
+  }
+}
+
 // The socket client runs the same ClientSession as the DES clients, so it
 // censors at max_restarts_per_txn. The daemon and the client run in-process
 // here because no flag sets the restart guard.
@@ -453,42 +498,50 @@ TEST(NetLoopbackTest, SocketClientCensorsAtTheRestartGuard) {
   sim.server_txn_interval = 60000;
   sim.max_restarts_per_txn = 1;
 
-  const std::string endpoint_file = ::testing::TempDir() + "/bcc_censor.ep";
-  ::unlink(endpoint_file.c_str());
-  NetConfig server_net;
-  server_net.listen = "127.0.0.1:0";
-  server_net.endpoint_file = endpoint_file;
-  server_net.pace_cycles_per_sec = 200;
-  server_net.max_wall_ms = 60000;
   ServerReport server_report;
-  Status server_status;
-  std::thread server([&] { server_status = RunServerDaemon(server_net, sim, &server_report); });
-
-  std::string endpoint;
-  for (int i = 0; i < 400 && endpoint.empty(); ++i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(25));
-    endpoint = ReadFile(endpoint_file);
-  }
-  while (!endpoint.empty() && (endpoint.back() == '\n' || endpoint.back() == '\r')) {
-    endpoint.pop_back();
-  }
-  NetConfig client_net;
-  client_net.connect = endpoint;
-  client_net.client_id = 1;
-  client_net.max_wall_ms = 60000;
-  ClientReport report;
-  const Status client_status =
-      endpoint.empty() ? Status::Internal("daemon never wrote its endpoint file")
-                       : RunClientRuntime(client_net, sim, &report);
-  server.join();
-  ASSERT_TRUE(server_status.ok()) << server_status.ToString();
-  ASSERT_TRUE(client_status.ok()) << client_status.ToString();
+  std::vector<ClientReport> reports;
+  RunInProcessTier(sim, "censor", 1, &server_report, &reports);
+  if (HasFatalFailure()) return;
+  const ClientReport& report = reports[0];
 
   const uint64_t censored = report.abort_causes.Count(AbortCause::kCensored);
   EXPECT_GT(censored, 0u) << report.ToJson();
   EXPECT_EQ(censored, report.aborts) << "with max_restarts_per_txn = 1 every abort censors";
   EXPECT_EQ(report.abort_causes.TotalAborts(), report.aborts);
   EXPECT_GT(report.commits, 0u) << report.ToJson();
+}
+
+// Server commits spaced exactly two cycles apart all land on cycle
+// boundaries. Each fires before the flip it ties with (the flip was
+// scheduled after the commit's parent), so it belongs to the cycle that
+// ends there. The daemon must place every one of them where the DES does.
+TEST(NetLoopbackTest, BoundaryTiedCommitsMatchTheDesOracle) {
+  SimConfig sim;
+  sim.num_objects = kObjects;
+  sim.object_size_bits = 8 * 1024;
+  sim.seed = kSeed;
+  sim.stop_after_cycles = kCycles;
+  ASSERT_TRUE(NormalizeNetSimConfig(&sim).ok());
+  sim.server_txn_interval = 2 * sim.Geometry().cycle_bits;
+  sim.server_interval_exponential = false;
+
+  ServerReport server_report;
+  std::vector<ClientReport> reports;
+  RunInProcessTier(sim, "boundary", 2, &server_report, &reports);
+  if (HasFatalFailure()) return;
+
+  SimConfig oracle_config = sim;
+  oracle_config.channel_broadcast = false;  // bit-identical at loss 0, and faster
+  BroadcastSim oracle(oracle_config);
+  ASSERT_TRUE(oracle.Run().ok());
+  const CycleSnapshot& snap = oracle.final_snapshot();
+  ASSERT_EQ(snap.cycle, kCycles);
+  const uint64_t oracle_digest = DigestMatrixResidues(
+      snap.f_matrix, CycleStampCodec(sim.timestamp_bits), DigestValues(snap.values));
+
+  EXPECT_EQ(server_report.server_commits, kCycles / 2);
+  EXPECT_EQ(server_report.digest, oracle_digest) << "daemon diverged from the DES oracle";
+  for (const ClientReport& report : reports) EXPECT_EQ(report.digest, server_report.digest);
 }
 
 }  // namespace

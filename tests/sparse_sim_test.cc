@@ -313,17 +313,11 @@ TEST(MatrixModeConfigTest, ValidateRejectsUnsupportedCombinations) {
   EXPECT_FALSE(hier_delta.Validate().ok()) << "hier + delta must be rejected";
 }
 
-TEST(MatrixModeConfigTest, ConcurrentSimRejectsHierAndCompaction) {
+TEST(MatrixModeConfigTest, ConcurrentSimRejectsHier) {
   SimConfig hier = SmallHierConfig();
   ASSERT_TRUE(hier.Validate().ok());
   ConcurrentSim hier_sim(hier);
   EXPECT_FALSE(hier_sim.Run().ok());
-
-  SimConfig compaction = SmallSparseConfig();
-  compaction.sparse_compaction_period = 4;
-  ASSERT_TRUE(compaction.Validate().ok());
-  ConcurrentSim compaction_sim(compaction);
-  EXPECT_FALSE(compaction_sim.Run().ok());
 }
 
 }  // namespace
