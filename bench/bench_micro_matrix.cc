@@ -1,12 +1,12 @@
 // Microbenchmarks (google-benchmark) for the server-side control-matrix
 // hot paths: Theorem 2 incremental maintenance (per-commit and cycle-fused),
-// client read-condition checks, per-cycle snapshotting (full copy and CoW),
+// client read-condition checks, per-cycle snapshotting (full copy and CoW,
+// dense matrix and the paged values / MC vector / sparse column table),
 // group-matrix derivation and delta diffs.
 //
 // Besides google-benchmark's own console output, `--json_out=F` emits every
-// result row as JSON through obs/json.h (same bcc.perf_trajectory.v1 row
-// shape as bench_perf_trajectory), so micro rows can land in the BENCH_5.json
-// trajectory file without depending on --benchmark_format.
+// result row as JSON through obs/json.h (bcc.perf_trajectory.v1 row shape),
+// independent of --benchmark_format.
 
 #include <benchmark/benchmark.h>
 
@@ -17,9 +17,11 @@
 #include "common/rng.h"
 #include "matrix/group_matrix.h"
 #include "matrix/mc_vector.h"
+#include "matrix/sparse_f_matrix.h"
 #include "matrix/wire.h"
 #include "obs/json.h"
 #include "obs/trace_export.h"
+#include "server/store.h"
 
 namespace bcc {
 namespace {
@@ -160,6 +162,100 @@ void BM_CycleSnapshotCoW(benchmark::State& state) {
 }
 BENCHMARK(BM_CycleSnapshotCoW)->Arg(100)->Arg(300)->Arg(500)->Arg(1000);
 
+// Paged copy-on-write snapshots at the uplink write rate: each iteration is
+// one broadcast cycle of 50 commits writing 4 scattered objects each, then
+// the cycle snapshot, with the previous cycle's snapshot held until the new
+// one replaces it (what the engines do). Write sets are drawn before timing.
+// bytes_copied counts the page table each snapshot copies plus the pages
+// the live container copied on write.
+constexpr uint32_t kCommitsPerCycle = 50;
+constexpr uint32_t kWritesPerCommit = 4;
+
+/// 64 cycles of write sets, replayed round-robin.
+std::vector<std::vector<ObjectId>> CycleWriteSets(uint32_t n) {
+  Rng rng(3);
+  std::vector<std::vector<ObjectId>> sets(64 * kCommitsPerCycle);
+  for (auto& set : sets) set = rng.SampleWithoutReplacement(n, kWritesPerCommit);
+  return sets;
+}
+
+template <typename Pages>
+void ReportBytesCopied(benchmark::State& state, const Pages& live, uint64_t pages_before) {
+  const double bytes =
+      static_cast<double>((live.pages_copied() - pages_before) * Pages::kPageBytes) +
+      static_cast<double>(live.table_bytes()) * static_cast<double>(state.iterations());
+  state.counters["bytes_copied"] = benchmark::Counter(bytes, benchmark::Counter::kAvgIterations);
+}
+
+void BM_PagedSnapshotValues(benchmark::State& state) {
+  const uint32_t n = static_cast<uint32_t>(state.range(0));
+  const auto sets = CycleWriteSets(n);
+  VersionedStore store(n);
+  ObjectValues held = store.committed();
+  const uint64_t before = store.committed().pages_copied();
+  size_t next = 0;
+  Cycle cycle = 1;
+  for (auto _ : state) {
+    for (uint32_t c = 0; c < kCommitsPerCycle; ++c, next = (next + 1) % sets.size()) {
+      for (ObjectId w : sets[next]) store.StageWrite(w, static_cast<TxnId>(cycle));
+      store.CommitStaged(cycle);
+    }
+    held = store.committed();
+    benchmark::DoNotOptimize(held);
+    ++cycle;
+  }
+  ReportBytesCopied(state, store.committed(), before);
+}
+BENCHMARK(BM_PagedSnapshotValues)->Arg(10'000)->Arg(100'000);
+
+void BM_PagedSnapshotMcVector(benchmark::State& state) {
+  const uint32_t n = static_cast<uint32_t>(state.range(0));
+  const auto sets = CycleWriteSets(n);
+  McVector mc(n);
+  McVector held = mc;
+  const uint64_t before = mc.pages().pages_copied();
+  size_t next = 0;
+  Cycle cycle = 1;
+  for (auto _ : state) {
+    for (uint32_t c = 0; c < kCommitsPerCycle; ++c, next = (next + 1) % sets.size()) {
+      mc.ApplyCommit(sets[next], cycle);
+    }
+    held = mc;
+    benchmark::DoNotOptimize(held);
+    ++cycle;
+  }
+  ReportBytesCopied(state, mc.pages(), before);
+}
+BENCHMARK(BM_PagedSnapshotMcVector)->Arg(10'000)->Arg(100'000);
+
+// The column table alone: each commit installs one shared payload in its
+// write-set columns (what ApplyCommit does after its O(nnz) merge, which is
+// left out here). Every column starts non-empty, as on a long run.
+void BM_PagedSnapshotSparseMatrix(benchmark::State& state) {
+  const uint32_t n = static_cast<uint32_t>(state.range(0));
+  const auto sets = CycleWriteSets(n);
+  std::vector<std::shared_ptr<const SparseColumnData>> payloads(sets.size());
+  for (size_t k = 0; k < payloads.size(); ++k) {
+    auto col = std::make_shared<SparseColumnData>();
+    col->floor = 1 + k;
+    payloads[k] = std::move(col);
+  }
+  SparseFMatrix matrix(n);
+  for (ObjectId j = 0; j < n; ++j) matrix.AssignColumn(j, payloads[j % payloads.size()]);
+  SparseFMatrix held = matrix.Snapshot();
+  const uint64_t before = matrix.column_pages().pages_copied();
+  size_t next = 0;
+  for (auto _ : state) {
+    for (uint32_t c = 0; c < kCommitsPerCycle; ++c, next = (next + 1) % sets.size()) {
+      for (ObjectId w : sets[next]) matrix.AssignColumn(w, payloads[next]);
+    }
+    held = matrix.Snapshot();
+    benchmark::DoNotOptimize(held);
+  }
+  ReportBytesCopied(state, matrix.column_pages(), before);
+}
+BENCHMARK(BM_PagedSnapshotSparseMatrix)->Arg(10'000)->Arg(100'000);
+
 void BM_GroupMatrixDerivation(benchmark::State& state) {
   const uint32_t n = 300;
   const FMatrix c = WarmMatrix(n);
@@ -208,6 +304,8 @@ class JsonRowTee : public benchmark::BenchmarkReporter {
       if (items != run.counters.end()) row.items_per_second = items->second;
       const auto bytes = run.counters.find("bytes_per_second");
       if (bytes != run.counters.end()) row.bytes_per_second = bytes->second;
+      const auto copied = run.counters.find("bytes_copied");
+      if (copied != run.counters.end()) row.bytes_copied = copied->second;
       rows_.push_back(std::move(row));
     }
   }
@@ -238,6 +336,7 @@ class JsonRowTee : public benchmark::BenchmarkReporter {
           .Value(row.ns_per_op);
       if (row.items_per_second > 0) w.Key("items_per_second").Value(row.items_per_second);
       if (row.bytes_per_second > 0) w.Key("bytes_per_second").Value(row.bytes_per_second);
+      if (row.bytes_copied > 0) w.Key("bytes_copied").Value(row.bytes_copied);
       w.EndObject();
     }
     w.EndArray().EndObject();
@@ -251,6 +350,7 @@ class JsonRowTee : public benchmark::BenchmarkReporter {
     double ns_per_op = 0;
     double items_per_second = 0;
     double bytes_per_second = 0;
+    double bytes_copied = 0;
   };
 
   benchmark::ConsoleReporter console_;

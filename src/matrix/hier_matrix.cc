@@ -85,7 +85,7 @@ void HierMatrix::EnsureGroup(uint32_t s) {
   std::vector<const SparseColumnData*> unique;
   unique.reserve(members_[s].size());
   for (ObjectId j : members_[s]) {
-    const SparseColumnData* col = exact_.ColumnData(j).get();
+    const SparseColumnData* col = &exact_.Column(j);
     floor = std::max(floor, col->floor);
     if (std::find(unique.begin(), unique.end(), col) == unique.end()) unique.push_back(col);
   }

@@ -8,7 +8,7 @@
 // base pointers over the flat column-major storage so the compiler can
 // auto-vectorize them (no aliasing through this->, no per-iteration index
 // arithmetic, trivially countable trip counts), and shared by FMatrix,
-// McVector, GroupMatrix and DeltaCodec::DiffColumns. kernels.cc is compiled
+// GroupMatrix and DeltaCodec::DiffColumns. kernels.cc is compiled
 // with vectorization-friendly flags (see src/matrix/CMakeLists.txt).
 
 #ifndef BCC_MATRIX_KERNELS_H_

@@ -1,12 +1,12 @@
 #include "matrix/mc_vector.h"
 
-#include "matrix/kernels.h"
-
 namespace bcc {
 
 bool DatacycleReadCondition(const McVector& mc, std::span<const ReadRecord> reads) {
-  return KernelReadConditionScan(mc.entries().data(), reads.data(), reads.size()) ==
-         kReadConditionPass;
+  for (const ReadRecord& r : reads) {
+    if (mc.At(r.object) >= r.cycle) return false;
+  }
+  return true;
 }
 
 bool RMatrixReadCondition(const McVector& mc, std::span<const ReadRecord> reads, ObjectId j,

@@ -9,34 +9,36 @@
 #define BCC_MATRIX_MC_VECTOR_H_
 
 #include <span>
-#include <vector>
 
+#include "common/cow_pages.h"
 #include "common/cycle_stamp.h"
 #include "history/object_id.h"
 #include "matrix/control_info.h"
 
 namespace bcc {
 
-/// Per-object last-committed-write cycle vector.
+/// Per-object last-committed-write cycle vector. Copies share pages, so the
+/// per-cycle snapshot of the server's vector is O(touched pages).
 class McVector {
  public:
-  explicit McVector(uint32_t num_objects) : mc_(num_objects, 0) {}
+  explicit McVector(uint32_t num_objects) : mc_(num_objects) {}
 
-  uint32_t num_objects() const { return static_cast<uint32_t>(mc_.size()); }
+  uint32_t num_objects() const { return mc_.size(); }
   Cycle At(ObjectId i) const { return mc_[i]; }
-  void Set(ObjectId i, Cycle c) { mc_[i] = c; }
-  std::span<const Cycle> entries() const { return mc_; }
+  void Set(ObjectId i, Cycle c) { mc_.Set(i, c); }
+  /// The paged entries (snapshot cost accounting and tests).
+  const CowPages<Cycle>& pages() const { return mc_; }
 
   /// Registers a committed transaction: every written object's entry moves
   /// to the commit cycle. (Reads do not change the vector.)
   void ApplyCommit(std::span<const ObjectId> write_set, Cycle commit_cycle) {
-    for (ObjectId w : write_set) mc_[w] = commit_cycle;
+    for (ObjectId w : write_set) mc_.Set(w, commit_cycle);
   }
 
   friend bool operator==(const McVector& a, const McVector& b) { return a.mc_ == b.mc_; }
 
  private:
-  std::vector<Cycle> mc_;
+  CowPages<Cycle> mc_;
 };
 
 /// Datacycle read condition (ensures serializability):

@@ -11,17 +11,12 @@ namespace bcc {
 
 namespace {
 
-/// The all-zero column every fresh matrix starts from; shared so an n-column
-/// construction allocates one payload, not n.
-const std::shared_ptr<const SparseColumnData>& EmptyColumn() {
-  static const std::shared_ptr<const SparseColumnData> empty =
-      std::make_shared<const SparseColumnData>();
-  return empty;
-}
-
 bool ColumnIsEmpty(const SparseColumnData& col) {
   return col.floor == 0 && col.entries.empty();
 }
+
+/// What a null column handle reads as.
+const SparseColumnData kEmptyColumn;
 
 }  // namespace
 
@@ -33,8 +28,18 @@ Cycle SparseColumnData::At(ObjectId row) const {
   return floor;
 }
 
-SparseFMatrix::SparseFMatrix(uint32_t num_objects)
-    : n_(num_objects), cols_(num_objects, EmptyColumn()) {}
+const SparseColumnData& SparseFMatrix::Column(ObjectId j) const {
+  const std::shared_ptr<const SparseColumnData>& col = cols_[j];
+  return col != nullptr ? *col : kEmptyColumn;
+}
+
+SparseFMatrix SparseFMatrix::Snapshot() const {
+  SparseFMatrix snap(0);
+  snap.cols_ = cols_;
+  snap.nnz_ = nnz_;
+  snap.nonempty_cols_ = nonempty_cols_;
+  return snap;
+}
 
 void SparseFMatrix::MarkTouched(ObjectId j) {
   if (!track_dirty_) return;
@@ -44,7 +49,7 @@ void SparseFMatrix::MarkTouched(ObjectId j) {
 }
 
 void SparseFMatrix::Account(ObjectId j, const SparseColumnData& next) {
-  const SparseColumnData& cur = *cols_[j];
+  const SparseColumnData& cur = Column(j);
   nnz_ += next.entries.size();
   nnz_ -= cur.entries.size();
   if (ColumnIsEmpty(cur) != ColumnIsEmpty(next)) {
@@ -57,15 +62,15 @@ void SparseFMatrix::Account(ObjectId j, const SparseColumnData& next) {
 }
 
 void SparseFMatrix::AssignColumn(ObjectId j, std::shared_ptr<const SparseColumnData> data) {
-  assert(data != nullptr);
-  Account(j, *data);
-  cols_[j] = std::move(data);
+  if (data != nullptr && ColumnIsEmpty(*data)) data.reset();
+  Account(j, data != nullptr ? *data : kEmptyColumn);
+  cols_.Mutable(j) = std::move(data);
   MarkTouched(j);
 }
 
 void SparseFMatrix::MaterializeColumn(ObjectId j, std::vector<Cycle>& out) const {
-  const SparseColumnData& col = *cols_[j];
-  out.assign(n_, col.floor);
+  const SparseColumnData& col = Column(j);
+  out.assign(num_objects(), col.floor);
   for (const SparseColumnData::Entry& e : col.entries) out[e.row] = e.value;
 }
 
@@ -79,11 +84,11 @@ void SparseFMatrix::ApplyCommit(std::span<const ObjectId> read_set,
   // floor (server-path columns keep entries >= their own floor, so the max
   // over floors and explicit row maxima is exactly max_k C(i, k)).
   Cycle dep_floor = 0;
-  for (ObjectId k : read_set) dep_floor = std::max(dep_floor, cols_[k]->floor);
+  for (ObjectId k : read_set) dep_floor = std::max(dep_floor, Column(k).floor);
 
   merge_scratch_.clear();
   if (read_set.size() == 1) {
-    const SparseColumnData& col = *cols_[read_set.front()];
+    const SparseColumnData& col = Column(read_set.front());
     for (const SparseColumnData::Entry& e : col.entries) {
       if (e.value > dep_floor) merge_scratch_.push_back(e);
     }
@@ -97,7 +102,7 @@ void SparseFMatrix::ApplyCommit(std::span<const ObjectId> read_set,
     std::vector<Cursor> cursors;
     cursors.reserve(read_set.size());
     for (ObjectId k : read_set) {
-      const auto& entries = cols_[k]->entries;
+      const auto& entries = Column(k).entries;
       if (!entries.empty()) cursors.push_back({entries.data(), entries.data() + entries.size()});
     }
     while (!cursors.empty()) {
@@ -145,7 +150,7 @@ void SparseFMatrix::ApplyCommitBatch(std::span<const CommitSets> commits, Cycle 
 }
 
 void SparseFMatrix::SetInColumn(ObjectId j, ObjectId i, Cycle c) {
-  const SparseColumnData& cur = *cols_[j];
+  const SparseColumnData& cur = Column(j);
   if (cur.At(i) == c) {
     MarkTouched(j);  // a rewrite with an equal value still counts as touched
     return;
@@ -170,7 +175,7 @@ void SparseFMatrix::Set(ObjectId i, ObjectId j, Cycle c) { SetInColumn(j, i, c);
 
 void SparseFMatrix::EnableDirtyTracking() {
   track_dirty_ = true;
-  touched_mask_.assign(n_, 0);
+  touched_mask_.assign(num_objects(), 0);
   touched_cols_.clear();
 }
 
@@ -187,7 +192,7 @@ void SparseFMatrix::DrainTouchedColumns(std::vector<ObjectId>& out) {
 }
 
 size_t SparseFMatrix::ReadConditionScan(std::span<const ReadRecord> reads, ObjectId j) const {
-  const SparseColumnData& col = *cols_[j];
+  const SparseColumnData& col = Column(j);
   for (size_t k = 0; k < reads.size(); ++k) {
     if (col.At(reads[k].object) >= reads[k].cycle) return k;
   }
@@ -203,42 +208,44 @@ uint64_t SparseFMatrix::CompactModulo(const CycleStampCodec& codec, Cycle curren
   // Shared payloads must stay shared after compaction (they are the memory
   // win), so rewritten payloads are memoized by source pointer.
   std::unordered_map<const SparseColumnData*, std::shared_ptr<const SparseColumnData>> rewritten;
-  for (ObjectId j = 0; j < n_; ++j) {
-    const SparseColumnData* src = cols_[j].get();
-    auto it = rewritten.find(src);
+  // The empty column (null handle) is memoized under nullptr.
+  for (ObjectId j = 0; j < num_objects(); ++j) {
+    const SparseColumnData* key = cols_[j].get();
+    const SparseColumnData& src = Column(j);
+    auto it = rewritten.find(key);
     if (it == rewritten.end()) {
-      const Cycle floor = codec.Decode(codec.Encode(src->floor), current);
-      bool changed = floor != src->floor;
+      const Cycle floor = codec.Decode(codec.Encode(src.floor), current);
+      bool changed = floor != src.floor;
       auto next = std::make_shared<SparseColumnData>();
       next->floor = floor;
-      next->entries.reserve(src->entries.size());
-      for (const SparseColumnData::Entry& e : src->entries) {
+      next->entries.reserve(src.entries.size());
+      for (const SparseColumnData::Entry& e : src.entries) {
         const Cycle value = codec.Decode(codec.Encode(e.value), current);
         changed = changed || value != e.value;
         if (value == floor) continue;  // congruent to the floor: now implicit
         next->entries.push_back({e.row, value});
       }
+      if (changed && ColumnIsEmpty(*next)) next.reset();
       it = rewritten
-               .emplace(src, changed ? std::shared_ptr<const SparseColumnData>(std::move(next))
+               .emplace(key, changed ? std::shared_ptr<const SparseColumnData>(std::move(next))
                                      : cols_[j])
                .first;
     }
-    if (it->second.get() != src) {
-      dropped += src->entries.size() - it->second->entries.size();
-      Account(j, *it->second);
-      cols_[j] = it->second;
-      MarkTouched(j);
+    if (it->second.get() != key) {
+      dropped += src.entries.size() - (it->second ? it->second->entries.size() : 0);
+      AssignColumn(j, it->second);
     }
   }
   return dropped;
 }
 
 FMatrix SparseFMatrix::ToDense() const {
-  FMatrix dense(n_);
-  for (ObjectId j = 0; j < n_; ++j) {
-    const SparseColumnData& col = *cols_[j];
+  const uint32_t n = num_objects();
+  FMatrix dense(n);
+  for (ObjectId j = 0; j < n; ++j) {
+    const SparseColumnData& col = Column(j);
     if (col.floor != 0) {
-      for (ObjectId i = 0; i < n_; ++i) dense.Set(i, j, col.floor);
+      for (ObjectId i = 0; i < n; ++i) dense.Set(i, j, col.floor);
     }
     for (const SparseColumnData::Entry& e : col.entries) dense.Set(e.row, j, e.value);
   }
@@ -278,15 +285,16 @@ SparseFMatrix SparseFMatrix::FromDense(const FMatrix& dense) {
 }
 
 bool operator==(const SparseFMatrix& a, const SparseFMatrix& b) {
-  if (a.n_ != b.n_) return false;
-  for (ObjectId j = 0; j < a.n_; ++j) {
-    const SparseColumnData& ca = *a.cols_[j];
-    const SparseColumnData& cb = *b.cols_[j];
+  const uint32_t n = a.num_objects();
+  if (n != b.num_objects()) return false;
+  for (ObjectId j = 0; j < n; ++j) {
+    const SparseColumnData& ca = a.Column(j);
+    const SparseColumnData& cb = b.Column(j);
     if (&ca == &cb) continue;
     // Merge walk over both entry lists; rows implicit in both compare floors.
     size_t ia = 0, ib = 0;
     bool both_implicit =
-        ca.entries.size() + cb.entries.size() < a.n_;  // some row implicit in both
+        ca.entries.size() + cb.entries.size() < n;  // some row implicit in both
     while (ia < ca.entries.size() || ib < cb.entries.size()) {
       const bool take_a = ib == cb.entries.size() ||
                           (ia < ca.entries.size() && ca.entries[ia].row <= cb.entries[ib].row);
@@ -313,7 +321,7 @@ bool operator==(const SparseFMatrix& s, const FMatrix& d) {
   const uint32_t n = s.num_objects();
   for (ObjectId j = 0; j < n; ++j) {
     const std::span<const Cycle> col = d.Column(j);
-    const SparseColumnData& sc = *s.ColumnData(j);
+    const SparseColumnData& sc = s.Column(j);
     size_t e = 0;
     for (ObjectId i = 0; i < n; ++i) {
       Cycle v = sc.floor;

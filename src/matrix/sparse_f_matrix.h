@@ -38,6 +38,7 @@
 #include <span>
 #include <vector>
 
+#include "common/cow_pages.h"
 #include "common/cycle_stamp.h"
 #include "history/object_id.h"
 #include "matrix/control_info.h"
@@ -47,7 +48,9 @@ namespace bcc {
 
 /// One immutable sparse column. Shared (shared_ptr) between all columns a
 /// commit wrote, between consecutive cycle snapshots, and between the server
-/// matrix and client trackers that adopted it on a refresh.
+/// matrix and client trackers that adopted it on a refresh. An empty column
+/// (floor 0, no entries) is held as a null handle instead, so copying a page
+/// of the column table touches no shared refcount for it.
 struct SparseColumnData {
   struct Entry {
     ObjectId row;
@@ -68,29 +71,40 @@ struct SparseColumnData {
 /// O(nnz of the columns involved), never O(n).
 class SparseFMatrix {
  public:
-  /// All entries start at cycle 0: every column shares one static empty
-  /// ColumnData, so construction is O(n) pointer copies.
-  explicit SparseFMatrix(uint32_t num_objects);
+  /// All entries start at cycle 0: every column is a null (empty) handle in
+  /// one shared zero page, so construction is O(n / page size).
+  explicit SparseFMatrix(uint32_t num_objects) : cols_(num_objects) {}
 
-  uint32_t num_objects() const { return n_; }
+  uint32_t num_objects() const { return cols_.size(); }
 
   /// C(i, j). O(log nnz(column j)).
-  Cycle At(ObjectId i, ObjectId j) const { return cols_[j]->At(i); }
+  Cycle At(ObjectId i, ObjectId j) const { return Column(j).At(i); }
 
   /// Explicit entries in column j / the whole matrix (shared payloads are
   /// counted once per column that references them — the logical footprint).
-  size_t ColumnNnz(ObjectId j) const { return cols_[j]->entries.size(); }
+  size_t ColumnNnz(ObjectId j) const { return Column(j).entries.size(); }
   uint64_t nnz() const { return nnz_; }
   /// Columns with a nonzero floor or at least one explicit entry — the
   /// columns a sparse wire encoding must mention at all.
   uint32_t nonempty_columns() const { return nonempty_cols_; }
 
+  /// Column j's payload; an empty column reads as one static empty payload.
+  const SparseColumnData& Column(ObjectId j) const;
+  /// Column j's shared handle; nullptr for an empty column.
   const std::shared_ptr<const SparseColumnData>& ColumnData(ObjectId j) const {
     return cols_[j];
   }
   /// Installs a shared column payload (tracker refresh adoption, delta-base
-  /// folds). Updates nnz accounting and dirty tracking like a rewrite.
+  /// folds); null or empty installs the empty column. Updates nnz accounting
+  /// and dirty tracking like a rewrite.
   void AssignColumn(ObjectId j, std::shared_ptr<const SparseColumnData> data);
+
+  /// The immutable copy a cycle snapshot holds: shares every page of the
+  /// column table (the live matrix copies a page on its next write to it)
+  /// and leaves out dirty tracking and commit scratch. O(n / page size).
+  SparseFMatrix Snapshot() const;
+  /// The paged column table (snapshot cost accounting and tests).
+  const CowPages<std::shared_ptr<const SparseColumnData>>& column_pages() const { return cols_; }
 
   /// Materializes column j into `out` (resized to n). O(n) — wire packing
   /// and oracle checks only, never on the commit path.
@@ -112,14 +126,6 @@ class SparseFMatrix {
   /// Dirty-column tracking with FMatrix semantics: first-touch order, each
   /// column at most once, O(1) per written column.
   void EnableDirtyTracking();
-  /// Stops tracking and drops any pending touched list (snapshot copies of a
-  /// tracked matrix call this — the snapshot is immutable, so tracking state
-  /// is dead weight).
-  void DisableDirtyTracking() {
-    track_dirty_ = false;
-    touched_cols_.clear();
-    touched_mask_.clear();
-  }
   bool dirty_tracking_enabled() const { return track_dirty_; }
   std::span<const ObjectId> touched_columns() const { return touched_cols_; }
   std::vector<ObjectId> TakeTouchedColumns();
@@ -162,8 +168,7 @@ class SparseFMatrix {
   /// nnz/nonempty accounting for replacing column j's payload with `next`.
   void Account(ObjectId j, const SparseColumnData& next);
 
-  uint32_t n_;
-  std::vector<std::shared_ptr<const SparseColumnData>> cols_;
+  CowPages<std::shared_ptr<const SparseColumnData>> cols_;
   uint64_t nnz_ = 0;
   uint32_t nonempty_cols_ = 0;
 

@@ -152,8 +152,8 @@ std::vector<DeltaCodec::Entry> DeltaCodec::DiffColumns(const SparseFMatrix& prev
   const uint32_t n = cur.num_objects();
   std::vector<Cycle> prev_dense, cur_dense;
   for (ObjectId j : cols) {
-    const SparseColumnData& a = *prev.ColumnData(j);
-    const SparseColumnData& b = *cur.ColumnData(j);
+    const SparseColumnData& a = prev.Column(j);
+    const SparseColumnData& b = cur.Column(j);
     if (&a == &b) continue;  // shared payload: provably unchanged
     if (a.floor != b.floor) {
       // Differing floors make every doubly-implicit row differ too; the
@@ -216,7 +216,7 @@ void DeltaCodec::Apply(SparseFMatrix* base, std::span<const Entry> entries,
                      [](const SparseColumnData::Entry& a, const SparseColumnData::Entry& b) {
                        return a.row < b.row;
                      });
-    const SparseColumnData& cur = *base->ColumnData(j);
+    const SparseColumnData& cur = base->Column(j);
     auto next = std::make_shared<SparseColumnData>();
     next->floor = cur.floor;
     next->entries.reserve(cur.entries.size() + updates.size());

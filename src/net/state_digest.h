@@ -39,6 +39,12 @@ inline uint64_t DigestValues(std::span<const ObjectVersion> values, uint64_t has
   return hash;
 }
 
+/// The same digest over the server's page-shared committed values.
+inline uint64_t DigestValues(const ObjectValues& values, uint64_t hash = kFnvOffset) {
+  for (uint32_t p = 0; p < values.num_pages(); ++p) hash = DigestValues(values.Page(p), hash);
+  return hash;
+}
+
 /// Folds every matrix entry's ts-bit residue into the digest. Works for any
 /// matrix type exposing num_objects() and At(i, j) — FMatrix on the client,
 /// FMatrixSnapshot on the server.

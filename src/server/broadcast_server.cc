@@ -36,6 +36,15 @@ CycleSnapshot BroadcastServer::BuildSnapshot(Cycle cycle, SimTime start_time,
   return snap;
 }
 
+namespace {
+
+template <typename T>
+uint64_t PageBytesCopied(const CowPages<T>& live) {
+  return live.pages_copied() * CowPages<T>::kPageBytes;
+}
+
+}  // namespace
+
 void BroadcastServer::BeginCycle(Cycle cycle, SimTime start_time,
                                  const ServerTxnManager& manager) {
   if (!started_) {
@@ -43,6 +52,14 @@ void BroadcastServer::BeginCycle(Cycle cycle, SimTime start_time,
     started_ = true;
   }
   snapshot_ = std::make_shared<CycleSnapshot>(BuildSnapshot(cycle, start_time, manager));
+  const CycleSnapshot& snap = *snapshot_;
+  table_bytes_copied_ += snap.values.table_bytes() + snap.mc_vector.pages().table_bytes();
+  if (snap.sparse_f_matrix != nullptr) {
+    table_bytes_copied_ += snap.sparse_f_matrix->column_pages().table_bytes();
+  }
+  live_page_bytes_copied_ = PageBytesCopied(manager.store().committed()) +
+                            PageBytesCopied(manager.mc_vector().pages()) +
+                            PageBytesCopied(manager.sparse_f_matrix().column_pages());
 }
 
 void BroadcastServer::EnableDeltaBroadcast(const CycleStampCodec& codec,

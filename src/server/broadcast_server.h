@@ -27,13 +27,16 @@ namespace bcc {
 struct CycleSnapshot {
   Cycle cycle = 0;
   SimTime start_time = 0;
-  std::vector<ObjectVersion> values;
+  /// Committed values; shares every page no commit wrote since the
+  /// previous cycle with that cycle's snapshot and the live store.
+  ObjectValues values;
   /// Present when the serving algorithm needs the full matrix. A
   /// copy-on-write view: columns untouched since the previous cycle are
   /// shared with that cycle's snapshot, so materializing a cycle snapshot is
   /// O(n * touched) instead of O(n^2).
   FMatrixSnapshot f_matrix;
-  /// Present when the serving algorithm needs the reduced vector.
+  /// Present when the serving algorithm needs the reduced vector (paged
+  /// and shared like `values`).
   McVector mc_vector{0};
   /// Present when a grouped partition is configured (Section 3.2.2 spectrum).
   std::optional<GroupMatrix> group_matrix;
@@ -109,6 +112,12 @@ class BroadcastServer {
   void BeginCycle(Cycle cycle, SimTime start_time, const ServerTxnManager& manager);
 
   const CycleSnapshot& snapshot() const { return *snapshot_; }
+
+  /// Cumulative bytes the snapshots of paged state (values, MC vector,
+  /// sparse column table) have cost: the page tables each BeginCycle copies
+  /// plus the pages the manager's live containers copied on write. A dense
+  /// FMatrixSnapshot's column copies are not included.
+  uint64_t snapshot_bytes_copied() const { return table_bytes_copied_ + live_page_bytes_copied_; }
   /// The current snapshot as a shared handle: a reader thread holding it
   /// keeps that cycle's state alive after the next BeginCycle replaces it.
   std::shared_ptr<const CycleSnapshot> shared_snapshot() const { return snapshot_; }
@@ -141,6 +150,8 @@ class BroadcastServer {
   std::optional<DeltaBroadcaster> delta_;
   SimTime first_start_ = 0;
   bool started_ = false;
+  uint64_t table_bytes_copied_ = 0;
+  uint64_t live_page_bytes_copied_ = 0;
 };
 
 }  // namespace bcc

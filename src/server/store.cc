@@ -8,13 +8,13 @@ VersionedStore::VersionedStore(uint32_t num_objects)
     : committed_(num_objects), staged_(num_objects) {}
 
 const ObjectVersion& VersionedStore::ReadForStaging(ObjectId ob) const {
-  assert(ob < committed_.size());
+  assert(ob < num_objects());
   if (staged_[ob].has_value()) return *staged_[ob];
   return committed_[ob];
 }
 
 void VersionedStore::StageWrite(ObjectId ob, TxnId writer) {
-  assert(ob < committed_.size());
+  assert(ob < num_objects());
   if (!staged_[ob].has_value()) staged_order_.push_back(ob);
   staged_[ob] = ObjectVersion{next_value_++, writer, /*cycle=*/0};
 }
@@ -23,7 +23,7 @@ void VersionedStore::CommitStaged(Cycle commit_cycle) {
   for (ObjectId ob : staged_order_) {
     ObjectVersion v = *staged_[ob];
     v.cycle = commit_cycle;
-    committed_[ob] = v;
+    committed_.Set(ob, v);
     staged_[ob].reset();
   }
   staged_order_.clear();

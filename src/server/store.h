@@ -12,6 +12,7 @@
 #include <optional>
 #include <vector>
 
+#include "common/cow_pages.h"
 #include "common/cycle_stamp.h"
 #include "common/status.h"
 #include "history/object_id.h"
@@ -28,6 +29,10 @@ struct ObjectVersion {
     return a.value == b.value && a.writer == b.writer && a.cycle == b.cycle;
   }
 };
+
+/// Every object's committed version, page-shared between the live store and
+/// the cycle snapshots taken of it.
+using ObjectValues = CowPages<ObjectVersion>;
 
 /// Two-version store: committed versions plus a staging area for the single
 /// update transaction currently executing at the server (updates are applied
@@ -56,11 +61,12 @@ class VersionedStore {
   /// Discards all staged writes.
   void AbortStaged();
 
-  /// All committed versions (snapshot source for the broadcast).
-  const std::vector<ObjectVersion>& committed() const { return committed_; }
+  /// All committed versions (snapshot source for the broadcast: a copy
+  /// shares every page no later commit writes).
+  const ObjectValues& committed() const { return committed_; }
 
  private:
-  std::vector<ObjectVersion> committed_;
+  ObjectValues committed_;
   std::vector<std::optional<ObjectVersion>> staged_;
   std::vector<ObjectId> staged_order_;
   uint64_t next_value_ = 1;

@@ -101,11 +101,10 @@ class ServerTxnManager {
   }
 
   /// Stable snapshot of the sparse matrix for the cycle's CycleSnapshot:
-  /// O(n) shared-pointer copies, payloads shared with the live matrix.
+  /// the column table's pages and their payloads are shared with the live
+  /// matrix (SparseFMatrix::Snapshot). O(n / page size).
   std::shared_ptr<const SparseFMatrix> SnapshotSparseFMatrix() const {
-    auto snap = std::make_shared<SparseFMatrix>(sparse_f_matrix());
-    snap->DisableDirtyTracking();
-    return snap;
+    return std::make_shared<const SparseFMatrix>(sparse_f_matrix().Snapshot());
   }
 
   /// Wraparound-horizon compaction of the sparse matrix (sparse mode with

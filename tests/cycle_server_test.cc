@@ -9,6 +9,8 @@
 #include <algorithm>
 #include <functional>
 #include <map>
+#include <memory>
+#include <set>
 
 #include "des/event_queue.h"
 #include "matrix/sparse_f_matrix.h"
@@ -255,6 +257,67 @@ TEST(CycleServerTest, SparseControlBitsMatchTheMatrixEncoding) {
   EXPECT_EQ(summary.matrix_cycles, 6u);
   EXPECT_EQ(summary.matrix_control_bits, expected);
   EXPECT_GT(summary.server_commits, 0u);
+}
+
+/// The uplink workload's server shape: sparse control, 50 commits pinned
+/// per cycle under the OCC engine, no clients.
+SimConfig UplinkShape(uint32_t num_objects) {
+  SimConfig config;
+  config.matrix_mode = MatrixMode::kSparse;
+  config.num_objects = num_objects;
+  config.object_size_bits = 64;
+  config.update_scheme = UpdateScheme::kOcc;
+  config.update_workers = 1;
+  config.server_txn_interval = config.Geometry().cycle_bits / 50;
+  config.server_interval_exponential = false;
+  config.record_decisions = true;
+  config.seed = 19;
+  return config;
+}
+
+TEST(CycleServerTest, SnapshotBytesScaleWithTouchedPagesNotObjects) {
+  using Columns = CowPages<std::shared_ptr<const SparseColumnData>>;
+  // Values, MC entries and column handles of one page of objects.
+  constexpr uint64_t kPageDataBytes =
+      ObjectValues::kPageBytes + CowPages<Cycle>::kPageBytes + Columns::kPageBytes;
+  constexpr Cycle kCycles = 30;
+  std::map<uint32_t, double> mean_total;
+  for (const uint32_t n : {10'000u, 100'000u}) {
+    SCOPED_TRACE(n);
+    std::unique_ptr<CycleServer> server = MakeServer(UplinkShape(n));
+    const CycleSnapshot& first = server->BeginCycle(1);
+    // Every snapshot copies the same three tables (`first` is replaced by
+    // the next BeginCycle, so only its table sizes are kept).
+    const uint64_t table_bytes = first.values.table_bytes() +
+                                 first.mc_vector.pages().table_bytes() +
+                                 first.sparse_f_matrix->column_pages().table_bytes();
+    const uint64_t start = server->broadcast().snapshot_bytes_copied();
+    uint64_t before = start;
+    size_t seen_commits = 0;
+    for (Cycle k = 1; k <= kCycles; ++k) {
+      EXPECT_GE(server->StageCycle(k), 49u);
+      server->EndCycle(k, 0);
+      server->BeginCycle(k + 1);
+      std::set<uint32_t> pages_written;
+      const auto& commits = server->decisions().server_commits;
+      for (; seen_commits < commits.size(); ++seen_commits) {
+        for (ObjectId w : commits[seen_commits].writes) {
+          pages_written.insert(w >> ObjectValues::kPageShift);
+        }
+      }
+      const uint64_t after = server->broadcast().snapshot_bytes_copied();
+      const uint64_t total = after - before;
+      before = after;
+      ASSERT_GE(total, table_bytes);
+      // Each page a commit wrote is copied at most once per container.
+      EXPECT_LE(total - table_bytes, pages_written.size() * kPageDataBytes) << "cycle " << k;
+    }
+    mean_total[n] = static_cast<double>(before - start) / kCycles;
+  }
+  // Ten times the objects under the same commit stream: only the page
+  // tables (n / kPageEntries slots) and the spread of the writes over more
+  // pages grow, so the per-cycle cost grows far less than n does.
+  EXPECT_LT(mean_total[100'000], 5 * mean_total[10'000]);
 }
 
 }  // namespace

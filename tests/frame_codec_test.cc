@@ -336,8 +336,8 @@ TEST(CyclePayloadTest, FullModeCycleFramesCarryIndexDataAndColumns) {
   const FrameCodec codec = SmallCodec(8, 512);
   CycleSnapshot snap;
   snap.cycle = 17;
-  snap.values.resize(n);
-  for (uint32_t j = 0; j < n; ++j) snap.values[j].value = 100 + j;
+  snap.values = ObjectValues(n);
+  for (uint32_t j = 0; j < n; ++j) snap.values.Mutable(j).value = 100 + j;
   FMatrix control(n);
   control.Set(2, 3, 9);
   snap.f_matrix = control.Snapshot();

@@ -81,11 +81,11 @@ struct Broadcast {
   static CycleSnapshot Snapshot(Cycle cycle, const FMatrix& matrix) {
     CycleSnapshot snap;
     snap.cycle = cycle;
-    snap.values.resize(kObjects);
+    snap.values = ObjectValues(kObjects);
     for (uint32_t j = 0; j < kObjects; ++j) {
-      snap.values[j].value = 0x0123456789ABCDEFull ^ (cycle * 1000 + j);
-      snap.values[j].writer = j + 1;
-      snap.values[j].cycle = cycle - 1;
+      snap.values.Mutable(j).value = 0x0123456789ABCDEFull ^ (cycle * 1000 + j);
+      snap.values.Mutable(j).writer = j + 1;
+      snap.values.Mutable(j).cycle = cycle - 1;
     }
     snap.f_matrix = matrix.Snapshot();
     return snap;
