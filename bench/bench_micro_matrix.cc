@@ -11,6 +11,8 @@
 #include <benchmark/benchmark.h>
 
 #include <cstring>
+#include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -163,11 +165,11 @@ void BM_CycleSnapshotCoW(benchmark::State& state) {
 BENCHMARK(BM_CycleSnapshotCoW)->Arg(100)->Arg(300)->Arg(500)->Arg(1000);
 
 // Paged copy-on-write snapshots at the uplink write rate: each iteration is
-// one broadcast cycle of 50 commits writing 4 scattered objects each, then
-// the cycle snapshot, with the previous cycle's snapshot held until the new
-// one replaces it (what the engines do). Write sets are drawn before timing.
-// bytes_copied counts the page table each snapshot copies plus the pages
-// the live container copied on write.
+// one broadcast cycle of 50 commits writing 4 scattered objects each while
+// the previous cycle's snapshot is held, then the drop of that snapshot
+// (what a client thread does when it moves on) and the new cycle snapshot.
+// Write sets are drawn before timing. bytes_copied counts the page table
+// each snapshot copies plus the pages the live container copied on write.
 constexpr uint32_t kCommitsPerCycle = 50;
 constexpr uint32_t kWritesPerCommit = 4;
 
@@ -191,7 +193,7 @@ void BM_PagedSnapshotValues(benchmark::State& state) {
   const uint32_t n = static_cast<uint32_t>(state.range(0));
   const auto sets = CycleWriteSets(n);
   VersionedStore store(n);
-  ObjectValues held = store.committed();
+  std::optional<ObjectValues> held(store.committed());
   const uint64_t before = store.committed().pages_copied();
   size_t next = 0;
   Cycle cycle = 1;
@@ -200,7 +202,8 @@ void BM_PagedSnapshotValues(benchmark::State& state) {
       for (ObjectId w : sets[next]) store.StageWrite(w, static_cast<TxnId>(cycle));
       store.CommitStaged(cycle);
     }
-    held = store.committed();
+    held.reset();
+    held.emplace(store.committed());
     benchmark::DoNotOptimize(held);
     ++cycle;
   }
@@ -212,7 +215,7 @@ void BM_PagedSnapshotMcVector(benchmark::State& state) {
   const uint32_t n = static_cast<uint32_t>(state.range(0));
   const auto sets = CycleWriteSets(n);
   McVector mc(n);
-  McVector held = mc;
+  std::optional<McVector> held(mc);
   const uint64_t before = mc.pages().pages_copied();
   size_t next = 0;
   Cycle cycle = 1;
@@ -220,7 +223,8 @@ void BM_PagedSnapshotMcVector(benchmark::State& state) {
     for (uint32_t c = 0; c < kCommitsPerCycle; ++c, next = (next + 1) % sets.size()) {
       mc.ApplyCommit(sets[next], cycle);
     }
-    held = mc;
+    held.reset();
+    held.emplace(mc);
     benchmark::DoNotOptimize(held);
     ++cycle;
   }
@@ -242,14 +246,15 @@ void BM_PagedSnapshotSparseMatrix(benchmark::State& state) {
   }
   SparseFMatrix matrix(n);
   for (ObjectId j = 0; j < n; ++j) matrix.AssignColumn(j, payloads[j % payloads.size()]);
-  SparseFMatrix held = matrix.Snapshot();
+  std::optional<SparseFMatrix> held(matrix.Snapshot());
   const uint64_t before = matrix.column_pages().pages_copied();
   size_t next = 0;
   for (auto _ : state) {
     for (uint32_t c = 0; c < kCommitsPerCycle; ++c, next = (next + 1) % sets.size()) {
       for (ObjectId w : sets[next]) matrix.AssignColumn(w, payloads[next]);
     }
-    held = matrix.Snapshot();
+    held.reset();
+    held.emplace(matrix.Snapshot());
     benchmark::DoNotOptimize(held);
   }
   ReportBytesCopied(state, matrix.column_pages(), before);

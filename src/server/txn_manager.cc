@@ -69,7 +69,7 @@ std::vector<ObjectVersion> ServerTxnManager::ExecuteAndCommit(const ServerTxn& t
     mc_vector_.ApplyCommit(txn.write_set, cycle);
   }
 
-  commit_cycles_[txn.id] = cycle;
+  if (options_.record_history) commit_cycles_[txn.id] = cycle;
   ++num_committed_;
   return values_read;
 }

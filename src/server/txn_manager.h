@@ -160,7 +160,8 @@ class ServerTxnManager {
     fold_shards_ = num_shards;
   }
 
-  /// Commit cycle of every committed transaction (for oracles).
+  /// Commit cycle of every committed transaction (for oracles; empty
+  /// unless options.record_history, like recorded_history()).
   const std::unordered_map<TxnId, Cycle>& commit_cycles() const { return commit_cycles_; }
 
   /// Recorded update history (empty unless options.record_history).

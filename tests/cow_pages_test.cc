@@ -4,6 +4,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <deque>
 #include <memory>
 #include <mutex>
 #include <set>
@@ -195,6 +196,173 @@ TEST(CowPagesTest, ReaderHoldsSnapshotWhileWriterRunsNextCycle) {
   reader_b.join();
   EXPECT_EQ(mismatches.load(), 0u);
   EXPECT_EQ(live.pages_copied(), kCycles * live.num_pages());
+}
+
+TEST(CowPagesTest, SnapshotLeavesPayloadUseCountsUnchanged) {
+  // Pages carry no reference count, and copying the table copies no entry:
+  // taking and dropping a snapshot touches no payload's count.
+  using Handles = CowPages<std::shared_ptr<int>>;
+  constexpr uint32_t kN = 5 * Handles::kPageEntries + 3;
+  std::vector<std::shared_ptr<int>> payloads;
+  Handles live(kN);
+  for (uint32_t i = 0; i < kN; ++i) {
+    payloads.push_back(std::make_shared<int>(static_cast<int>(i)));
+    live.Set(i, payloads.back());
+  }
+  const auto counts = [&] {
+    std::vector<long> out;
+    for (const auto& p : payloads) out.push_back(p.use_count());
+    return out;
+  };
+  const std::vector<long> before = counts();
+  ASSERT_EQ(before.front(), 2);
+  {
+    const Handles snap = live;
+    const Handles copy_of_snap = snap;
+    EXPECT_EQ(counts(), before);
+    EXPECT_EQ(*copy_of_snap[kN - 1], static_cast<int>(kN - 1));
+  }
+  EXPECT_EQ(counts(), before);
+  // A write after the drop copies one page (one count per entry on it) and
+  // hands the replaced page back for reuse with its handles released.
+  live.Set(0, std::make_shared<int>(-1));
+  EXPECT_EQ(payloads[0].use_count(), 1);
+  for (uint32_t i = 1; i < kN; ++i) EXPECT_EQ(payloads[i].use_count(), 2) << i;
+}
+
+TEST(CowPagesTest, RetiredBacklogStaysWithinThePagesReplacedSinceTheOldestLiveCopy) {
+  // 200 cycles of copy / scattered writes / drops with random lifetimes:
+  // after every write, the pages retired but not yet reclaimed are at most
+  // the pages copied since the oldest live copy was taken.
+  constexpr uint32_t kN = 40 * kP;
+  Pages live(kN);
+  for (uint32_t i = 0; i < kN; ++i) live.Set(i, i);
+  Rng rng(11);
+  struct Held {
+    Pages copy;
+    uint64_t copied_at;  ///< live.pages_copied() when it was taken
+  };
+  std::deque<Held> held;
+  size_t max_backlog = 0;
+  for (int cycle = 0; cycle < 200; ++cycle) {
+    held.push_back({live, live.pages_copied()});
+    const int writes = static_cast<int>(rng.NextInt(0, 60));
+    for (int w = 0; w < writes; ++w) {
+      const auto i = static_cast<uint32_t>(rng.NextInt(0, kN - 1));
+      live.Set(i, live[i] + 1);
+      uint64_t oldest = live.pages_copied();
+      for (const Held& h : held) oldest = std::min(oldest, h.copied_at);
+      ASSERT_LE(live.retired_pages(), live.pages_copied() - oldest) << "cycle " << cycle;
+    }
+    max_backlog = std::max(max_backlog, live.retired_pages());
+    // Drop a random subset, oldest first more often (clients finish reads).
+    while (!held.empty() && rng.NextInt(0, 2) != 0) held.pop_front();
+    if (held.size() > 1 && rng.NextInt(0, 3) == 0) {
+      held.erase(held.begin() + static_cast<ptrdiff_t>(rng.NextInt(0, held.size() - 1)));
+    }
+  }
+  EXPECT_GT(max_backlog, 0u);
+  // With every copy gone, the next write reclaims the whole backlog.
+  held.clear();
+  { const Pages last = live; }
+  live.Set(0, 7);
+  EXPECT_EQ(live.retired_pages(), 0u);
+}
+
+TEST(CowPagesTest, WrittenCopyPinsItsSourceUntilItDies) {
+  constexpr uint32_t kN = 8 * kP;
+  Pages live(kN);
+  for (uint32_t i = 0; i < kN; ++i) live.Set(i, i);
+  auto snap = std::make_unique<Pages>(live);
+  // A tracker adopting the on-air state, then applying its own writes:
+  // it owns the one page it wrote and borrows the other seven.
+  auto written = std::make_unique<Pages>(*snap);
+  written->Set(1, 1000);
+  EXPECT_EQ(written->pages_copied(), 1u);
+  snap.reset();
+  // The live container replaces every page; the written copy still reads
+  // the seven borrowed ones, so none of them may be reclaimed.
+  for (int round = 0; round < 3; ++round) {
+    { const Pages passing = live; }
+    for (uint32_t i = 0; i < kN; ++i) live.Set(i, live[i] + kN);
+  }
+  EXPECT_EQ(live.retired_pages(), 3u * live.num_pages());
+  for (uint32_t i = 0; i < kN; ++i) EXPECT_EQ((*written)[i], i == 1 ? 1000 : i) << i;
+  // Once it is gone, the next copy-and-write reclaims the backlog.
+  written.reset();
+  { const Pages passing = live; }
+  live.Set(0, 1);
+  EXPECT_EQ(live.retired_pages(), 0u);
+}
+
+TEST(CowPagesTest, OwnerDyingBeforeItsCopiesHandsItsPagesOver) {
+  constexpr uint32_t kN = 4 * kP;
+  auto live = std::make_unique<Pages>(kN);
+  for (uint32_t i = 0; i < kN; ++i) live->Set(i, 3 * i);
+  Pages snap = *live;
+  live->Set(0, 99);  // retires page 0, which the snapshot still reads
+  auto written = std::make_unique<Pages>(snap);
+  written->Set(kN - 1, 5);
+  Pages copy_of_written = *written;
+  live.reset();
+  written.reset();
+  // Both owners are gone; their pages live on until the last copy dies.
+  for (uint32_t i = 0; i < kN; ++i) EXPECT_EQ(snap[i], 3 * i) << i;
+  for (uint32_t i = 0; i + 1 < kN; ++i) EXPECT_EQ(copy_of_written[i], 3 * i) << i;
+  EXPECT_EQ(copy_of_written[kN - 1], 5u);
+}
+
+TEST(CowPagesTest, ReadersDropCopiesOfDifferentGenerationsWhileWriterReclaims) {
+  // One reader keeps the last few snapshots it saw (old generations stay
+  // pinned for a while), the other copies each snapshot and drops the copy
+  // at once; the writer rewrites every page each cycle and reclaims behind
+  // them. Every snapshot must read back one uniform stamp.
+  constexpr uint32_t kN = 16 * kP;
+  constexpr uint64_t kCycles = 300;
+  Pages live(kN);
+  std::mutex mu;
+  std::shared_ptr<const Pages> published = std::make_shared<const Pages>(live);
+  std::atomic<bool> done{false};
+  std::atomic<uint64_t> mismatches{0};
+  const auto snapshot = [&] {
+    const std::lock_guard<std::mutex> lock(mu);
+    return published;
+  };
+  const auto check = [&](const Pages& snap) {
+    const uint64_t stamp = snap[0];
+    for (uint32_t i = 0; i < kN; i += 5) {
+      if (snap[i] != stamp) mismatches.fetch_add(1, std::memory_order_relaxed);
+    }
+  };
+  std::thread keeper([&] {
+    std::deque<std::shared_ptr<const Pages>> kept;
+    while (!done.load(std::memory_order_acquire)) {
+      kept.push_back(snapshot());
+      if (kept.size() > 4) kept.pop_front();
+      for (const auto& snap : kept) check(*snap);
+    }
+  });
+  std::thread copier([&] {
+    while (!done.load(std::memory_order_acquire)) {
+      const Pages mine = *snapshot();
+      check(mine);
+    }
+  });
+  for (uint64_t cycle = 1; cycle <= kCycles; ++cycle) {
+    for (uint32_t i = 0; i < kN; ++i) live.Set(i, cycle);
+    auto next = std::make_shared<const Pages>(live);
+    const std::lock_guard<std::mutex> lock(mu);
+    published = std::move(next);
+  }
+  done.store(true, std::memory_order_release);
+  keeper.join();
+  copier.join();
+  EXPECT_EQ(mismatches.load(), 0u);
+  EXPECT_EQ(live.pages_copied(), kCycles * live.num_pages());
+  published.reset();
+  { const Pages last = live; }
+  live.Set(0, 0);
+  EXPECT_EQ(live.retired_pages(), 0u);
 }
 
 }  // namespace

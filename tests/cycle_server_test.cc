@@ -173,6 +173,40 @@ TEST(CycleServerTest, UplinkAcceptedInCycleKIsOnAirInKPlusOneWithStampK) {
   }
 }
 
+TEST(CycleServerTest, SnapshotMcVectorEqualsTheValuesCycleStamps) {
+  // The MC vector duplicates the committed values' cycle stamps: MC(i) is
+  // the cycle of the last committed write of ob_i. Checked on every
+  // snapshot of a run with server commits and uplinks, sequential and
+  // pooled, over more than one page of objects.
+  for (const UpdateScheme scheme : {UpdateScheme::kSequential, UpdateScheme::kOcc}) {
+    SCOPED_TRACE(static_cast<int>(scheme));
+    SimConfig config = SmallConfig(scheme);
+    config.num_objects = 100;
+    std::unique_ptr<CycleServer> server = MakeServer(config);
+    constexpr Cycle kCycles = 12;
+    size_t stamped = 0;
+    for (Cycle k = 1; k <= kCycles; ++k) {
+      const CycleSnapshot& snap = server->BeginCycle(k);
+      ASSERT_EQ(snap.mc_vector.num_objects(), config.num_objects);
+      stamped = 0;
+      for (ObjectId i = 0; i < config.num_objects; ++i) {
+        ASSERT_EQ(snap.mc_vector.At(i), snap.values[i].cycle) << "cycle " << k << " object " << i;
+        stamped += snap.values[i].cycle > 0 ? 1 : 0;
+      }
+      server->StageCycle(k);
+      const auto a = static_cast<ObjectId>((7 * k) % config.num_objects);
+      const auto b = static_cast<ObjectId>((7 * k + 64) % config.num_objects);
+      server->SubmitUplink(0, {{a, k > 1 ? k - 1 : 1}}, {a}, k);
+      server->SubmitUplink(1, {}, {a, b}, k);
+      server->EndCycle(k, 0);
+    }
+    EXPECT_GT(stamped, 0u) << "no commit reached a snapshot";
+    size_t uplinks = 0;
+    for (const UplinkDecision& d : server->decisions().uplinks) uplinks += d.accepted ? 1 : 0;
+    EXPECT_GE(uplinks, kCycles - 1);
+  }
+}
+
 /// Commit order as the manager's recorded history saw it.
 std::vector<TxnId> HistoryCommitOrder(const ServerTxnManager& manager) {
   std::vector<TxnId> order;
@@ -277,9 +311,6 @@ SimConfig UplinkShape(uint32_t num_objects) {
 
 TEST(CycleServerTest, SnapshotBytesScaleWithTouchedPagesNotObjects) {
   using Columns = CowPages<std::shared_ptr<const SparseColumnData>>;
-  // Values, MC entries and column handles of one page of objects.
-  constexpr uint64_t kPageDataBytes =
-      ObjectValues::kPageBytes + CowPages<Cycle>::kPageBytes + Columns::kPageBytes;
   constexpr Cycle kCycles = 30;
   std::map<uint32_t, double> mean_total;
   for (const uint32_t n : {10'000u, 100'000u}) {
@@ -298,11 +329,15 @@ TEST(CycleServerTest, SnapshotBytesScaleWithTouchedPagesNotObjects) {
       EXPECT_GE(server->StageCycle(k), 49u);
       server->EndCycle(k, 0);
       server->BeginCycle(k + 1);
-      std::set<uint32_t> pages_written;
+      // Distinct pages the cycle's commits wrote, per container (the page
+      // sizes differ by element type).
+      std::set<uint32_t> values_written, mc_written, columns_written;
       const auto& commits = server->decisions().server_commits;
       for (; seen_commits < commits.size(); ++seen_commits) {
         for (ObjectId w : commits[seen_commits].writes) {
-          pages_written.insert(w >> ObjectValues::kPageShift);
+          values_written.insert(w >> ObjectValues::kPageShift);
+          mc_written.insert(w >> CowPages<Cycle>::kPageShift);
+          columns_written.insert(w >> Columns::kPageShift);
         }
       }
       const uint64_t after = server->broadcast().snapshot_bytes_copied();
@@ -310,7 +345,10 @@ TEST(CycleServerTest, SnapshotBytesScaleWithTouchedPagesNotObjects) {
       before = after;
       ASSERT_GE(total, table_bytes);
       // Each page a commit wrote is copied at most once per container.
-      EXPECT_LE(total - table_bytes, pages_written.size() * kPageDataBytes) << "cycle " << k;
+      const uint64_t page_bytes = values_written.size() * ObjectValues::kPageBytes +
+                                  mc_written.size() * CowPages<Cycle>::kPageBytes +
+                                  columns_written.size() * Columns::kPageBytes;
+      EXPECT_LE(total - table_bytes, page_bytes) << "cycle " << k;
     }
     mean_total[n] = static_cast<double>(before - start) / kCycles;
   }

@@ -13,7 +13,9 @@ ServerTxn MakeTxn(TxnId id, std::vector<ObjectId> reads, std::vector<ObjectId> w
 }
 
 TEST(ServerTxnManagerTest, CommitInstallsValuesWithCycle) {
-  ServerTxnManager mgr(3);
+  TxnManagerOptions options;
+  options.record_history = true;  // commit_cycles() is kept only then
+  ServerTxnManager mgr(3, options);
   mgr.ExecuteAndCommit(MakeTxn(1, {}, {0, 2}), /*cycle=*/5);
   EXPECT_EQ(mgr.store().Committed(0).writer, 1u);
   EXPECT_EQ(mgr.store().Committed(0).cycle, 5u);
