@@ -1,7 +1,7 @@
 // Microbenchmarks (google-benchmark) for the server-side control-matrix
 // hot paths: Theorem 2 incremental maintenance (per-commit and cycle-fused),
-// client read-condition checks, per-cycle snapshotting (full copy and CoW,
-// dense matrix and the paged values / MC vector / sparse column table),
+// client read-condition checks, per-cycle snapshotting (full copy and the
+// paged dense columns / values / sparse column table),
 // group-matrix derivation and delta diffs.
 //
 // Besides google-benchmark's own console output, `--json_out=F` emits every
@@ -18,7 +18,6 @@
 
 #include "common/rng.h"
 #include "matrix/group_matrix.h"
-#include "matrix/mc_vector.h"
 #include "matrix/sparse_f_matrix.h"
 #include "matrix/wire.h"
 #include "obs/json.h"
@@ -115,54 +114,23 @@ void BM_FMatrixReadCondition(benchmark::State& state) {
 }
 BENCHMARK(BM_FMatrixReadCondition)->Arg(2)->Arg(8)->Arg(32);
 
-void BM_McVectorReadCondition(benchmark::State& state) {
-  const uint32_t n = 300;
-  McVector mc(n);
-  for (ObjectId i = 0; i < n; ++i) mc.Set(i, i % 97);
-  std::vector<ReadRecord> records;
-  for (uint32_t k = 0; k < 8; ++k) records.push_back({k * 11 % n, 150 + k});
-  bool sink = false;
-  for (auto _ : state) {
-    sink ^= RMatrixReadCondition(mc, records, 42, 150);
-    benchmark::DoNotOptimize(sink);
-  }
-}
-BENCHMARK(BM_McVectorReadCondition);
-
 void BM_CycleSnapshotCopy(benchmark::State& state) {
   const uint32_t n = static_cast<uint32_t>(state.range(0));
   const FMatrix c = WarmMatrix(n);
+  // The deep O(n^2) copy a snapshot cost before columns were page-shared.
+  std::vector<Cycle> copy(static_cast<size_t>(n) * n);
   for (auto _ : state) {
-    FMatrix copy = c;
-    benchmark::DoNotOptimize(copy);
+    for (ObjectId j = 0; j < n; ++j) {
+      std::memcpy(copy.data() + static_cast<size_t>(j) * n, c.Column(j).data(),
+                  n * sizeof(Cycle));
+    }
+    benchmark::DoNotOptimize(copy.data());
+    benchmark::ClobberMemory();
   }
   state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) * n * n *
                           static_cast<int64_t>(sizeof(Cycle)));
 }
 BENCHMARK(BM_CycleSnapshotCopy)->Arg(100)->Arg(300)->Arg(500);
-
-// The CoW per-cycle snapshot the engines now take instead of the full copy
-// above: each iteration commits a handful of transactions (touching a bounded
-// column set) and snapshots. Bytes/sec counts only the bytes physically
-// copied, which scale with touched columns rather than n^2.
-void BM_CycleSnapshotCoW(benchmark::State& state) {
-  const uint32_t n = static_cast<uint32_t>(state.range(0));
-  FMatrix c = WarmMatrix(n);
-  Rng rng(5);
-  (void)c.Snapshot();  // pay the one-time full copy outside the loop
-  const uint64_t copied_before = c.snapshot_columns_copied();
-  Cycle cycle = 1000;
-  FMatrixSnapshot held;  // the engines hold the published snapshot one cycle
-  for (auto _ : state) {
-    c.ApplyCommit(rng.SampleWithoutReplacement(n, 4), rng.SampleWithoutReplacement(n, 4),
-                  cycle++);
-    held = c.Snapshot();
-    benchmark::DoNotOptimize(held);
-  }
-  state.SetBytesProcessed(
-      static_cast<int64_t>((c.snapshot_columns_copied() - copied_before) * n * sizeof(Cycle)));
-}
-BENCHMARK(BM_CycleSnapshotCoW)->Arg(100)->Arg(300)->Arg(500)->Arg(1000);
 
 // Paged copy-on-write snapshots at the uplink write rate: each iteration is
 // one broadcast cycle of 50 commits writing 4 scattered objects each while
@@ -184,10 +152,32 @@ std::vector<std::vector<ObjectId>> CycleWriteSets(uint32_t n) {
 template <typename Pages>
 void ReportBytesCopied(benchmark::State& state, const Pages& live, uint64_t pages_before) {
   const double bytes =
-      static_cast<double>((live.pages_copied() - pages_before) * Pages::kPageBytes) +
+      static_cast<double>((live.pages_copied() - pages_before) * live.page_bytes()) +
       static_cast<double>(live.table_bytes()) * static_cast<double>(state.iterations());
   state.counters["bytes_copied"] = benchmark::Counter(bytes, benchmark::Counter::kAvgIterations);
 }
+
+// The page-shared per-cycle snapshot the engines take instead of the full
+// copy above: each iteration commits one transaction while the previous
+// snapshot is held, then takes the next one. The live matrix copies a column
+// on its first write after a snapshot, so bytes_copied scales with the
+// touched columns rather than n^2.
+void BM_CycleSnapshotCoW(benchmark::State& state) {
+  const uint32_t n = static_cast<uint32_t>(state.range(0));
+  FMatrix c = WarmMatrix(n);
+  Rng rng(5);
+  FMatrix held = c.Snapshot();  // the engines hold the published snapshot one cycle
+  const uint64_t before = c.column_pages().pages_copied();
+  Cycle cycle = 1000;
+  for (auto _ : state) {
+    c.ApplyCommit(rng.SampleWithoutReplacement(n, 4), rng.SampleWithoutReplacement(n, 4),
+                  cycle++);
+    held = c.Snapshot();
+    benchmark::DoNotOptimize(held);
+  }
+  ReportBytesCopied(state, c.column_pages(), before);
+}
+BENCHMARK(BM_CycleSnapshotCoW)->Arg(100)->Arg(300)->Arg(500)->Arg(1000);
 
 void BM_PagedSnapshotValues(benchmark::State& state) {
   const uint32_t n = static_cast<uint32_t>(state.range(0));
@@ -210,27 +200,6 @@ void BM_PagedSnapshotValues(benchmark::State& state) {
   ReportBytesCopied(state, store.committed(), before);
 }
 BENCHMARK(BM_PagedSnapshotValues)->Arg(10'000)->Arg(100'000);
-
-void BM_PagedSnapshotMcVector(benchmark::State& state) {
-  const uint32_t n = static_cast<uint32_t>(state.range(0));
-  const auto sets = CycleWriteSets(n);
-  McVector mc(n);
-  std::optional<McVector> held(mc);
-  const uint64_t before = mc.pages().pages_copied();
-  size_t next = 0;
-  Cycle cycle = 1;
-  for (auto _ : state) {
-    for (uint32_t c = 0; c < kCommitsPerCycle; ++c, next = (next + 1) % sets.size()) {
-      mc.ApplyCommit(sets[next], cycle);
-    }
-    held.reset();
-    held.emplace(mc);
-    benchmark::DoNotOptimize(held);
-    ++cycle;
-  }
-  ReportBytesCopied(state, mc.pages(), before);
-}
-BENCHMARK(BM_PagedSnapshotMcVector)->Arg(10'000)->Arg(100'000);
 
 // The column table alone: each commit installs one shared payload in its
 // write-set columns (what ApplyCommit does after its O(nnz) merge, which is

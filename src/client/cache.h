@@ -3,10 +3,11 @@
 // If a client's currency requirement is "data no older than T time units",
 // objects read off the broadcast can be cached and served locally until
 // they age out — no communication needed for invalidation. To keep cached
-// reads mutually consistent with fresh reads, each entry stores the control
-// column (F-Matrix) or reduced entry (R-Matrix) that accompanied the object
-// when it was cached; ReadOnlyTxnProtocol::ReadFromCache validates against
-// that stored information.
+// reads mutually consistent with fresh reads, an F-Matrix entry stores the
+// control column that accompanied the object when it was cached;
+// ReadOnlyTxnProtocol::ReadFromCache validates against it. An R-Matrix
+// entry stores nothing extra: the cached value is served only while the
+// latest on-air MC stamp shows it is still current.
 
 #ifndef BCC_CLIENT_CACHE_H_
 #define BCC_CLIENT_CACHE_H_
@@ -27,7 +28,6 @@ struct CacheEntry {
   Cycle cycle = 0;            ///< broadcast cycle the value was read in
   SimTime cached_time = 0;    ///< wall-clock (bit-unit) time it was cached
   std::vector<Cycle> column;  ///< F-Matrix column for the object (absolute)
-  Cycle mc_entry = 0;         ///< reduced-vector entry (R-Matrix/Datacycle)
 };
 
 /// LRU cache with per-object currency bounds. Entries older than their

@@ -11,20 +11,6 @@ DeltaMatrixTracker::DeltaMatrixTracker(uint32_t num_objects, CycleStampCodec cod
       matrix_(sparse ? 0 : num_objects),
       sparse_matrix_(sparse ? num_objects : 0) {}
 
-namespace {
-
-void CopyMatrix(FMatrix& dst, const FMatrix& src) { dst = src; }
-
-void CopyMatrix(FMatrix& dst, const FMatrixSnapshot& src) {
-  const uint32_t n = src.num_objects();
-  for (ObjectId j = 0; j < n; ++j) {
-    const std::span<const Cycle> col = src.Column(j);
-    for (ObjectId i = 0; i < n; ++i) dst.Set(i, j, col[i]);
-  }
-}
-
-}  // namespace
-
 template <typename OnAirMatrix>
 void DeltaMatrixTracker::ObserveImpl(const DeltaControl& ctl, const OnAirMatrix& on_air_matrix) {
   constexpr bool kSparseOnAir = std::is_same_v<OnAirMatrix, SparseFMatrix>;
@@ -36,10 +22,12 @@ void DeltaMatrixTracker::ObserveImpl(const DeltaControl& ctl, const OnAirMatrix&
     // reconstruction is strictly fresher.
     if (synced_ && ctl.cycle < last_sync_) return;
     if (!synced_) EmitSyncEvent(TraceEventType::kResync, ctl.cycle);
+    // Adopt the on-air matrix's pages (no entry is copied until a delta
+    // writes its column).
     if constexpr (kSparseOnAir) {
-      sparse_matrix_ = on_air_matrix;  // O(n) shared-pointer adoption
+      sparse_matrix_ = on_air_matrix.Snapshot();
     } else {
-      CopyMatrix(matrix_, on_air_matrix);
+      matrix_ = on_air_matrix.Snapshot();
     }
     synced_ = true;
     last_sync_ = ctl.cycle;
@@ -67,10 +55,6 @@ void DeltaMatrixTracker::ObserveImpl(const DeltaControl& ctl, const OnAirMatrix&
 }
 
 void DeltaMatrixTracker::Observe(const DeltaControl& ctl, const FMatrix& on_air_matrix) {
-  ObserveImpl(ctl, on_air_matrix);
-}
-
-void DeltaMatrixTracker::Observe(const DeltaControl& ctl, const FMatrixSnapshot& on_air_matrix) {
   ObserveImpl(ctl, on_air_matrix);
 }
 

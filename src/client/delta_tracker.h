@@ -3,8 +3,9 @@
 //
 // The tracker holds the client's local copy of the control matrix. Each
 // broadcast cycle it observes that cycle's DeltaControl:
-//   - a full refresh (re)synchronizes unconditionally — the on-air matrix is
-//     copied wholesale;
+//   - a full refresh (re)synchronizes unconditionally — the tracker adopts
+//     the on-air matrix's pages, and a later delta copies a column only when
+//     it first writes it;
 //   - a delta applies only when the tracker is synced to exactly the block's
 //     base cycle; otherwise the tracker desyncs and waits for the next
 //     refresh. Deltas are relative to the previous cycle, and the F-Matrix
@@ -58,12 +59,10 @@ class DeltaMatrixTracker {
   /// read when ctl.full_refresh. Cycles may be skipped (a client that tuned
   /// out misses blocks); any gap desyncs until the next refresh.
   void Observe(const DeltaControl& ctl, const FMatrix& on_air_matrix);
-  /// Same, reading the refresh matrix straight from the CoW cycle snapshot.
-  void Observe(const DeltaControl& ctl, const FMatrixSnapshot& on_air_matrix);
   /// Sparse-mode variant: a refresh adopts `on_air_matrix`'s shared column
-  /// payloads (absolute values, exactly like the direct dense path's
-  /// CopyMatrix); deltas decode residues at ctl.cycle via the sparse
-  /// DeltaCodec::Apply. Requires the sparse constructor flag.
+  /// payloads (absolute values, exactly like the dense path); deltas decode
+  /// residues at ctl.cycle via the sparse DeltaCodec::Apply. Requires the
+  /// sparse constructor flag.
   void Observe(const DeltaControl& ctl, const SparseFMatrix& on_air_matrix);
 
   /// Tracker is reconstructing successfully (saw a refresh and every delta

@@ -5,7 +5,6 @@
 #include "client/cache.h"
 #include "common/format.h"
 #include "matrix/kernels.h"
-#include "matrix/mc_vector.h"
 
 namespace bcc {
 
@@ -92,8 +91,9 @@ bool ReadOnlyTxnProtocol::CheckFMatrix(const CycleSnapshot& snap, ObjectId ob) {
 }
 
 bool ReadOnlyTxnProtocol::CheckDatacycle(const CycleSnapshot& snap, ObjectId ob) {
+  // MC(i) is the on-air commit cycle of ob_i's value.
   for (const ReadRecord& r : reads_) {
-    const Cycle c = Stamp(snap.mc_vector.At(r.object), snap.cycle);
+    const Cycle c = Stamp(snap.values[r.object].cycle, snap.cycle);
     if (c >= r.cycle) {
       last_abort_ = {AbortCause::kMcConflict, r.object, ob, r.cycle, c};
       return false;
@@ -106,7 +106,7 @@ bool ReadOnlyTxnProtocol::CheckRMatrix(const CycleSnapshot& snap, ObjectId ob) {
   if (CheckDatacycle(snap, ob)) return true;
   // Weakened disjunct: the object now being read is unchanged since the
   // transaction's first read.
-  const Cycle c = Stamp(snap.mc_vector.At(ob), snap.cycle);
+  const Cycle c = Stamp(snap.values[ob].cycle, snap.cycle);
   if (c < first_read_cycle_) return true;
   last_abort_ = {AbortCause::kMcConflict, ob, ob, first_read_cycle_, c};
   return false;
@@ -206,7 +206,7 @@ StatusOr<ObjectVersion> ReadOnlyTxnProtocol::ReadFromCache(const CacheEntry& ent
       // only serve the cached value if it is still current: no committed
       // write to `ob` since the cached cycle per the latest on-air vector.
       // The read is then equivalent to a fresh read at snap.cycle.
-      if (Stamp(snap.mc_vector.At(ob), snap.cycle) >= entry.cycle) return reject();
+      if (Stamp(snap.values[ob].cycle, snap.cycle) >= entry.cycle) return reject();
       if (!CheckRMatrix(snap, ob)) return reject();
       Record(ob, snap.cycle, entry.version, {});
       return entry.version;

@@ -146,7 +146,6 @@ TxnStep ClientSession::Read(ReadTxn& txn, const CycleSnapshot& snap, SimTime now
       const std::span<const Cycle> col = snap.f_matrix.Column(ob);
       entry.column.assign(col.begin(), col.end());
     }
-    if (snap.mc_vector.num_objects() > 0) entry.mc_entry = snap.mc_vector.At(ob);
     cache_->Insert(ob, std::move(entry));
   }
   return Advance(txn);

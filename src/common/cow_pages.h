@@ -1,14 +1,15 @@
 // Page-shared copy-on-write array: the storage behind the server's
-// per-cycle snapshots (the committed values, the MC vector and the sparse
-// matrix's column table; DESIGN.md §4g "Paged copy-on-write state").
+// per-cycle snapshots (the committed values, the sparse matrix's column
+// table and the dense matrix's columns; DESIGN.md §4g "Paged copy-on-write
+// state").
 //
-// The n entries live in fixed-size pages behind a table of raw pointers. No
-// page carries a reference count: copying the container memcpys the table
-// and registers the copy with a ledger shared by every container descended
-// from the same original, so a cycle snapshot costs one synchronised
-// operation plus an O(n / kPageEntries) memcpy, and dropping it only
-// unregisters it. The live container copies a page on its first write after
-// a copy and retires the page it replaced.
+// The n entries live in pages of one length, fixed at construction, behind
+// a table of raw pointers. No page carries a reference count: copying the
+// container memcpys the table and registers the copy with a ledger shared
+// by every container descended from the same original, so a cycle snapshot
+// costs one synchronised operation plus an O(number of pages) memcpy, and
+// dropping it only unregisters it. The live container copies a page on its
+// first write after a copy and retires the page it replaced.
 //
 // Copy-on-write is decided by a generation rule, never by who else holds a
 // page: each page records the generation in which its container created it,
@@ -34,9 +35,12 @@
 // original frees those no live pin can see, and the last member of the
 // ledger frees the rest.
 //
-// A fresh container shares one static zero page across all its slots, so
-// construction is O(n / kPageEntries). A single-page table is held inline
-// and a one-page container owns its zero page, so a container of at most
+// A fresh container of the default page length shares one static zero page
+// across all its slots, so construction is O(n / kPageEntries). A container
+// built with FixedPages (any page length, e.g. one matrix column per page)
+// allocates and owns all its pages up front instead, so its writes copy
+// nothing until its first copy. A single-page table is held inline and a
+// one-page container owns its zero page, so a container of at most
 // kPageEntries entries allocates one page at construction, one ledger at its
 // first copy, and in steady state reuses its retired page. Larger copies
 // take the page table a dropped copy handed back to the ledger.
@@ -51,12 +55,15 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cassert>
+#include <cstddef>
 #include <cstdint>
 #include <cstring>
 #include <limits>
 #include <memory>
 #include <mutex>
+#include <new>
 #include <span>
 #include <type_traits>
 #include <utility>
@@ -67,8 +74,8 @@ namespace bcc {
 template <typename T>
 class CowPages {
  public:
-  /// Entries per page, chosen per element type by a sweep at the uplink
-  /// write rate (DESIGN.md §4g). Copying a page of trivially copyable
+  /// Default entries per page, chosen per element type by a sweep at the
+  /// uplink write rate (DESIGN.md §4g). Copying a page of trivially copyable
   /// entries is a memcpy, so those pages are large and the table small;
   /// copying a page of handles bumps one reference count per entry, so
   /// those pages are small.
@@ -80,19 +87,39 @@ class CowPages {
 
   CowPages() = default;
 
-  /// n value-initialized entries, every page sharing the zero page.
+  /// n value-initialized entries in pages of kPageEntries, every page
+  /// sharing the zero page.
   explicit CowPages(uint32_t n) : n_(n), num_pages_((n + kPageEntries - 1) >> kPageShift) {
     if (n_ == 0) return;
-    AllocatePages();
+    AllocateTable();
     if (num_pages_ == 1) {
       // A one-page container owns its zero page: its writes never copy.
-      inline_page_ = new PageBuffer();
-      inline_page_->gen = first_gen_;
+      inline_page_ = NewPage(page_entries_, first_gen_);
       return;
     }
     // Generation 0 is below every live generation, so each slot copies the
     // zero page on its first write.
-    std::fill_n(pages_, num_pages_, &zero_page_);
+    std::fill_n(pages_, num_pages_, ZeroPage());
+  }
+
+  /// `num_pages` pages of `page_entries` value-initialized entries each, all
+  /// allocated and owned from the start (the dense F-Matrix: one column per
+  /// page). The per-entry accessors need a power-of-two page length; the
+  /// page accessors take any.
+  static CowPages FixedPages(uint32_t num_pages, uint32_t page_entries) {
+    assert(num_pages == 0 ||
+           page_entries <= std::numeric_limits<uint32_t>::max() / num_pages);
+    CowPages pages;
+    if (num_pages == 0 || page_entries == 0) return pages;
+    pages.n_ = num_pages * page_entries;
+    pages.num_pages_ = num_pages;
+    pages.page_entries_ = page_entries;
+    pages.page_shift_ = static_cast<uint32_t>(std::countr_zero(page_entries));
+    pages.AllocateTable();
+    for (uint32_t p = 0; p < num_pages; ++p) {
+      pages.pages_[p] = NewPage(page_entries, pages.first_gen_);
+    }
+    return pages;
   }
 
   /// Shares every page of `other`; both sides copy a page before writing it.
@@ -116,17 +143,17 @@ class CowPages {
 
   uint32_t size() const { return n_; }
   const T& operator[](uint32_t i) const {
-    assert(i < n_);
-    return pages_[i >> kPageShift]->entries[i & (kPageEntries - 1)];
+    assert(i < n_ && page_entries_ == 1u << page_shift_);
+    return Entries(pages_[i >> page_shift_])[i & (page_entries_ - 1)];
   }
 
   /// Entry i for writing: copies its page first unless this container
   /// created it since its last copy.
   T& Mutable(uint32_t i) {
-    assert(i < n_);
-    const uint32_t p = i >> kPageShift;
-    if (pages_[p]->gen != gen_.load(std::memory_order_relaxed)) CopyPage(p);
-    return pages_[p]->entries[i & (kPageEntries - 1)];
+    assert(i < n_ && page_entries_ == 1u << page_shift_);
+    const uint32_t p = i >> page_shift_;
+    MakeWritable(p);
+    return Entries(pages_[p])[i & (page_entries_ - 1)];
   }
   void Set(uint32_t i, const T& value) { Mutable(i) = value; }
 
@@ -134,7 +161,13 @@ class CowPages {
   /// Page p's entries (the last page may be short).
   std::span<const T> Page(uint32_t p) const {
     assert(p < num_pages_);
-    return {pages_[p]->entries, PageLength(p)};
+    return {Entries(pages_[p]), PageLength(p)};
+  }
+  /// Page p's entries for writing, copied first like Mutable's.
+  std::span<T> MutablePage(uint32_t p) {
+    assert(p < num_pages_);
+    MakeWritable(p);
+    return {Entries(pages_[p]), PageLength(p)};
   }
   /// Whether page p is the same buffer in both containers (tests, equality).
   bool SharesPage(const CowPages& other, uint32_t p) const {
@@ -144,6 +177,8 @@ class CowPages {
   /// Pages this container has copied on write since it was built or copied
   /// into (cumulative; its own zero-page copies included).
   uint64_t pages_copied() const { return pages_copied_; }
+  /// Bytes one page copy moves.
+  size_t page_bytes() const { return page_entries_ * sizeof(T); }
   /// Bytes one copy of the container moves: the page table.
   size_t table_bytes() const { return num_pages_ * sizeof(PageBuffer*); }
   /// Pages this container replaced that a live copy may still see; after a
@@ -153,7 +188,7 @@ class CowPages {
 
   /// Entry-wise equality; shared pages compare by identity.
   friend bool operator==(const CowPages& a, const CowPages& b) {
-    if (a.n_ != b.n_) return false;
+    if (a.n_ != b.n_ || a.num_pages_ != b.num_pages_) return false;
     for (uint32_t p = 0; p < a.num_pages_; ++p) {
       if (a.SharesPage(b, p)) continue;
       const std::span<const T> pa = a.Page(p);
@@ -163,12 +198,14 @@ class CowPages {
   }
 
  private:
-  struct PageBuffer {
+  /// A page's header; its entries follow it in the same allocation.
+  struct alignas(alignof(T) > alignof(uint64_t) ? alignof(T) : alignof(uint64_t)) PageBuffer {
     /// Generation in which its container created it; never changes once
     /// another container can see the page.
     uint64_t gen = 0;
-    T entries[kPageEntries] = {};
   };
+  static_assert(alignof(PageBuffer) <= __STDCPP_DEFAULT_NEW_ALIGNMENT__);
+
   /// A replaced page and the generation from which no new copy can see it.
   struct Retired {
     PageBuffer* page;
@@ -205,9 +242,40 @@ class CowPages {
     }
   };
 
-  uint32_t PageLength(uint32_t p) const { return std::min(kPageEntries, n_ - (p << kPageShift)); }
+  static T* Entries(PageBuffer* page) {
+    return reinterpret_cast<T*>(reinterpret_cast<std::byte*>(page) + sizeof(PageBuffer));
+  }
+  static const T* Entries(const PageBuffer* page) {
+    return reinterpret_cast<const T*>(reinterpret_cast<const std::byte*>(page) +
+                                      sizeof(PageBuffer));
+  }
 
-  void AllocatePages() {
+  /// A page of `entries` value-initialized entries, created in `gen`.
+  static PageBuffer* NewPage(uint32_t entries, uint64_t gen) {
+    void* raw = ::operator new(sizeof(PageBuffer) + size_t{entries} * sizeof(T));
+    auto* page = new (raw) PageBuffer{gen};
+    std::uninitialized_value_construct_n(Entries(page), entries);
+    return page;
+  }
+  static void DeletePage(PageBuffer* page, uint32_t entries) {
+    std::destroy_n(Entries(page), entries);
+    page->~PageBuffer();
+    ::operator delete(page);
+  }
+  void DeletePage(PageBuffer* page) const { DeletePage(page, page_entries_); }
+
+  /// Shared by every slot of a fresh multi-page container of the default
+  /// page length; never written or freed.
+  static PageBuffer* ZeroPage() {
+    static PageBuffer* const zero = NewPage(kPageEntries, 0);
+    return zero;
+  }
+
+  uint32_t PageLength(uint32_t p) const {
+    return std::min(page_entries_, n_ - p * page_entries_);
+  }
+
+  void AllocateTable() {
     if (num_pages_ == 1) {
       pages_ = &inline_page_;
     } else {
@@ -216,6 +284,10 @@ class CowPages {
       }
       pages_ = heap_pages_.get();
     }
+  }
+
+  void MakeWritable(uint32_t p) {
+    if (pages_[p]->gen != gen_.load(std::memory_order_relaxed)) CopyPage(p);
   }
 
   /// The ledger of this container's family, created by its first copy.
@@ -235,6 +307,8 @@ class CowPages {
   void ShareFrom(const CowPages& other) {
     n_ = other.n_;
     num_pages_ = other.num_pages_;
+    page_entries_ = other.page_entries_;
+    page_shift_ = other.page_shift_;
     if (num_pages_ == 0) return;
     Ledger* ledger = other.AttachLedger();
     const uint64_t gen = other.gen_.fetch_add(1, std::memory_order_relaxed) + 1;
@@ -250,14 +324,16 @@ class CowPages {
         ++ledger->FindPin(pin_)->second;
       }
       ledger->PublishWatermark();
-      if (other.pin_ == 0 && !ledger->orphans.empty()) FreeUnpinnedOrphans(*ledger);
+      if (other.pin_ == 0 && !ledger->orphans.empty()) {
+        FreeUnpinnedOrphans(*ledger, page_entries_);
+      }
       if (num_pages_ > 1 && !ledger->spare_tables.empty()) {
         heap_pages_ = std::move(ledger->spare_tables.back());
         ledger->spare_tables.pop_back();
       }
     }
     ledger_.store(ledger, std::memory_order_relaxed);
-    AllocatePages();
+    AllocateTable();
     std::memcpy(static_cast<void*>(pages_), other.pages_, table_bytes());
     gen_.store(gen, std::memory_order_relaxed);
     first_gen_ = gen;
@@ -267,6 +343,8 @@ class CowPages {
   void TakeFrom(CowPages& other) {
     n_ = std::exchange(other.n_, 0);
     num_pages_ = std::exchange(other.num_pages_, 0);
+    page_entries_ = other.page_entries_;
+    page_shift_ = other.page_shift_;
     heap_pages_ = std::move(other.heap_pages_);
     inline_page_ = other.inline_page_;
     pages_ = num_pages_ == 0 ? nullptr : num_pages_ == 1 ? &inline_page_ : heap_pages_.get();
@@ -287,11 +365,8 @@ class CowPages {
   void CopyPage(uint32_t p) {
     PageBuffer* old = pages_[p];
     PageBuffer* fresh = TakeFreePage();
-    if (fresh != nullptr) {
-      *fresh = *old;
-    } else {
-      fresh = new PageBuffer(*old);
-    }
+    if (fresh == nullptr) fresh = NewPage(page_entries_, 0);
+    std::copy_n(Entries(old), page_entries_, Entries(fresh));
     fresh->gen = gen_.load(std::memory_order_relaxed);
     if (old->gen >= first_gen_) Retire(old);
     pages_[p] = fresh;
@@ -319,10 +394,12 @@ class CowPages {
   void Recycle(PageBuffer* page) {
     if (free_.size() < kMaxFreePages) {
       // Let go of stale handles now rather than when the page is reused.
-      if constexpr (!std::is_trivially_destructible_v<T>) *page = PageBuffer{};
+      if constexpr (!std::is_trivially_destructible_v<T>) {
+        std::fill_n(Entries(page), page_entries_, T{});
+      }
       free_.push_back(page);
     } else {
-      delete page;
+      DeletePage(page);
     }
   }
 
@@ -350,11 +427,11 @@ class CowPages {
   }
 
   /// Frees the orphans no live pin can see (under the ledger's lock).
-  static void FreeUnpinnedOrphans(Ledger& ledger) {
+  static void FreeUnpinnedOrphans(Ledger& ledger, uint32_t page_entries) {
     const uint64_t watermark = ledger.low_watermark.load(std::memory_order_relaxed);
-    std::erase_if(ledger.orphans, [watermark](const Retired& r) {
+    std::erase_if(ledger.orphans, [&](const Retired& r) {
       if (r.hidden_from > watermark) return false;
-      delete r.page;
+      DeletePage(r.page, page_entries);
       return true;
     });
   }
@@ -362,12 +439,12 @@ class CowPages {
   /// Detaches from the ledger and frees what no other container can see;
   /// leaves the container empty.
   void Release() {
-    for (PageBuffer* page : free_) delete page;
+    for (PageBuffer* page : free_) DeletePage(page);
     free_.clear();
     if (num_pages_ > 0) {
       // Never copied since it began: no other container saw its own pages.
       const bool shared_out = gen_.load(std::memory_order_relaxed) != first_gen_;
-      if (!shared_out) ForEachOwnedPage([](PageBuffer* page) { delete page; });
+      if (!shared_out) ForEachOwnedPage([this](PageBuffer* page) { DeletePage(page); });
       Ledger* ledger = ledger_.exchange(nullptr, std::memory_order_relaxed);
       bool last = false;
       if (ledger != nullptr) {
@@ -390,8 +467,8 @@ class CowPages {
         }
       }
       if (last) {
-        if (shared_out) ForEachOwnedPage([](PageBuffer* page) { delete page; });
-        for (const Retired& r : ledger->orphans) delete r.page;
+        if (shared_out) ForEachOwnedPage([this](PageBuffer* page) { DeletePage(page); });
+        for (const Retired& r : ledger->orphans) DeletePage(r.page);
         delete ledger;
       }
     }
@@ -406,20 +483,20 @@ class CowPages {
 
   template <typename Fn>
   void ForEachOwnedPage(Fn fn) {
-    // Only a container that copied a page, or an original's own zero page,
-    // can hold pages of its own; a snapshot's drop reads none of its pages.
-    const bool may_own = pages_copied_ > 0 || (pin_ == 0 && num_pages_ == 1);
+    // Only a container that copied a page, or an original (its own zero or
+    // fixed pages), can hold pages of its own; a snapshot's drop reads none
+    // of its pages.
+    const bool may_own = pages_copied_ > 0 || pin_ == 0;
     for (uint32_t p = 0; may_own && p < num_pages_; ++p) {
       if (pages_[p]->gen >= first_gen_) fn(pages_[p]);
     }
     for (size_t r = retired_head_; r < retired_.size(); ++r) fn(retired_[r].page);
   }
 
-  /// Shared by every slot of a fresh multi-page container; never written.
-  static inline PageBuffer zero_page_{};
-
   uint32_t n_ = 0;
   uint32_t num_pages_ = 0;
+  uint32_t page_entries_ = kPageEntries;
+  uint32_t page_shift_ = kPageShift;  ///< log2(page_entries_) when a power of two
   PageBuffer** pages_ = nullptr;  ///< &inline_page_ for one page, heap_pages_ for more
   PageBuffer* inline_page_ = nullptr;
   std::unique_ptr<PageBuffer*[]> heap_pages_;

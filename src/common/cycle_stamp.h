@@ -48,8 +48,9 @@ class CycleStampCodec {
   /// stamps alias UPWARD — to c + k * modulus() for the largest k keeping the
   /// result <= current. Because every read condition accepts only when the
   /// control stamp is strictly BELOW a read cycle (FMatrix::ReadCondition,
-  /// DatacycleReadCondition, RMatrixReadCondition), overestimating a stamp
-  /// can only flip accept -> abort (spurious abort), never abort -> accept.
+  /// ReadOnlyTxnProtocol::CheckDatacycle and CheckRMatrix), overestimating a
+  /// stamp can only flip accept -> abort (spurious abort), never abort ->
+  /// accept.
   ///
   /// The clamp-to-0 branch below is unreachable from any Encode(c) with
   /// c <= current: the most recent matching candidate is c + k * modulus()

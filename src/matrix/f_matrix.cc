@@ -21,53 +21,19 @@ std::string_view AlgorithmName(Algorithm a) {
   return "?";
 }
 
-bool FMatrixSnapshot::ReadCondition(std::span<const ReadRecord> reads, ObjectId j) const {
-  return KernelReadConditionScan(cols_[j]->data(), reads.data(), reads.size()) ==
-         kReadConditionPass;
-}
+FMatrix::FMatrix(uint32_t num_objects)
+    : n_(num_objects), cols_(CowPages<Cycle>::FixedPages(num_objects, num_objects)) {}
 
-FMatrix FMatrixSnapshot::Materialize() const {
-  FMatrix m(n_);
-  for (ObjectId j = 0; j < n_; ++j) {
-    for (ObjectId i = 0; i < n_; ++i) m.Set(i, j, (*cols_[j])[i]);
-  }
-  return m;
-}
-
-bool operator==(const FMatrixSnapshot& a, const FMatrixSnapshot& b) {
-  if (a.n_ != b.n_) return false;
-  for (ObjectId j = 0; j < a.n_; ++j) {
-    if (a.cols_[j] == b.cols_[j]) continue;  // shared page: trivially equal
-    if (*a.cols_[j] != *b.cols_[j]) return false;
-  }
-  return true;
-}
-
-bool operator==(const FMatrixSnapshot& s, const FMatrix& m) {
-  if (s.num_objects() != m.num_objects()) return false;
-  for (ObjectId j = 0; j < s.num_objects(); ++j) {
-    const std::span<const Cycle> a = s.Column(j);
-    const std::span<const Cycle> b = m.Column(j);
-    if (!std::equal(a.begin(), a.end(), b.begin())) return false;
-  }
-  return true;
-}
-
-FMatrix::FMatrix(uint32_t num_objects) : n_(num_objects) {
-  data_.assign(static_cast<size_t>(n_) * n_, 0);
+void FMatrix::PrepareScratch() {
+  if (ws_scratch_.size() == n_) return;
   dep_scratch_.assign(n_, 0);
   ws_scratch_.assign(n_, 0);
-  col_version_.assign(n_, 0);
-}
-
-std::span<const Cycle> FMatrix::Column(ObjectId j) const {
-  assert(j < n_);
-  return {ColumnPtr(j), n_};
 }
 
 void FMatrix::ApplyCommit(std::span<const ObjectId> read_set,
                           std::span<const ObjectId> write_set, Cycle commit_cycle) {
   if (write_set.empty()) return;  // read-only: no entry changes
+  PrepareScratch();
 
   // dep(i) = max_{k in RS} C_old(i, k); 0 when the read set is empty.
   Cycle* dep = dep_scratch_.data();
@@ -88,8 +54,7 @@ void FMatrix::ApplyCommit(std::span<const ObjectId> read_set,
   // over j does not matter: all new columns derive from C_old via
   // dep_scratch_, which was captured before any column is overwritten.
   for (ObjectId j : write_set) {
-    KernelColumnSelectFill(ColumnPtr(j), ws_scratch_.data(), dep, commit_cycle, n_);
-    ++col_version_[j];
+    KernelColumnSelectFill(MutableColumnPtr(j), ws_scratch_.data(), dep, commit_cycle, n_);
   }
   for (ObjectId w : write_set) ws_scratch_[w] = 0;
 
@@ -213,6 +178,7 @@ void FMatrix::ApplyCommitBatch(std::span<const CommitSets> commits, Cycle commit
     ApplyCommit(commits[0].read_set, commits[0].write_set, commit_cycle);
     return;
   }
+  PrepareScratch();
   AnalyzeBatch(commits, commit_cycle);
 
   // Pass 3 — one store per union column, grouped by final writer so each
@@ -234,8 +200,7 @@ void FMatrix::ApplyCommitBatch(std::span<const CommitSets> commits, Cycle commit
     for (ObjectId w : cs.write_set) ws_scratch_[w] = 1;
     for (ObjectId j : cs.write_set) {
       if (batch_writer_[j] != static_cast<int32_t>(t)) continue;
-      KernelColumnSelectFill(ColumnPtr(j), ws_scratch_.data(), dep, commit_cycle, n_);
-      ++col_version_[j];
+      KernelColumnSelectFill(MutableColumnPtr(j), ws_scratch_.data(), dep, commit_cycle, n_);
       batch_writer_[j] = -1;  // guard against duplicate write-set entries
     }
     for (ObjectId w : cs.write_set) ws_scratch_[w] = 0;
@@ -251,6 +216,10 @@ void FMatrix::ApplyCommitBatch(std::span<const CommitSets> commits, Cycle commit
     return;
   }
   AnalyzeBatch(commits, commit_cycle);
+  // Copy every column the shards will store now, serially: the page table,
+  // the retired list and the free list have one writer, and a shard then
+  // finds its columns already writable.
+  for (ObjectId j : batch_union_cols_) cols_.MutablePage(j);
 
   // Pass 3, sharded by column id (j % num_shards). Each shard stores only
   // the union columns of its own partition, reads/clears batch_writer_ only
@@ -275,8 +244,7 @@ void FMatrix::ApplyCommitBatch(std::span<const CommitSets> commits, Cycle commit
           for (ObjectId w : cs.write_set) ws[w] = 1;
           mask_built = true;
         }
-        KernelColumnSelectFill(ColumnPtr(j), ws.data(), dep, commit_cycle, n_);
-        ++col_version_[j];
+        KernelColumnSelectFill(MutableColumnPtr(j), ws.data(), dep, commit_cycle, n_);
         batch_writer_[j] = -1;  // guard against duplicate write-set entries
       }
       if (mask_built) {
@@ -288,28 +256,10 @@ void FMatrix::ApplyCommitBatch(std::span<const CommitSets> commits, Cycle commit
   FinishBatch();
 }
 
-FMatrixSnapshot FMatrix::Snapshot() const {
-  if (snapshot_cache_.size() != n_) {
-    snapshot_cache_.assign(n_, nullptr);
-    snapshot_cache_version_.assign(n_, 0);
-  }
-  FMatrixSnapshot s;
+FMatrix FMatrix::Snapshot() const {
+  FMatrix s;
   s.n_ = n_;
-  s.cols_.resize(n_);
-  for (ObjectId j = 0; j < n_; ++j) {
-    std::shared_ptr<std::vector<Cycle>>& page = snapshot_cache_[j];
-    if (!page || snapshot_cache_version_[j] != col_version_[j]) {
-      if (page && page.use_count() == 1) {
-        // Only the cache still references the old page: overwrite in place.
-        KernelColumnCopy(page->data(), ColumnPtr(j), n_);
-      } else {
-        page = std::make_shared<std::vector<Cycle>>(Column(j).begin(), Column(j).end());
-      }
-      snapshot_cache_version_[j] = col_version_[j];
-      ++snapshot_columns_copied_;
-    }
-    s.cols_[j] = page;
-  }
+  s.cols_ = cols_;
   return s;
 }
 

@@ -15,61 +15,17 @@
 #define BCC_MATRIX_F_MATRIX_H_
 
 #include <functional>
-#include <memory>
 #include <span>
 #include <unordered_map>
 #include <vector>
 
+#include "common/cow_pages.h"
 #include "common/cycle_stamp.h"
 #include "history/history.h"
 #include "history/object_id.h"
 #include "matrix/control_info.h"
 
 namespace bcc {
-
-class FMatrix;
-
-/// An immutable copy-on-write view of the F-Matrix at one broadcast cycle.
-///
-/// Produced by FMatrix::Snapshot(): columns untouched since the previous
-/// snapshot are SHARED (shared_ptr to the same buffer), so the per-cycle
-/// snapshot cost is O(n * touched_columns) instead of the O(n^2) full-matrix
-/// copy. A snapshot stays valid — and bit-identical to the matrix state it
-/// captured — for as long as it is held, regardless of later commits.
-class FMatrixSnapshot {
- public:
-  /// Empty snapshot (num_objects() == 0); what a cycle snapshot holds when
-  /// the server does not maintain an F-Matrix.
-  FMatrixSnapshot() = default;
-
-  uint32_t num_objects() const { return n_; }
-
-  /// C(i, j) at snapshot time.
-  Cycle At(ObjectId i, ObjectId j) const { return (*cols_[j])[i]; }
-
-  /// Column j as a contiguous span of n entries (C(0..n-1, j)).
-  std::span<const Cycle> Column(ObjectId j) const { return {cols_[j]->data(), n_}; }
-
-  /// The F-Matrix read condition against this snapshot.
-  bool ReadCondition(std::span<const ReadRecord> reads, ObjectId j) const;
-
-  /// Deep copy into a standalone FMatrix (used when a client adopts an
-  /// on-air matrix as its local reconstruction base).
-  FMatrix Materialize() const;
-
-  /// Value comparison (entry-wise, shared or not).
-  friend bool operator==(const FMatrixSnapshot& a, const FMatrixSnapshot& b);
-
- private:
-  friend class FMatrix;
-
-  uint32_t n_ = 0;
-  std::vector<std::shared_ptr<const std::vector<Cycle>>> cols_;
-};
-
-/// Entry-wise comparison between a snapshot and a live matrix (test use).
-bool operator==(const FMatrixSnapshot& s, const FMatrix& m);
-inline bool operator==(const FMatrix& m, const FMatrixSnapshot& s) { return s == m; }
 
 /// The read/write sets of one committed update transaction, as queued for a
 /// cycle-fused FMatrix::ApplyCommitBatch.
@@ -87,26 +43,26 @@ using ShardRunner =
     std::function<void(uint32_t num_shards, const std::function<void(uint32_t)>& body)>;
 
 /// The server-side control matrix, column-major (column j is the unit
-/// broadcast right after object j).
+/// broadcast right after object j). Each column is one page of a
+/// copy-on-write page table (CowPages, DESIGN.md §4g): a copy shares every
+/// column, and a write copies a column only on its first write after a
+/// copy was taken.
 class FMatrix {
  public:
   /// All entries start at cycle 0 (written by t0 before the broadcast).
-  explicit FMatrix(uint32_t num_objects);
+  explicit FMatrix(uint32_t num_objects = 0);
 
   uint32_t num_objects() const { return n_; }
 
   /// C(i, j).
-  Cycle At(ObjectId i, ObjectId j) const { return data_[Index(i, j)]; }
+  Cycle At(ObjectId i, ObjectId j) const { return cols_.Page(j)[i]; }
 
   /// Direct entry assignment; used by from-definition builders and by wire
   /// decoding. Normal maintenance goes through ApplyCommit.
-  void Set(ObjectId i, ObjectId j, Cycle c) {
-    data_[Index(i, j)] = c;
-    ++col_version_[j];
-  }
+  void Set(ObjectId i, ObjectId j, Cycle c) { cols_.MutablePage(j)[i] = c; }
 
   /// Column j as a contiguous span of n entries (C(0..n-1, j)).
-  std::span<const Cycle> Column(ObjectId j) const;
+  std::span<const Cycle> Column(ObjectId j) const { return cols_.Page(j); }
 
   /// Applies the next committed transaction in the server's serialization
   /// order (Theorem 2's incremental rules):
@@ -143,17 +99,20 @@ class FMatrix {
   void ApplyCommitBatch(std::span<const CommitSets> commits, Cycle commit_cycle,
                         const ShardRunner& runner, uint32_t num_shards);
 
-  /// Copy-on-write snapshot of the current matrix. Columns unchanged since
-  /// the previous Snapshot() call are shared with it; only changed columns
-  /// are copied (O(n * touched) per cycle in steady state). Logically const:
-  /// the internal page cache it refreshes is mutable and the caller must not
-  /// invoke it concurrently with mutation (the engines snapshot inside the
-  /// server's exclusive phase).
-  FMatrixSnapshot Snapshot() const;
+  /// A page-shared copy of the columns alone (no scratch, no dirty
+  /// tracking): O(n) pointers and one ledger registration. It stays
+  /// bit-identical to the matrix it was taken of however that matrix is
+  /// written later, and may be copied by any thread while nobody writes it.
+  /// Must not run concurrently with a write to this matrix (the engines
+  /// snapshot inside the server's exclusive phase).
+  FMatrix Snapshot() const;
 
-  /// Cumulative number of columns physically copied by Snapshot() calls —
-  /// the O(n * touched) claim is asserted against this counter.
-  uint64_t snapshot_columns_copied() const { return snapshot_columns_copied_; }
+  /// Cumulative number of columns copied on their first write after a
+  /// snapshot (the O(n * touched) per-cycle snapshot cost is asserted
+  /// against this counter).
+  uint64_t snapshot_columns_copied() const { return cols_.pages_copied(); }
+  /// The paged columns (snapshot cost accounting and tests).
+  const CowPages<Cycle>& column_pages() const { return cols_; }
 
   /// Starts recording the set of columns ApplyCommit rewrites. Tracking is
   /// column-granular on purpose: recording a column id is O(1) per written
@@ -183,13 +142,14 @@ class FMatrix {
   bool ReadCondition(std::span<const ReadRecord> reads, ObjectId j) const;
 
   friend bool operator==(const FMatrix& a, const FMatrix& b) {
-    return a.n_ == b.n_ && a.data_ == b.data_;
+    return a.n_ == b.n_ && a.cols_ == b.cols_;
   }
 
  private:
-  size_t Index(ObjectId i, ObjectId j) const { return static_cast<size_t>(j) * n_ + i; }
-  Cycle* ColumnPtr(ObjectId j) { return data_.data() + static_cast<size_t>(j) * n_; }
-  const Cycle* ColumnPtr(ObjectId j) const { return data_.data() + static_cast<size_t>(j) * n_; }
+  const Cycle* ColumnPtr(ObjectId j) const { return cols_.Page(j).data(); }
+  Cycle* MutableColumnPtr(ObjectId j) { return cols_.MutablePage(j).data(); }
+  /// Sizes the per-commit scratch (a snapshot's copy starts without it).
+  void PrepareScratch();
 
   /// ApplyCommitBatch passes 1 + 2 (analysis + dependency vectors); after it
   /// returns, pass 3 only consumes batch state and writes disjoint columns.
@@ -197,19 +157,10 @@ class FMatrix {
   /// ApplyCommitBatch epilogue: dirty tracking + union-mask reset.
   void FinishBatch();
 
-  uint32_t n_;
-  std::vector<Cycle> data_;
+  uint32_t n_ = 0;
+  CowPages<Cycle> cols_;  // one page per column
   std::vector<Cycle> dep_scratch_;    // reused per ApplyCommit
   std::vector<uint8_t> ws_scratch_;   // write-set mask, zeroed after each commit
-
-  // Per-column modification counters driving the copy-on-write snapshot
-  // cache: every column rewrite (Set, ApplyCommit, ApplyCommitBatch) bumps
-  // the column's counter; Snapshot() re-copies a column iff its counter
-  // moved since the cached page was taken.
-  std::vector<uint64_t> col_version_;
-  mutable std::vector<std::shared_ptr<std::vector<Cycle>>> snapshot_cache_;
-  mutable std::vector<uint64_t> snapshot_cache_version_;
-  mutable uint64_t snapshot_columns_copied_ = 0;
 
   // Batch scratch (ApplyCommitBatch); members so the per-cycle hot path
   // allocates only while warming up.

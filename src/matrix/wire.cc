@@ -99,19 +99,15 @@ std::vector<DeltaCodec::Entry> DeltaCodec::Diff(const FMatrix& prev, const FMatr
   return out;
 }
 
-namespace {
-
-// `cur` is any column-provider (FMatrix or FMatrixSnapshot); emission stays
-// in ascending (col, row) order, identical to Diff's.
-template <typename CurMatrix>
-std::vector<DeltaCodec::Entry> DiffColumnsImpl(const FMatrix& prev, const CurMatrix& cur,
-                                               std::span<const ObjectId> touched_columns,
-                                               const CycleStampCodec& codec) {
+std::vector<DeltaCodec::Entry> DeltaCodec::DiffColumns(const FMatrix& prev, const FMatrix& cur,
+                                                       std::span<const ObjectId> touched_columns,
+                                                       const CycleStampCodec& codec) {
   std::vector<ObjectId> cols(touched_columns.begin(), touched_columns.end());
   std::sort(cols.begin(), cols.end());
   cols.erase(std::unique(cols.begin(), cols.end()), cols.end());
 
-  std::vector<DeltaCodec::Entry> out;
+  // Emission stays in ascending (col, row) order, identical to Diff's.
+  std::vector<Entry> out;
   const uint32_t n = cur.num_objects();
   std::vector<ObjectId> rows(n);
   for (ObjectId j : cols) {
@@ -123,21 +119,6 @@ std::vector<DeltaCodec::Entry> DiffColumnsImpl(const FMatrix& prev, const CurMat
     }
   }
   return out;
-}
-
-}  // namespace
-
-std::vector<DeltaCodec::Entry> DeltaCodec::DiffColumns(const FMatrix& prev, const FMatrix& cur,
-                                                       std::span<const ObjectId> touched_columns,
-                                                       const CycleStampCodec& codec) {
-  return DiffColumnsImpl(prev, cur, touched_columns, codec);
-}
-
-std::vector<DeltaCodec::Entry> DeltaCodec::DiffColumns(const FMatrix& prev,
-                                                       const FMatrixSnapshot& cur,
-                                                       std::span<const ObjectId> touched_columns,
-                                                       const CycleStampCodec& codec) {
-  return DiffColumnsImpl(prev, cur, touched_columns, codec);
 }
 
 std::vector<DeltaCodec::Entry> DeltaCodec::DiffColumns(const SparseFMatrix& prev,
@@ -310,26 +291,13 @@ StatusOr<std::vector<DeltaCodec::Entry>> DeltaCodec::Unpack(std::span<const uint
   return out;
 }
 
-namespace {
-
-template <typename AnyMatrix>
-std::vector<uint8_t> PackMatrixImpl(const AnyMatrix& matrix, const CycleStampCodec& codec) {
+std::vector<uint8_t> PackMatrix(const FMatrix& matrix, const CycleStampCodec& codec) {
   BitWriter writer;
   const uint32_t n = matrix.num_objects();
   for (ObjectId j = 0; j < n; ++j) {
     for (const Cycle c : matrix.Column(j)) writer.Write(codec.Encode(c), codec.bits());
   }
   return std::move(writer).Take();
-}
-
-}  // namespace
-
-std::vector<uint8_t> PackMatrix(const FMatrix& matrix, const CycleStampCodec& codec) {
-  return PackMatrixImpl(matrix, codec);
-}
-
-std::vector<uint8_t> PackMatrix(const FMatrixSnapshot& matrix, const CycleStampCodec& codec) {
-  return PackMatrixImpl(matrix, codec);
 }
 
 std::vector<uint8_t> PackMatrix(const SparseFMatrix& matrix, const CycleStampCodec& codec) {

@@ -21,7 +21,6 @@
 #include "common/statusor.h"
 #include "matrix/control_info.h"
 #include "matrix/f_matrix.h"
-#include "matrix/mc_vector.h"
 #include "matrix/sparse_f_matrix.h"
 
 namespace bcc {
@@ -92,12 +91,6 @@ class DeltaCodec {
                                         std::span<const ObjectId> touched_columns,
                                         const CycleStampCodec& codec);
 
-  /// Same, with the current matrix given as a cycle snapshot (the engines'
-  /// per-cycle control state is an FMatrixSnapshot since the CoW change).
-  static std::vector<Entry> DiffColumns(const FMatrix& prev, const FMatrixSnapshot& cur,
-                                        std::span<const ObjectId> touched_columns,
-                                        const CycleStampCodec& codec);
-
   /// Sparse-to-sparse variant: entries (and order) are identical to the dense
   /// DiffColumns on the materialized matrices, but each touched column costs
   /// O(nnz) via a merge walk — with a pointer-equality fast path for columns
@@ -143,7 +136,6 @@ class DeltaCodec {
 /// representations; the sparse saving is in server memory and maintenance,
 /// and in the delta/sparse accounting paths).
 std::vector<uint8_t> PackMatrix(const FMatrix& matrix, const CycleStampCodec& codec);
-std::vector<uint8_t> PackMatrix(const FMatrixSnapshot& matrix, const CycleStampCodec& codec);
 std::vector<uint8_t> PackMatrix(const SparseFMatrix& matrix, const CycleStampCodec& codec);
 
 /// Inverse of PackMatrix, decoding every residue anchored at `current`, with

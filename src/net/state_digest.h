@@ -46,8 +46,8 @@ inline uint64_t DigestValues(const ObjectValues& values, uint64_t hash = kFnvOff
 }
 
 /// Folds every matrix entry's ts-bit residue into the digest. Works for any
-/// matrix type exposing num_objects() and At(i, j) — FMatrix on the client,
-/// FMatrixSnapshot on the server.
+/// matrix type exposing num_objects() and At(i, j) — FMatrix on the client
+/// and in the server's dense snapshot, SparseFMatrix in its sparse one.
 template <typename Matrix>
 uint64_t DigestMatrixResidues(const Matrix& matrix, const CycleStampCodec& codec,
                               uint64_t hash = kFnvOffset) {

@@ -29,7 +29,6 @@ CycleSnapshot BroadcastServer::BuildSnapshot(Cycle cycle, SimTime start_time,
   } else if (manager.f_matrix().num_objects() > 0) {
     snap.f_matrix = manager.SnapshotFMatrix();
   }
-  if (manager.mc_vector().num_objects() > 0) snap.mc_vector = manager.mc_vector();
   if (partition_.has_value() && manager.f_matrix().num_objects() > 0) {
     snap.group_matrix.emplace(*partition_, manager.f_matrix());
   }
@@ -40,7 +39,7 @@ namespace {
 
 template <typename T>
 uint64_t PageBytesCopied(const CowPages<T>& live) {
-  return live.pages_copied() * CowPages<T>::kPageBytes;
+  return live.pages_copied() * live.page_bytes();
 }
 
 }  // namespace
@@ -53,12 +52,12 @@ void BroadcastServer::BeginCycle(Cycle cycle, SimTime start_time,
   }
   snapshot_ = std::make_shared<CycleSnapshot>(BuildSnapshot(cycle, start_time, manager));
   const CycleSnapshot& snap = *snapshot_;
-  table_bytes_copied_ += snap.values.table_bytes() + snap.mc_vector.pages().table_bytes();
+  table_bytes_copied_ += snap.values.table_bytes() + snap.f_matrix.column_pages().table_bytes();
   if (snap.sparse_f_matrix != nullptr) {
     table_bytes_copied_ += snap.sparse_f_matrix->column_pages().table_bytes();
   }
   live_page_bytes_copied_ = PageBytesCopied(manager.store().committed()) +
-                            PageBytesCopied(manager.mc_vector().pages()) +
+                            PageBytesCopied(manager.f_matrix().column_pages()) +
                             PageBytesCopied(manager.sparse_f_matrix().column_pages());
 }
 

@@ -28,16 +28,15 @@ struct CycleSnapshot {
   Cycle cycle = 0;
   SimTime start_time = 0;
   /// Committed values; shares every page no commit wrote since the
-  /// previous cycle with that cycle's snapshot and the live store.
+  /// previous cycle with that cycle's snapshot and the live store. Their
+  /// commit cycles are the reduced vector MC(i) that R-Matrix and Datacycle
+  /// broadcast with each object.
   ObjectValues values;
   /// Present when the serving algorithm needs the full matrix. A
-  /// copy-on-write view: columns untouched since the previous cycle are
-  /// shared with that cycle's snapshot, so materializing a cycle snapshot is
-  /// O(n * touched) instead of O(n^2).
-  FMatrixSnapshot f_matrix;
-  /// Present when the serving algorithm needs the reduced vector (paged
-  /// and shared like `values`).
-  McVector mc_vector{0};
+  /// page-shared snapshot: columns untouched since the previous cycle are
+  /// shared with that cycle's snapshot, so a cycle snapshot costs O(n)
+  /// pointers plus O(n * touched) column copies instead of O(n^2).
+  FMatrix f_matrix;
   /// Present when a grouped partition is configured (Section 3.2.2 spectrum).
   std::optional<GroupMatrix> group_matrix;
   /// Present when the manager maintains the sparse representation
@@ -113,10 +112,9 @@ class BroadcastServer {
 
   const CycleSnapshot& snapshot() const { return *snapshot_; }
 
-  /// Cumulative bytes the snapshots of paged state (values, MC vector,
-  /// sparse column table) have cost: the page tables each BeginCycle copies
-  /// plus the pages the manager's live containers copied on write. A dense
-  /// FMatrixSnapshot's column copies are not included.
+  /// Cumulative bytes the snapshots of paged state (values, sparse column
+  /// table, dense columns) have cost: the page tables each BeginCycle copies
+  /// plus the pages the manager's live containers copied on write.
   uint64_t snapshot_bytes_copied() const { return table_bytes_copied_ + live_page_bytes_copied_; }
   /// The current snapshot as a shared handle: a reader thread holding it
   /// keeps that cycle's state alive after the next BeginCycle replaces it.

@@ -23,7 +23,6 @@ TxnManagerOptions ManagerOptions(const SimConfig& config) {
   options.maintain_sparse_matrix = f_family && sparse_mode;
   options.maintain_hier_matrix = hier_mode;
   options.hier_options = config.HierOptions();
-  options.maintain_mc_vector = true;
   options.record_history = config.record_history;
   options.track_dirty_columns = config.delta_broadcast;
   return options;
@@ -109,8 +108,8 @@ CycleServer::CycleServer(const SimConfig& config, Rng workload_rng, CycleServerO
         },
         config.update_workers);
     // A cycle's commits reach the manager only at the fold, so the
-    // validator reads the MC vector through the cycle-epoch overlay and
-    // accepted uplinks queue for the fold's serial prefix.
+    // validator reads the store's MC stamps through the cycle-epoch overlay
+    // and accepted uplinks queue for the fold's serial prefix.
     overlay_ = std::make_unique<McOverlay>(config.num_objects);
     validator_->AttachStagedMode(overlay_.get(), [this](ServerTxn&& txn) {
       pending_uplinks_.push_back(std::move(txn));

@@ -12,12 +12,11 @@ DeltaBroadcaster::DeltaBroadcaster(uint32_t num_objects, CycleStampCodec codec,
   assert(refresh_period_ <= codec_.max_cycles());
 }
 
-template <typename CurMatrix>
-DeltaControl DeltaBroadcaster::BuildControlImpl(const CurMatrix& current,
-                                                std::span<const ObjectId> touched_columns,
-                                                Cycle cycle) {
+DeltaControl DeltaBroadcaster::BuildControl(const FMatrix& current,
+                                            std::span<const ObjectId> touched_columns,
+                                            Cycle cycle) {
   assert(!started_ || cycle == last_cycle_ + 1);
-  if (prev_.num_objects() != n_) prev_ = FMatrix(n_);
+  assert(current.num_objects() == n_);
 
   DeltaControl ctl;
   ctl.cycle = cycle;
@@ -44,32 +43,15 @@ DeltaControl DeltaBroadcaster::BuildControlImpl(const CurMatrix& current,
     ctl.base_cycle = cycle;
     ctl.control_bits = ctl.full_bits;
     last_refresh_cycle_ = cycle;
-    // Refresh resets the diff base wholesale (O(n^2), refresh cycles only).
-    for (ObjectId j = 0; j < n_; ++j) {
-      for (uint32_t i = 0; i < n_; ++i) prev_.Set(i, j, current.At(i, j));
-    }
-  } else {
-    // Fold only the touched columns into the diff base: O(n * touched).
-    for (ObjectId j : touched_columns) {
-      for (uint32_t i = 0; i < n_; ++i) prev_.Set(i, j, current.At(i, j));
-    }
   }
+  // The base becomes `current` by sharing its column pages: O(n) pointers
+  // on every cycle, refresh or delta. (Folding just the touched columns
+  // yields the same base, since they cover every column that changed.)
+  prev_ = current.Snapshot();
 
   started_ = true;
   last_cycle_ = cycle;
   return ctl;
-}
-
-DeltaControl DeltaBroadcaster::BuildControl(const FMatrix& current,
-                                            std::span<const ObjectId> touched_columns,
-                                            Cycle cycle) {
-  return BuildControlImpl(current, touched_columns, cycle);
-}
-
-DeltaControl DeltaBroadcaster::BuildControl(const FMatrixSnapshot& current,
-                                            std::span<const ObjectId> touched_columns,
-                                            Cycle cycle) {
-  return BuildControlImpl(current, touched_columns, cycle);
 }
 
 DeltaControl DeltaBroadcaster::BuildControl(const SparseFMatrix& current,

@@ -84,14 +84,10 @@ class DeltaBroadcaster {
   /// matrix is `current` and whose commits since the previous call rewrote
   /// (at most) `touched_columns`. Calls must be made for consecutive cycles
   /// (cycle = previous call's cycle + 1, except the first). O(n * touched)
-  /// plus O(n^2) only on refresh cycles.
+  /// for the diff; the next diff base then shares `current`'s column pages
+  /// (O(n) pointers, refresh or not).
   DeltaControl BuildControl(const FMatrix& current, std::span<const ObjectId> touched_columns,
                             Cycle cycle);
-
-  /// Same, with the beginning-of-cycle matrix given as the CoW cycle
-  /// snapshot the server already built.
-  DeltaControl BuildControl(const FMatrixSnapshot& current,
-                            std::span<const ObjectId> touched_columns, Cycle cycle);
 
   /// Sparse-representation server (MatrixMode::kSparse): identical entries,
   /// refresh policy, and bit accounting, but the diff is an O(nnz) merge
@@ -103,20 +99,17 @@ class DeltaBroadcaster {
                             std::span<const ObjectId> touched_columns, Cycle cycle);
 
  private:
-  template <typename CurMatrix>
-  DeltaControl BuildControlImpl(const CurMatrix& current,
-                                std::span<const ObjectId> touched_columns, Cycle cycle);
-
   uint32_t n_;
   CycleStampCodec codec_;
   uint64_t refresh_period_;
   bool started_ = false;
   Cycle last_cycle_ = 0;
   Cycle last_refresh_cycle_ = 0;
-  /// The matrix as of the previous cycle's broadcast — the diff base.
-  /// Allocated lazily by the first BuildControl of the matching overload
-  /// family, so a sparse-mode run never materializes the O(n^2) dense base.
-  FMatrix prev_{0};
+  /// The matrix as of the previous cycle's broadcast — the diff base. The
+  /// dense base is a page-shared snapshot of the previous matrix; the sparse
+  /// one is sized by its first BuildControl, so neither representation
+  /// materializes the other's base.
+  FMatrix prev_;
   SparseFMatrix sparse_prev_{0};
 };
 

@@ -2,16 +2,17 @@
 // validator consistent while pooled server updates are in flight (DESIGN.md
 // §4i).
 //
-// With the sequential update path the manager's MC vector is maintained
-// eagerly, so the validator's backward check (`MC(ob) >= read cycle`?) sees
-// every commit that precedes the uplink transaction in the serialization
-// order. A pooled cycle's commits reach the manager only at the fold, so
-// every transaction accepted into the current cycle — the cycle's server
-// transactions when CycleServer stages them, accepted uplinks when they
-// validate — stages its write set here, and the validator reads
-// max(manager.mc_vector().At(ob), overlay.At(ob)). Staged entries stamp the
-// current cycle, which is >= any manager entry, so the merge equals the MC
-// vector the sequential path would show. The fold publishes the staged
+// MC(ob) is the commit cycle of ob's committed version, values[ob].cycle in
+// the manager's store. With the sequential update path the store is
+// written eagerly, so the validator's backward check (`MC(ob) >= read
+// cycle`?) sees every commit that precedes the uplink transaction in the
+// serialization order. A pooled cycle's commits reach the manager only at
+// the fold, so every transaction accepted into the current cycle — the
+// cycle's server transactions when CycleServer stages them, accepted
+// uplinks when they validate — stages its write set here, and the validator
+// reads max(store.Committed(ob).cycle, overlay.At(ob)). Staged entries
+// stamp the current cycle, which is >= any store stamp, so the merge equals
+// the stamp the sequential path would show. The fold publishes the staged
 // effects for real and Clear() retires the epoch in O(1).
 //
 // Single-writer: the owner serializes every stage, clear and read (the

@@ -8,8 +8,7 @@ ServerTxnManager::ServerTxnManager(uint32_t num_objects, TxnManagerOptions optio
     : options_(options),
       store_(num_objects),
       f_matrix_(options.maintain_f_matrix ? num_objects : 0),
-      sparse_f_matrix_(options.maintain_sparse_matrix ? num_objects : 0),
-      mc_vector_(options.maintain_mc_vector ? num_objects : 0) {
+      sparse_f_matrix_(options.maintain_sparse_matrix ? num_objects : 0) {
   if (options_.maintain_hier_matrix) {
     hier_matrix_.emplace(num_objects, options_.hier_options);
   }
@@ -65,10 +64,6 @@ std::vector<ObjectVersion> ServerTxnManager::ExecuteAndCommit(const ServerTxn& t
       }
     }
   }
-  if (options_.maintain_mc_vector) {
-    mc_vector_.ApplyCommit(txn.write_set, cycle);
-  }
-
   if (options_.record_history) commit_cycles_[txn.id] = cycle;
   ++num_committed_;
   return values_read;

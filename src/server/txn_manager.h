@@ -5,9 +5,10 @@
 // clients over the uplink — are executed and committed serially, which is
 // the paper's "simple case where the entries are updated as per a
 // serialization order". Each commit atomically:
-//   - installs the transaction's writes into the two-version store,
-//   - applies the Theorem 2 incremental update to the F-Matrix,
-//   - advances the reduced MC vector, and
+//   - installs the transaction's writes into the two-version store, whose
+//     per-object commit cycles (values[i].cycle) are the reduced vector
+//     MC(i) that R-Matrix and Datacycle broadcast,
+//   - applies the Theorem 2 incremental update to the F-Matrix, and
 //   - (optionally) appends the operations to a recorded history so tests
 //     can replay the run through the APPROX/legality oracles.
 
@@ -23,7 +24,6 @@
 #include "history/object_id.h"
 #include "matrix/f_matrix.h"
 #include "matrix/hier_matrix.h"
-#include "matrix/mc_vector.h"
 #include "matrix/sparse_f_matrix.h"
 #include "server/store.h"
 
@@ -41,6 +41,9 @@ struct ServerTxn {
 /// disable what their algorithm does not need.
 struct TxnManagerOptions {
   bool maintain_f_matrix = true;
+  /// Read by nothing: the store's commit cycles are the MC vector. Kept only
+  /// because the traced replays in perfbench/ still assign it; delete it
+  /// with them.
   bool maintain_mc_vector = true;
   bool record_history = false;
   /// Record which F-Matrix columns commits rewrite (requires
@@ -50,9 +53,10 @@ struct TxnManagerOptions {
   /// FMatrix::ApplyCommitBatch call (bit-identical to the per-commit path;
   /// DESIGN.md §4g). Commits queue until the cycle advances or the matrix is
   /// observed (f_matrix(), SnapshotFMatrix(), TakeTouchedColumns), so every
-  /// reader still sees exactly the sequential-maintenance state. The MC
-  /// vector is always maintained eagerly — the uplink validator reads it
-  /// mid-cycle. Disable to force the per-commit oracle path.
+  /// reader still sees exactly the sequential-maintenance state. The store
+  /// (and with it every MC(i) stamp) is always written eagerly — the uplink
+  /// validator reads it mid-cycle. Disable to force the per-commit oracle
+  /// path.
   bool batch_commit_maintenance = true;
   /// Maintain the control matrix in compressed-sparse-column form
   /// (MatrixMode::kSparse): value-identical to the dense FMatrix, O(nnz)
@@ -91,7 +95,6 @@ class ServerTxnManager {
     const_cast<ServerTxnManager*>(this)->FlushCommitBatch();
     return f_matrix_;
   }
-  const McVector& mc_vector() const { return mc_vector_; }
 
   /// The sparse control matrix (options.maintain_sparse_matrix); flushes the
   /// pending batch like f_matrix(). Size-0 matrix when not maintained.
@@ -124,10 +127,11 @@ class ServerTxnManager {
     return hier_matrix_ ? &*hier_matrix_ : nullptr;
   }
 
-  /// Copy-on-write snapshot of the F-Matrix after every commit so far
-  /// (flushes the pending batch like f_matrix()). O(n * touched columns)
-  /// per cycle in steady state.
-  FMatrixSnapshot SnapshotFMatrix() const { return f_matrix().Snapshot(); }
+  /// Page-shared snapshot of the F-Matrix after every commit so far
+  /// (flushes the pending batch like f_matrix()). O(n) pointers; the live
+  /// matrix then copies each column on its first write, O(n * touched
+  /// columns) per cycle in steady state.
+  FMatrix SnapshotFMatrix() const { return f_matrix().Snapshot(); }
 
   /// Drains the control-matrix columns rewritten by commits since the last
   /// drain (options.track_dirty_columns must be set; drains the sparse
@@ -178,7 +182,6 @@ class ServerTxnManager {
   FMatrix f_matrix_;
   SparseFMatrix sparse_f_matrix_;
   std::optional<HierMatrix> hier_matrix_;
-  McVector mc_vector_;
   History history_;
   std::unordered_map<TxnId, Cycle> commit_cycles_;
   size_t num_committed_ = 0;

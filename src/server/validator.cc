@@ -10,11 +10,12 @@ StatusOr<Cycle> UpdateValidator::ValidateAndCommit(const ClientUpdateRequest& re
                                                    Cycle current_cycle) {
   // A read of (ob, cycle) observed the committed version as of the beginning
   // of `cycle`. It is still current iff the last committed write to ob
-  // happened before `cycle`. In staged mode the overlay supplies the MC
-  // effects of this cycle's accepted-but-not-folded transactions, so the
-  // merged view equals the eager MC vector of the sequential path.
+  // happened before `cycle`: MC(ob), the committed version's cycle stamp.
+  // In staged mode the overlay supplies the MC effects of this cycle's
+  // accepted-but-not-folded transactions, so the merged view equals the
+  // eagerly written store of the sequential path.
   for (const ReadRecord& r : request.reads) {
-    Cycle last_write = manager_->mc_vector().At(r.object);
+    Cycle last_write = manager_->store().Committed(r.object).cycle;
     if (overlay_ != nullptr) last_write = std::max(last_write, overlay_->At(r.object));
     if (last_write >= r.cycle) {
       ++num_rejected_;

@@ -46,14 +46,15 @@ class UpdateValidator {
   /// broadcast cycle `current_cycle`. On success the transaction commits
   /// and its commit cycle is returned; on conflict, Status::Aborted.
   ///
-  /// Direct mode (default): validation reads the manager's eager MC vector
-  /// and an accepted transaction is executed serially at the manager on the
-  /// spot. Staged mode (AttachStagedMode): validation reads the merged
-  /// max(manager MC, overlay) view and an accepted transaction is staged
-  /// into the overlay and handed to the sink instead — the engine folds it
-  /// through the TxnProcessor at the cycle boundary. Either way the view
-  /// covers every transaction accepted into the current cycle so far, so
-  /// the commit/abort decision is identical to the sequential path's.
+  /// Direct mode (default): validation reads MC(ob) from the manager's
+  /// eagerly written store (values[ob].cycle) and an accepted transaction
+  /// is executed serially at the manager on the spot. Staged mode
+  /// (AttachStagedMode): validation reads the merged max(store MC, overlay)
+  /// view and an accepted transaction is staged into the overlay and handed
+  /// to the sink instead — the engine folds it through the TxnProcessor at
+  /// the cycle boundary. Either way the view covers every transaction
+  /// accepted into the current cycle so far, so the commit/abort decision is
+  /// identical to the sequential path's.
   StatusOr<Cycle> ValidateAndCommit(const ClientUpdateRequest& request, Cycle current_cycle);
 
   /// Enters staged (pooled) mode: `overlay` carries the MC effects of this

@@ -324,7 +324,7 @@ Status BroadcastSim::VerifyDeltaTrackers() const {
   if (!ran_) return Status::FailedPrecondition("VerifyDeltaTrackers requires a completed Run");
   const CycleStampCodec codec(config_.timestamp_bits);
   const CycleSnapshot& final_snap = server_->snapshot();
-  const FMatrixSnapshot& truth = final_snap.f_matrix;
+  const FMatrix& truth = final_snap.f_matrix;
   const Cycle cycle = final_snap.cycle;
   // Sparse mode: truth and (direct-mode) reconstructions are SparseFMatrix.
   const auto truth_at = [&](ObjectId i, ObjectId j) {

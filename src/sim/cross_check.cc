@@ -80,10 +80,6 @@ Status DiffRuns(const RunView& a, const RunView& b) {
     return Status::Internal(
         StrFormat("server control matrices diverge between %s and %s", a.label, b.label));
   }
-  if (!(a.manager.mc_vector() == b.manager.mc_vector())) {
-    return Status::Internal(
-        StrFormat("server MC vectors diverge between %s and %s", a.label, b.label));
-  }
   if (!(a.manager.store().committed() == b.manager.store().committed())) {
     return Status::Internal(
         StrFormat("server stores diverge between %s and %s", a.label, b.label));

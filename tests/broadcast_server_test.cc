@@ -17,7 +17,7 @@ TEST(BroadcastServerTest, SnapshotCapturesCommittedState) {
   server.BeginCycle(2, 1000, mgr);
   EXPECT_EQ(server.snapshot().cycle, 2u);
   EXPECT_EQ(server.snapshot().values[2].writer, 1u);
-  EXPECT_EQ(server.snapshot().mc_vector.At(2), 1u);
+  EXPECT_EQ(server.snapshot().values[2].cycle, 1u);
 }
 
 TEST(BroadcastServerTest, SnapshotIsImmutableAgainstLaterCommits) {
@@ -27,7 +27,7 @@ TEST(BroadcastServerTest, SnapshotIsImmutableAgainstLaterCommits) {
   mgr.ExecuteAndCommit(ServerTxn{1, {}, {0}}, 1);  // during cycle 1
   // The on-air snapshot still shows the beginning-of-cycle state.
   EXPECT_EQ(server.snapshot().values[0].writer, kInitTxn);
-  EXPECT_EQ(server.snapshot().mc_vector.At(0), 0u);
+  EXPECT_EQ(server.snapshot().values[0].cycle, 0u);
   server.BeginCycle(2, server.CycleEndTime(), mgr);
   EXPECT_EQ(server.snapshot().values[0].writer, 1u);
 }
@@ -62,7 +62,7 @@ TEST(BroadcastServerTest, FMatrixSnapshotOnlyWhenMaintained) {
   BroadcastServer server(4, SmallGeometry());
   server.BeginCycle(1, 0, mgr);
   EXPECT_EQ(server.snapshot().f_matrix.num_objects(), 0u);
-  EXPECT_EQ(server.snapshot().mc_vector.num_objects(), 4u);
+  EXPECT_EQ(server.snapshot().values.size(), 4u);
 }
 
 TEST(BroadcastServerTest, PartitionedSnapshotCarriesGroupMatrix) {

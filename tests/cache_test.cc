@@ -12,7 +12,6 @@ CacheEntry MakeEntry(uint64_t value, Cycle cycle, SimTime cached_time) {
   e.version = ObjectVersion{value, 1, cycle};
   e.cycle = cycle;
   e.cached_time = cached_time;
-  e.mc_entry = cycle;
   return e;
 }
 
@@ -100,7 +99,6 @@ class CachedReadTest : public ::testing::Test {
     e.cached_time = snap.start_time;
     const auto col = snap.f_matrix.Column(ob);
     e.column.assign(col.begin(), col.end());
-    e.mc_entry = snap.mc_vector.At(ob);
     return e;
   }
 

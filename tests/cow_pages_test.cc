@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "matrix/f_matrix.h"
 
 namespace bcc {
 namespace {
@@ -363,6 +364,69 @@ TEST(CowPagesTest, ReadersDropCopiesOfDifferentGenerationsWhileWriterReclaims) {
   { const Pages last = live; }
   live.Set(0, 0);
   EXPECT_EQ(live.retired_pages(), 0u);
+}
+
+TEST(CowPagesTest, ReaderHoldsDenseMatrixSnapshotAcrossTheNextCommitBatch) {
+  // Column-length pages (n = 48, not a power of two): the writer folds one
+  // commit batch per cycle into a dense F-Matrix and publishes a snapshot
+  // with a deep copy of its entries; a reader holds each snapshot across
+  // the next batch, checks it against the deep copy, adopts it into a copy
+  // of its own that it writes (a delta tracker), and drops both on its own
+  // thread.
+  constexpr uint32_t kN = 48;
+  constexpr Cycle kCycles = 150;
+  struct Published {
+    FMatrix snap;
+    std::vector<Cycle> entries;
+  };
+  const auto entries_of = [](const FMatrix& m) {
+    std::vector<Cycle> out;
+    for (ObjectId j = 0; j < m.num_objects(); ++j) {
+      out.insert(out.end(), m.Column(j).begin(), m.Column(j).end());
+    }
+    return out;
+  };
+  FMatrix live(kN);
+  std::mutex mu;
+  std::shared_ptr<const Published> published;
+  std::atomic<bool> done{false};
+  std::atomic<uint64_t> mismatches{0};
+  std::atomic<uint64_t> checked{0};
+  std::thread reader([&] {
+    while (!done.load(std::memory_order_acquire)) {
+      std::shared_ptr<const Published> held;
+      {
+        const std::lock_guard<std::mutex> lock(mu);
+        held = published;
+      }
+      if (held == nullptr) continue;
+      if (entries_of(held->snap) != held->entries) mismatches.fetch_add(1);
+      FMatrix mine = held->snap.Snapshot();
+      mine.Set(kN - 1, 0, held->snap.At(kN - 1, 0) + 1);
+      if (held->snap.At(kN - 1, 0) != held->entries[kN - 1]) mismatches.fetch_add(1);
+      checked.fetch_add(1, std::memory_order_relaxed);
+    }
+  });
+  Rng rng(17);
+  for (Cycle cycle = 1; cycle <= kCycles; ++cycle) {
+    std::vector<CommitSets> batch(4);
+    for (CommitSets& c : batch) {
+      c.read_set = rng.SampleWithoutReplacement(kN, 2);
+      c.write_set = rng.SampleWithoutReplacement(kN, 1 + static_cast<uint32_t>(rng.NextBounded(3)));
+    }
+    live.ApplyCommitBatch(batch, cycle);
+    auto next = std::make_shared<const Published>(Published{live.Snapshot(), entries_of(live)});
+    const std::lock_guard<std::mutex> lock(mu);
+    published = std::move(next);
+  }
+  while (checked.load(std::memory_order_relaxed) == 0) std::this_thread::yield();
+  done.store(true, std::memory_order_release);
+  reader.join();
+  EXPECT_EQ(mismatches.load(), 0u);
+  // Every column a batch wrote was copied once, on its first write after the
+  // previous cycle's snapshot.
+  EXPECT_GT(live.snapshot_columns_copied(), 0u);
+  EXPECT_EQ(live.column_pages().page_bytes(), kN * sizeof(Cycle));
 }
 
 }  // namespace

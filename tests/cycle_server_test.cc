@@ -167,43 +167,8 @@ TEST(CycleServerTest, UplinkAcceptedInCycleKIsOnAirInKPlusOneWithStampK) {
     const CycleSnapshot& snap = server->BeginCycle(3);
     EXPECT_EQ(snap.values[4].writer, id);
     EXPECT_EQ(snap.values[4].cycle, 2u);
-    EXPECT_EQ(snap.mc_vector.At(4), 2u);
     EXPECT_EQ(snap.f_matrix.At(4, 4), 2u);
     EXPECT_EQ(server->manager().commit_cycles().at(id), 2u);
-  }
-}
-
-TEST(CycleServerTest, SnapshotMcVectorEqualsTheValuesCycleStamps) {
-  // The MC vector duplicates the committed values' cycle stamps: MC(i) is
-  // the cycle of the last committed write of ob_i. Checked on every
-  // snapshot of a run with server commits and uplinks, sequential and
-  // pooled, over more than one page of objects.
-  for (const UpdateScheme scheme : {UpdateScheme::kSequential, UpdateScheme::kOcc}) {
-    SCOPED_TRACE(static_cast<int>(scheme));
-    SimConfig config = SmallConfig(scheme);
-    config.num_objects = 100;
-    std::unique_ptr<CycleServer> server = MakeServer(config);
-    constexpr Cycle kCycles = 12;
-    size_t stamped = 0;
-    for (Cycle k = 1; k <= kCycles; ++k) {
-      const CycleSnapshot& snap = server->BeginCycle(k);
-      ASSERT_EQ(snap.mc_vector.num_objects(), config.num_objects);
-      stamped = 0;
-      for (ObjectId i = 0; i < config.num_objects; ++i) {
-        ASSERT_EQ(snap.mc_vector.At(i), snap.values[i].cycle) << "cycle " << k << " object " << i;
-        stamped += snap.values[i].cycle > 0 ? 1 : 0;
-      }
-      server->StageCycle(k);
-      const auto a = static_cast<ObjectId>((7 * k) % config.num_objects);
-      const auto b = static_cast<ObjectId>((7 * k + 64) % config.num_objects);
-      server->SubmitUplink(0, {{a, k > 1 ? k - 1 : 1}}, {a}, k);
-      server->SubmitUplink(1, {}, {a, b}, k);
-      server->EndCycle(k, 0);
-    }
-    EXPECT_GT(stamped, 0u) << "no commit reached a snapshot";
-    size_t uplinks = 0;
-    for (const UplinkDecision& d : server->decisions().uplinks) uplinks += d.accepted ? 1 : 0;
-    EXPECT_GE(uplinks, kCycles - 1);
   }
 }
 
@@ -317,11 +282,10 @@ TEST(CycleServerTest, SnapshotBytesScaleWithTouchedPagesNotObjects) {
     SCOPED_TRACE(n);
     std::unique_ptr<CycleServer> server = MakeServer(UplinkShape(n));
     const CycleSnapshot& first = server->BeginCycle(1);
-    // Every snapshot copies the same three tables (`first` is replaced by
+    // Every snapshot copies the same two tables (`first` is replaced by
     // the next BeginCycle, so only its table sizes are kept).
-    const uint64_t table_bytes = first.values.table_bytes() +
-                                 first.mc_vector.pages().table_bytes() +
-                                 first.sparse_f_matrix->column_pages().table_bytes();
+    const uint64_t table_bytes =
+        first.values.table_bytes() + first.sparse_f_matrix->column_pages().table_bytes();
     const uint64_t start = server->broadcast().snapshot_bytes_copied();
     uint64_t before = start;
     size_t seen_commits = 0;
@@ -331,12 +295,11 @@ TEST(CycleServerTest, SnapshotBytesScaleWithTouchedPagesNotObjects) {
       server->BeginCycle(k + 1);
       // Distinct pages the cycle's commits wrote, per container (the page
       // sizes differ by element type).
-      std::set<uint32_t> values_written, mc_written, columns_written;
+      std::set<uint32_t> values_written, columns_written;
       const auto& commits = server->decisions().server_commits;
       for (; seen_commits < commits.size(); ++seen_commits) {
         for (ObjectId w : commits[seen_commits].writes) {
           values_written.insert(w >> ObjectValues::kPageShift);
-          mc_written.insert(w >> CowPages<Cycle>::kPageShift);
           columns_written.insert(w >> Columns::kPageShift);
         }
       }
@@ -346,7 +309,6 @@ TEST(CycleServerTest, SnapshotBytesScaleWithTouchedPagesNotObjects) {
       ASSERT_GE(total, table_bytes);
       // Each page a commit wrote is copied at most once per container.
       const uint64_t page_bytes = values_written.size() * ObjectValues::kPageBytes +
-                                  mc_written.size() * CowPages<Cycle>::kPageBytes +
                                   columns_written.size() * Columns::kPageBytes;
       EXPECT_LE(total - table_bytes, page_bytes) << "cycle " << k;
     }

@@ -2,9 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include "client/read_txn.h"
 #include "common/rng.h"
 #include "matrix/f_matrix.h"
-#include "matrix/mc_vector.h"
 
 namespace bcc {
 namespace {
@@ -134,37 +134,48 @@ TEST(CycleStampTest, WindowedDecodeCausesSpuriousAbortsOnlyThroughFMatrix) {
 }
 
 TEST(CycleStampTest, WindowedDecodeCausesSpuriousAbortsOnlyThroughMcVector) {
-  // Same property through the reduced-vector conditions (Datacycle and
-  // R-Matrix): decoded-acceptance must imply true-acceptance.
+  // Same property through the reduced-vector conditions as clients run them
+  // (ReadOnlyTxnProtocol with and without the codec): a client decoding the
+  // TS-bit MC stamps (values[i].cycle) accepts a read only if the exact
+  // stamps accept it. Each trial is one transaction reading an object every
+  // few cycles while random commits move the on-air stamps.
   for (unsigned bits : {2u, 3u}) {
     const CycleStampCodec codec(bits);
     Rng rng(4321 + bits);
     const uint32_t n = 6;
-    for (int trial = 0; trial < 2000; ++trial) {
-      const Cycle current = rng.NextBounded(40);
-      McVector true_mc(n), decoded_mc(n);
-      for (ObjectId i = 0; i < n; ++i) {
-        const Cycle c = rng.NextBounded(static_cast<uint64_t>(current) + 1);
-        true_mc.Set(i, c);
-        decoded_mc.Set(i, codec.Decode(codec.Encode(c), current));
-      }
-      std::vector<ReadRecord> reads;
-      const uint32_t num_reads = 1 + static_cast<uint32_t>(rng.NextBounded(3));
-      for (uint32_t k = 0; k < num_reads; ++k) {
-        reads.push_back({static_cast<ObjectId>(rng.NextBounded(n)),
-                         rng.NextBounded(static_cast<uint64_t>(current) + 1)});
-      }
-      if (DatacycleReadCondition(decoded_mc, reads)) {
-        ASSERT_TRUE(DatacycleReadCondition(true_mc, reads))
-            << "bits=" << bits << " trial=" << trial;
-      }
-      const ObjectId j = static_cast<ObjectId>(rng.NextBounded(n));
-      const Cycle first = rng.NextBounded(static_cast<uint64_t>(current) + 1);
-      if (RMatrixReadCondition(decoded_mc, reads, j, first)) {
-        ASSERT_TRUE(RMatrixReadCondition(true_mc, reads, j, first))
-            << "bits=" << bits << " trial=" << trial;
+    uint64_t spurious = 0;
+    for (const Algorithm algorithm : {Algorithm::kDatacycle, Algorithm::kRMatrix}) {
+      for (int trial = 0; trial < 1000; ++trial) {
+        ReadOnlyTxnProtocol exact(algorithm);
+        ReadOnlyTxnProtocol decoded(algorithm, codec);
+        CycleSnapshot snap;
+        snap.values = ObjectValues(n);
+        Cycle written_through = 0;  // commits of cycles <= this are on the air
+        snap.cycle = 1 + rng.NextBounded(8);
+        for (int read = 0; read < 4; ++read) {
+          for (; written_through + 1 < snap.cycle; ++written_through) {
+            for (ObjectId i = 0; i < n; ++i) {
+              if (rng.NextBernoulli(0.15)) {
+                snap.values.Set(i, ObjectVersion{1, kInitTxn, written_through + 1});
+              }
+            }
+          }
+          const auto ob = static_cast<ObjectId>(rng.NextBounded(n));
+          const bool decoded_ok = decoded.Read(snap, ob).ok();
+          const bool exact_ok = exact.Read(snap, ob).ok();
+          if (decoded_ok) {
+            ASSERT_TRUE(exact_ok) << "bits=" << bits << " trial=" << trial
+                                  << ": decoded stamps accepted a read the true ones reject";
+          }
+          if (!decoded_ok) {
+            spurious += exact_ok ? 1 : 0;
+            break;
+          }
+          snap.cycle += 1 + rng.NextBounded(2 * codec.modulus());
+        }
       }
     }
+    EXPECT_GT(spurious, 0u) << "bits=" << bits << ": the window never aliased a stamp";
   }
 }
 

@@ -3,7 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
-#include "matrix/mc_vector.h"
+#include "server/txn_manager.h"
 
 namespace bcc {
 namespace {
@@ -73,20 +73,19 @@ TEST(GroupMatrixTest, SingletonGroupsEqualFullMatrix) {
 }
 
 TEST(GroupMatrixTest, OneGroupEqualsMcVector) {
-  // With g = 1, MC(i, db) must equal the reduced vector MC(i).
+  // With g = 1, MC(i, db) must equal the reduced vector MC(i): the commit
+  // cycle of ob_i's committed value.
   Rng rng(23);
   const uint32_t n = 6;
-  FMatrix full(n);
-  McVector mc(n);
+  ServerTxnManager mgr(n);
   for (Cycle cycle = 1; cycle <= 30; ++cycle) {
     const auto reads = rng.SampleWithoutReplacement(n, static_cast<uint32_t>(rng.NextBounded(3)));
     const auto writes =
         rng.SampleWithoutReplacement(n, 1 + static_cast<uint32_t>(rng.NextBounded(2)));
-    full.ApplyCommit(reads, writes, cycle);
-    mc.ApplyCommit(writes, cycle);
+    mgr.ExecuteAndCommit(ServerTxn{static_cast<TxnId>(cycle), reads, writes}, cycle);
   }
-  const GroupMatrix gm(ObjectPartition::Blocks(n, 1), full);
-  for (ObjectId i = 0; i < n; ++i) EXPECT_EQ(gm.At(i, 0), mc.At(i));
+  const GroupMatrix gm(ObjectPartition::Blocks(n, 1), mgr.f_matrix());
+  for (ObjectId i = 0; i < n; ++i) EXPECT_EQ(gm.At(i, 0), mgr.store().Committed(i).cycle);
 }
 
 TEST(GroupMatrixTest, ReadConditionMonotoneInGroupCount) {

@@ -229,5 +229,104 @@ TEST_F(ReadTxnTest, SameCycleReadsAlwaysConsistent) {
   }
 }
 
+// The reduced-vector conditions, driven through the protocol the clients run
+// over hand-built on-air states: MC(i) is values[i].cycle.
+
+/// The on-air state of broadcast cycle `cycle`, object i last written in
+/// cycle stamps[i].
+CycleSnapshot OnAir(Cycle cycle, const std::vector<Cycle>& stamps) {
+  CycleSnapshot snap;
+  snap.cycle = cycle;
+  snap.values = ObjectValues(static_cast<uint32_t>(stamps.size()));
+  for (ObjectId i = 0; i < stamps.size(); ++i) {
+    snap.values.Set(i, ObjectVersion{i + 1u, kInitTxn, stamps[i]});
+  }
+  return snap;
+}
+
+TEST(DatacycleConditionTest, RejectsAnyOverwrittenRead) {
+  // ob1 read in cycle 5, then written by a commit of cycle 5: stale.
+  ReadOnlyTxnProtocol stale(Algorithm::kDatacycle);
+  ASSERT_TRUE(stale.Read(OnAir(5, {0, 0, 0}), 1).ok());
+  EXPECT_FALSE(stale.Read(OnAir(6, {0, 5, 0}), 2).ok());
+  EXPECT_EQ(stale.last_abort().cause, AbortCause::kMcConflict);
+  EXPECT_EQ(stale.last_abort().ob_i, 1u);
+  EXPECT_EQ(stale.last_abort().c_ij, 5u);
+  // ob1 read in cycle 6, after that write committed: fine.
+  ReadOnlyTxnProtocol fresh(Algorithm::kDatacycle);
+  ASSERT_TRUE(fresh.Read(OnAir(6, {0, 5, 0}), 1).ok());
+  EXPECT_TRUE(fresh.Read(OnAir(7, {0, 5, 0}), 2).ok());
+  // An overwrite of an object not read leaves the reads alone.
+  ReadOnlyTxnProtocol unrelated(Algorithm::kDatacycle);
+  ASSERT_TRUE(unrelated.Read(OnAir(1, {0, 0, 0}), 0).ok());
+  EXPECT_TRUE(unrelated.Read(OnAir(6, {0, 5, 0}), 2).ok());
+}
+
+TEST(DatacycleConditionTest, VacuouslyTrueWithNoReads) {
+  ReadOnlyTxnProtocol p(Algorithm::kDatacycle);
+  EXPECT_TRUE(p.Read(OnAir(3, {2, 2}), 0).ok());
+}
+
+TEST(RMatrixConditionTest, FirstDisjunctMatchesDatacycle) {
+  // Nothing read was overwritten: accept regardless of the target's state.
+  ReadOnlyTxnProtocol p(Algorithm::kRMatrix);
+  ASSERT_TRUE(p.Read(OnAir(4, {0, 0, 0}), 0).ok());
+  ASSERT_TRUE(p.Read(OnAir(4, {0, 0, 0}), 1).ok());
+  EXPECT_TRUE(p.Read(OnAir(10, {0, 0, 9}), 2).ok());
+}
+
+TEST(RMatrixConditionTest, SecondDisjunctSavesStaleReads) {
+  // ob0 was overwritten after the client read it (cycle 9 >= 4), but ob1 is
+  // unchanged since the transaction's first read (MC(1) = 0 < 4): R-Matrix
+  // accepts where Datacycle aborts.
+  const CycleSnapshot first = OnAir(4, {0, 0, 0});
+  const CycleSnapshot later = OnAir(10, {9, 0, 0});
+  ReadOnlyTxnProtocol datacycle(Algorithm::kDatacycle);
+  ReadOnlyTxnProtocol rmatrix(Algorithm::kRMatrix);
+  ASSERT_TRUE(datacycle.Read(first, 0).ok());
+  ASSERT_TRUE(rmatrix.Read(first, 0).ok());
+  EXPECT_FALSE(datacycle.Read(later, 1).ok());
+  EXPECT_TRUE(rmatrix.Read(later, 1).ok());
+}
+
+TEST(RMatrixConditionTest, RejectsWhenBothDisjunctsFail) {
+  // ob1 also changed (cycle 9 >= first read 4): reject.
+  ReadOnlyTxnProtocol p(Algorithm::kRMatrix);
+  ASSERT_TRUE(p.Read(OnAir(4, {0, 0, 0}), 0).ok());
+  EXPECT_FALSE(p.Read(OnAir(10, {9, 9, 0}), 1).ok());
+  EXPECT_EQ(p.last_abort().cause, AbortCause::kMcConflict);
+  EXPECT_EQ(p.last_abort().ob_j, 1u);
+  EXPECT_EQ(p.last_abort().read_cycle, 4u);
+  EXPECT_EQ(p.last_abort().c_ij, 9u);
+}
+
+TEST(RMatrixConditionTest, WeakerThanDatacyclePointwise) {
+  // Property: whenever Datacycle accepts a read, R-Matrix accepts it too
+  // (same reads so far, same on-air state).
+  Rng rng(13);
+  const uint32_t n = 5;
+  for (int trial = 0; trial < 2000; ++trial) {
+    ReadOnlyTxnProtocol datacycle(Algorithm::kDatacycle);
+    ReadOnlyTxnProtocol rmatrix(Algorithm::kRMatrix);
+    Cycle cur = 1 + rng.NextBounded(8);
+    const uint32_t num_reads = 1 + static_cast<uint32_t>(rng.NextBounded(3));
+    for (uint32_t k = 0; k < num_reads; ++k) {
+      // Nothing written yet: every read passes both conditions.
+      const CycleSnapshot quiet = OnAir(cur, std::vector<Cycle>(n, 0));
+      const auto ob = static_cast<ObjectId>(rng.NextBounded(n));
+      ASSERT_TRUE(datacycle.Read(quiet, ob).ok());
+      ASSERT_TRUE(rmatrix.Read(quiet, ob).ok());
+      cur += rng.NextBounded(3);
+    }
+    std::vector<Cycle> stamps(n);
+    for (Cycle& c : stamps) c = rng.NextBounded(10);
+    const CycleSnapshot snap = OnAir(cur, stamps);
+    const auto target = static_cast<ObjectId>(rng.NextBounded(n));
+    if (datacycle.Read(snap, target).ok()) {
+      EXPECT_TRUE(rmatrix.Read(snap, target).ok()) << "trial " << trial;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace bcc

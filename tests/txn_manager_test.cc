@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "cc/conflict_serializability.h"
+#include "common/rng.h"
 #include "matrix/f_matrix.h"
 
 namespace bcc {
@@ -37,8 +40,8 @@ TEST(ServerTxnManagerTest, MatricesTrackCommits) {
   ServerTxnManager mgr(3);
   mgr.ExecuteAndCommit(MakeTxn(1, {}, {0}), 1);
   mgr.ExecuteAndCommit(MakeTxn(2, {0}, {1}), 3);
-  EXPECT_EQ(mgr.mc_vector().At(0), 1u);
-  EXPECT_EQ(mgr.mc_vector().At(1), 3u);
+  EXPECT_EQ(mgr.store().Committed(0).cycle, 1u);
+  EXPECT_EQ(mgr.store().Committed(1).cycle, 3u);
   EXPECT_EQ(mgr.f_matrix().At(0, 1), 1u);  // ob1 depends on ob0's writer
   EXPECT_EQ(mgr.f_matrix().At(1, 1), 3u);
 }
@@ -49,7 +52,7 @@ TEST(ServerTxnManagerTest, OptionsDisableStructures) {
   ServerTxnManager mgr(3, options);
   mgr.ExecuteAndCommit(MakeTxn(1, {}, {0}), 1);
   EXPECT_EQ(mgr.f_matrix().num_objects(), 0u);
-  EXPECT_EQ(mgr.mc_vector().At(0), 1u);
+  EXPECT_EQ(mgr.store().Committed(0).cycle, 1u);
 }
 
 TEST(ServerTxnManagerTest, RecordedHistoryIsSerialAndSerializable) {
@@ -81,6 +84,31 @@ TEST(ServerTxnManagerTest, IncrementalMatrixMatchesDefinitionOnRecordedHistory) 
   const FMatrix from_def =
       FMatrixFromDefinition(mgr.recorded_history(), mgr.commit_cycles(), 4);
   EXPECT_TRUE(mgr.f_matrix() == from_def);
+}
+
+// MC(i), the reduced vector R-Matrix and Datacycle broadcast, is the commit
+// cycle the store keeps with ob_i's committed value.
+TEST(McVectorTest, EqualsMaxColumnOfFullMatrix) {
+  // values[i].cycle == max_j C(i, j) after every commit of a random run.
+  Rng rng(11);
+  const uint32_t n = 6;
+  ServerTxnManager mgr(n);
+  TxnId id = 1;
+  for (Cycle cycle = 1; cycle <= 40; ++cycle) {
+    const uint32_t commits = 1 + static_cast<uint32_t>(rng.NextBounded(3));
+    for (uint32_t t = 0; t < commits; ++t) {
+      mgr.ExecuteAndCommit(
+          MakeTxn(id++, rng.SampleWithoutReplacement(n, static_cast<uint32_t>(rng.NextBounded(3))),
+                  rng.SampleWithoutReplacement(n, 1 + static_cast<uint32_t>(rng.NextBounded(2)))),
+          cycle);
+      const FMatrix& c = mgr.f_matrix();
+      for (ObjectId i = 0; i < n; ++i) {
+        Cycle max_col = 0;
+        for (ObjectId j = 0; j < n; ++j) max_col = std::max(max_col, c.At(i, j));
+        EXPECT_EQ(mgr.store().Committed(i).cycle, max_col) << "i=" << i << " cycle=" << cycle;
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -32,7 +32,6 @@ void ExpectMatchesSequentialOracle(uint32_t num_objects,
   FoldIntoManager(committed, folded, /*cycle=*/1);
   for (const CommittedServerTxn& c : committed) oracle.ExecuteAndCommit(c.txn, /*cycle=*/1);
   EXPECT_TRUE(folded.f_matrix() == oracle.f_matrix());
-  EXPECT_TRUE(folded.mc_vector() == oracle.mc_vector());
   EXPECT_EQ(folded.store().committed(), oracle.store().committed());
 }
 

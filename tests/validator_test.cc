@@ -84,13 +84,13 @@ TEST_F(ValidatorTest, CommittedClientTxnsKeepUpdateHistorySerializable) {
 
 TEST_F(ValidatorTest, RejectionLeavesMatricesUntouched) {
   mgr_.ExecuteAndCommit(ServerTxn{1, {}, {0}}, 2);
-  const Cycle mc_before = mgr_.mc_vector().At(1);
+  const Cycle mc_before = mgr_.store().Committed(1).cycle;
   ClientUpdateRequest req;
   req.id = 100;
   req.reads = {{0, 1}};  // stale
   req.writes = {1};
   ASSERT_TRUE(validator_.ValidateAndCommit(req, 3).status().IsAborted());
-  EXPECT_EQ(mgr_.mc_vector().At(1), mc_before);
+  EXPECT_EQ(mgr_.store().Committed(1).cycle, mc_before);
   EXPECT_EQ(mgr_.num_committed(), 1u);
 }
 
