@@ -62,7 +62,7 @@ void PrintHelp() {
       "  --burst-in=F --burst-out=F  Good->Bad / Bad->Good     (0.02 / 0.25)\n"
       "  --update-scheme=seq|2pl|occ|mvcc  server update engine (seq;\n"
       "                            non-seq = thread-pooled TxnProcessor)\n"
-      "  --update-workers=N        pooled engine worker threads (4)\n"
+      "  --update-workers=N        pooled engine executors, caller included (4)\n"
       "  --seed=N                  RNG seed                    (42)\n"
       "  --csv                     emit a machine-readable row\n"
       "  --trace-out=FILE          write a Chrome trace_event JSON trace\n"

@@ -95,12 +95,8 @@ void SparseFMatrix::ApplyCommit(std::span<const ObjectId> read_set,
   } else if (!read_set.empty()) {
     // k-way merge by row over the read columns (k = |RS| is workload-sized,
     // so the linear cursor scan per output row is cheap).
-    struct Cursor {
-      const SparseColumnData::Entry* it;
-      const SparseColumnData::Entry* end;
-    };
-    std::vector<Cursor> cursors;
-    cursors.reserve(read_set.size());
+    std::vector<MergeCursor>& cursors = cursor_scratch_;
+    cursors.clear();
     for (ObjectId k : read_set) {
       const auto& entries = Column(k).entries;
       if (!entries.empty()) cursors.push_back({entries.data(), entries.data() + entries.size()});

@@ -172,10 +172,17 @@ class SparseFMatrix {
   uint64_t nnz_ = 0;
   uint32_t nonempty_cols_ = 0;
 
+  /// One read column's unconsumed entries in ApplyCommit's k-way merge.
+  struct MergeCursor {
+    const SparseColumnData::Entry* it;
+    const SparseColumnData::Entry* end;
+  };
+
   // Scratch reused across commits so the steady-state path allocates only
-  // when a commit's column outgrows every previous one.
+  // when a commit's column (or read set) outgrows every previous one.
   std::vector<SparseColumnData::Entry> merge_scratch_;
   std::vector<ObjectId> ws_scratch_;
+  std::vector<MergeCursor> cursor_scratch_;
 
   bool track_dirty_ = false;
   std::vector<ObjectId> touched_cols_;

@@ -101,7 +101,7 @@ CycleServer::CycleServer(const SimConfig& config, Rng workload_rng, CycleServerO
     processor_ = std::make_unique<TxnProcessor>(config.num_objects, config.update_scheme,
                                                 config.update_workers);
     // Pooled-apply: the cycle-batch F-Matrix fold borrows the processor's
-    // worker pool, partitioned by column (bit-identical to the serial fold).
+    // executors, partitioned by column (bit-identical to the serial fold).
     manager_->SetParallelFold(
         [pool = processor_.get()](uint32_t shards, const std::function<void(uint32_t)>& body) {
           pool->RunShards(shards, body);
@@ -154,7 +154,7 @@ uint64_t CycleServer::StageCycle(Cycle cycle) {
       overlay_->Stage(txn.write_set, cycle);
       pending_server_.push_back(std::move(txn));
     } else {
-      manager_->ExecuteAndCommit(txn, cycle);
+      manager_->Commit(txn, cycle);
     }
     if (options_.metrics != nullptr) options_.metrics->RecordServerCommit();
     ++staged;

@@ -1,6 +1,7 @@
 #include "server/exec/mvcc_store.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 
 namespace bcc {
@@ -22,13 +23,12 @@ size_t VisibleIndex(const std::vector<MvccVersion>& chain, uint64_t ts) {
 
 }  // namespace
 
-MvccStore::MvccStore(uint32_t num_objects, uint32_t num_stripes)
-    : chains_(num_objects), stripes_(num_stripes == 0 ? 1 : num_stripes) {
+MvccStore::MvccStore(uint32_t num_objects) : chains_(num_objects) {
   for (auto& chain : chains_) chain.push_back(MvccVersion{});  // t0 writes everything
 }
 
 MvccStore::ReadResult MvccStore::Read(ObjectId ob, uint64_t ts) {
-  std::lock_guard<std::mutex> lock(stripes_[StripeOf(ob)]);
+  std::lock_guard<std::mutex> lock(stripes_[StripeOf(ob)].mu);
   std::vector<MvccVersion>& chain = chains_[ob];
   MvccVersion& v = chain[VisibleIndex(chain, ts)];
   v.max_read_ts = std::max(v.max_read_ts, ts);
@@ -40,12 +40,10 @@ bool MvccStore::CommitWrites(std::span<const ObjectId> write_set, TxnId writer, 
   // Latch every stripe the write set touches, each once, in ascending stripe
   // order (commits therefore never deadlock against each other, and readers
   // latch only a single stripe).
-  std::vector<size_t> stripe_ids;
-  stripe_ids.reserve(write_set.size());
-  for (ObjectId ob : write_set) stripe_ids.push_back(StripeOf(ob));
-  std::sort(stripe_ids.begin(), stripe_ids.end());
-  stripe_ids.erase(std::unique(stripe_ids.begin(), stripe_ids.end()), stripe_ids.end());
-  for (size_t s : stripe_ids) stripes_[s].lock();
+  static_assert(kStripes <= 64, "a commit's stripe set is one 64-bit mask");
+  uint64_t mask = 0;
+  for (ObjectId ob : write_set) mask |= uint64_t{1} << StripeOf(ob);
+  for (uint64_t m = mask; m != 0; m &= m - 1) stripes_[std::countr_zero(m)].mu.lock();
 
   bool ok = true;
   for (ObjectId ob : write_set) {
@@ -65,42 +63,39 @@ bool MvccStore::CommitWrites(std::span<const ObjectId> write_set, TxnId writer, 
       // so the scan from the back is O(1) in steady state.
       auto it = chain.end();
       while (it != chain.begin() && std::prev(it)->version_ts > ts) --it;
+      if (chain.size() == 1) stripes_[StripeOf(ob)].multi_version.push_back(ob);
       chain.insert(it, MvccVersion{ts, 0, writer});
     }
   }
 
-  for (size_t i = stripe_ids.size(); i-- > 0;) stripes_[stripe_ids[i]].unlock();
+  for (uint64_t m = mask; m != 0; m &= m - 1) stripes_[std::countr_zero(m)].mu.unlock();
   return ok;
-}
-
-bool MvccStore::PrecheckWrites(std::span<const ObjectId> write_set, uint64_t ts) {
-  // Per-object single-stripe latches suffice: this never installs anything,
-  // so there is no cross-object atomicity to preserve.
-  for (ObjectId ob : write_set) {
-    std::lock_guard<std::mutex> lock(stripes_[StripeOf(ob)]);
-    const std::vector<MvccVersion>& chain = chains_[ob];
-    if (chain[VisibleIndex(chain, ts)].max_read_ts > ts) return false;
-  }
-  return true;
 }
 
 uint64_t MvccStore::CollectGarbage(uint64_t safe_ts) {
   uint64_t pruned = 0;
-  for (ObjectId ob = 0; ob < chains_.size(); ++ob) {
-    std::lock_guard<std::mutex> lock(stripes_[StripeOf(ob)]);
-    std::vector<MvccVersion>& chain = chains_[ob];
-    const size_t keep_from = VisibleIndex(chain, safe_ts);
-    if (keep_from > 0) {
-      chain.erase(chain.begin(), chain.begin() + static_cast<ptrdiff_t>(keep_from));
-      pruned += keep_from;
+  for (Stripe& stripe : stripes_) {
+    std::lock_guard<std::mutex> lock(stripe.mu);
+    size_t kept = 0;
+    for (ObjectId ob : stripe.multi_version) {
+      std::vector<MvccVersion>& chain = chains_[ob];
+      const size_t keep_from = VisibleIndex(chain, safe_ts);
+      if (keep_from > 0) {
+        chain.erase(chain.begin(), chain.begin() + static_cast<ptrdiff_t>(keep_from));
+        pruned += keep_from;
+      }
+      // A chain still holding versions above safe_ts stays listed.
+      if (chain.size() > 1) stripe.multi_version[kept++] = ob;
     }
+    chains_visited_ += stripe.multi_version.size();
+    stripe.multi_version.resize(kept);
   }
   versions_pruned_ += pruned;
   return pruned;
 }
 
 size_t MvccStore::VersionCount(ObjectId ob) {
-  std::lock_guard<std::mutex> lock(stripes_[StripeOf(ob)]);
+  std::lock_guard<std::mutex> lock(stripes_[StripeOf(ob)].mu);
   return chains_[ob].size();
 }
 

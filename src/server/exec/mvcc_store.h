@@ -14,11 +14,14 @@
 // (PAPERS.md): chains grow freely while an epoch (one broadcast cycle's
 // batch) executes, and garbage collection runs once per epoch boundary when
 // the TxnProcessor's barrier guarantees no transaction is in flight —
-// CollectGarbage never contends with the execution hot path.
+// CollectGarbage never contends with the execution hot path. It visits only
+// the chains holding more than one version (the objects written since they
+// were last collapsed), so an epoch's GC costs O(objects written), not O(n).
 
 #ifndef BCC_SERVER_EXEC_MVCC_STORE_H_
 #define BCC_SERVER_EXEC_MVCC_STORE_H_
 
+#include <array>
 #include <cstdint>
 #include <mutex>
 #include <span>
@@ -41,7 +44,7 @@ struct MvccVersion {
 /// atomic with respect to concurrent readers.
 class MvccStore {
  public:
-  explicit MvccStore(uint32_t num_objects, uint32_t num_stripes = 64);
+  explicit MvccStore(uint32_t num_objects);
 
   uint32_t num_objects() const { return static_cast<uint32_t>(chains_.size()); }
 
@@ -62,18 +65,11 @@ class MvccStore {
   /// `write_set` must be duplicate-free.
   bool CommitWrites(std::span<const ObjectId> write_set, TxnId writer, uint64_t ts);
 
-  /// Read-only peek at the MVTO write rule: returns false when CommitWrites
-  /// for (`write_set`, `ts`) would currently fail. Advisory only — the
-  /// outcome can change the instant the latch drops — but a false here is
-  /// sticky (max_read_ts never decreases within an epoch), so callers use
-  /// it to abandon a doomed attempt before paying further per-operation
-  /// service time. CommitWrites remains the authoritative check.
-  bool PrecheckWrites(std::span<const ObjectId> write_set, uint64_t ts);
-
   /// Epoch-batched garbage collection: for every object, drops all versions
   /// older than the newest one with version_ts <= safe_ts. Call only at a
-  /// quiescent point with safe_ts >= every timestamp ever issued (the
-  /// TxnProcessor's batch barrier). Returns the number of versions pruned.
+  /// quiescent point (the TxnProcessor's batch barrier passes a safe_ts
+  /// above every timestamp issued). Visits only chains longer than one
+  /// version. Returns the number of versions pruned.
   uint64_t CollectGarbage(uint64_t safe_ts);
 
   /// Current chain length of one object (test/bench introspection).
@@ -82,12 +78,24 @@ class MvccStore {
   /// Cumulative versions dropped by CollectGarbage.
   uint64_t versions_pruned() const { return versions_pruned_; }
 
+  /// Cumulative chains CollectGarbage examined (test introspection: with
+  /// safe_ts above every timestamp, one per distinct object written).
+  uint64_t chains_visited() const { return chains_visited_; }
+
  private:
-  size_t StripeOf(ObjectId ob) const { return ob % stripes_.size(); }
+  static constexpr size_t kStripes = 64;  // a commit's stripes fit one mask word
+  struct Stripe {
+    std::mutex mu;
+    /// The stripe's objects whose chain holds more than one version — the
+    /// only chains GC can shorten. Guarded by `mu`, like the chains.
+    std::vector<ObjectId> multi_version;
+  };
+  static size_t StripeOf(ObjectId ob) { return ob % kStripes; }
 
   std::vector<std::vector<MvccVersion>> chains_;  // per object, ascending ts
-  std::vector<std::mutex> stripes_;
+  std::array<Stripe, kStripes> stripes_;
   uint64_t versions_pruned_ = 0;  // written only at quiescent GC points
+  uint64_t chains_visited_ = 0;   // likewise
 };
 
 }  // namespace bcc

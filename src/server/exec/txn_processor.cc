@@ -2,9 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <chrono>
-#include <condition_variable>
-#include <mutex>
 #include <thread>
 
 namespace bcc {
@@ -15,22 +12,23 @@ bool Contains(const std::vector<ObjectId>& set, ObjectId ob) {
   return std::find(set.begin(), set.end(), ob) != set.end();
 }
 
-/// splitmix64 finalizer — the checksum bits mixed in per operation.
-uint64_t Mix(uint64_t z) {
-  z += 0x9e3779b97f4a7c15ULL;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
+/// Starts an attempt: clears the previous attempt's trace and reserves the
+/// exact sizes (|RS| observations; |RS| + |WS| operations plus the commit
+/// marker), so an attempt never regrows and a retry never reallocates.
+void BeginAttempt(const ServerTxn& txn, CommittedServerTxn& out) {
+  out.reads.clear();
+  out.ops.clear();
+  out.reads.reserve(txn.read_set.size());
+  out.ops.reserve(txn.read_set.size() + txn.write_set.size() + 1);
 }
 
 }  // namespace
 
-TxnProcessor::TxnProcessor(uint32_t num_objects, UpdateScheme scheme, uint32_t num_workers,
-                           Options options)
-    : num_objects_(num_objects), scheme_(scheme), options_(options) {
-  if (scheme_ != UpdateScheme::kSequential && num_workers > 0) {
-    pool_ = std::make_unique<StaticThreadPool>(num_workers);
-  }
+TxnProcessor::TxnProcessor(uint32_t num_objects, UpdateScheme scheme, uint32_t num_workers)
+    : num_objects_(num_objects),
+      scheme_(scheme),
+      pool_(scheme == UpdateScheme::kSequential ? 1 : num_workers),
+      scratch_(pool_.num_workers()) {
   switch (scheme_) {
     case UpdateScheme::kSequential:
       last_writer_.assign(num_objects_, kInitTxn);
@@ -53,28 +51,13 @@ TxnProcessor::~TxnProcessor() = default;
 
 std::vector<CommittedServerTxn> TxnProcessor::ExecuteBatch(std::span<const ServerTxn> txns) {
   std::vector<CommittedServerTxn> results(txns.size());
-  if (!pool_) {
-    for (size_t i = 0; i < txns.size(); ++i) {
-      const uint64_t priority = next_ts_.fetch_add(1, std::memory_order_relaxed);
-      RunToCommit(txns[i], priority, results[i]);
-    }
-  } else {
-    std::mutex mu;
-    std::condition_variable done_cv;
-    size_t remaining = txns.size();
-    for (size_t i = 0; i < txns.size(); ++i) {
-      // Wait-die priorities are fixed at submission: retries keep them, so
-      // every transaction eventually becomes the oldest contender.
-      const uint64_t priority = next_ts_.fetch_add(1, std::memory_order_relaxed);
-      pool_->Submit([this, txns, i, priority, &results, &mu, &done_cv, &remaining] {
-        RunToCommit(txns[i], priority, results[i]);
-        std::lock_guard<std::mutex> lock(mu);
-        if (--remaining == 0) done_cv.notify_one();
-      });
-    }
-    std::unique_lock<std::mutex> lock(mu);
-    done_cv.wait(lock, [&] { return remaining == 0; });
-  }
+  // Wait-die priorities are fixed at submission (base + input index):
+  // retries keep them, so every transaction eventually becomes the oldest
+  // contender.
+  const uint64_t base = next_ts_.fetch_add(txns.size(), std::memory_order_relaxed);
+  pool_.Run(txns.size(), [&](size_t i, uint32_t executor) {
+    RunToCommit(txns[i], base + i, results[i], scratch_[executor]);
+  });
 
   // Batch barrier: no transaction is in flight. Fold the workers' atomic
   // counters into the stats snapshot, run the MVCC epoch GC, and hand the
@@ -99,7 +82,7 @@ std::vector<CommittedServerTxn> TxnProcessor::ExecuteSerial(std::span<const Serv
   std::vector<CommittedServerTxn> results(txns.size());
   for (size_t i = 0; i < txns.size(); ++i) {
     const uint64_t priority = next_ts_.fetch_add(1, std::memory_order_relaxed);
-    RunToCommit(txns[i], priority, results[i]);
+    RunToCommit(txns[i], priority, results[i], scratch_[0]);
     // Serial execution never conflicts: locks are uncontended, OCC validates
     // against an unchanged snapshot, and MVTO timestamps ascend with the
     // input order. Any abort here is a scheme bug.
@@ -115,93 +98,53 @@ std::vector<CommittedServerTxn> TxnProcessor::ExecuteSerial(std::span<const Serv
 }
 
 void TxnProcessor::RunShards(uint32_t num_shards, const std::function<void(uint32_t)>& body) {
-  if (!pool_ || num_shards <= 1) {
-    for (uint32_t s = 0; s < num_shards; ++s) body(s);
-    return;
-  }
-  std::mutex mu;
-  std::condition_variable done_cv;
-  uint32_t remaining = num_shards;
-  for (uint32_t s = 0; s < num_shards; ++s) {
-    pool_->Submit([s, &body, &mu, &done_cv, &remaining] {
-      body(s);
-      std::lock_guard<std::mutex> lock(mu);
-      if (--remaining == 0) done_cv.notify_one();
-    });
-  }
-  std::unique_lock<std::mutex> lock(mu);
-  done_cv.wait(lock, [&] { return remaining == 0; });
+  pool_.Run(num_shards, [&body](size_t shard, uint32_t) { body(static_cast<uint32_t>(shard)); });
 }
 
-void TxnProcessor::Backoff(uint32_t aborts) const {
-  // Capped exponential backoff with jitter between retries. Wait-die victims
-  // and MVTO write-rule failures restart immediately otherwise, and under
-  // write-hot keys the retry storm itself keeps feeding the conflict (an
-  // MVTO retry takes a fresh — youngest — timestamp, so an unbroken stream
-  // of concurrent contenders can starve it indefinitely). Linear backoff is
-  // not enough: with every victim sleeping the same deterministic interval,
-  // the whole cohort re-collides in lockstep on each round. Doubling the
-  // window per consecutive abort spreads the retries over an interval that
-  // grows until roughly one contender per service time remains, and the
-  // jitter decorrelates victims that aborted in the same round. With zero
-  // service time a yield suffices: critical sections are memory-speed and
-  // the storm cannot sustain itself.
-  if (options_.op_service_us == 0 || aborts < 2) {
-    std::this_thread::yield();
-    return;
-  }
-  const uint32_t exponent = std::min<uint32_t>(aborts - 1, 6);  // cap: 64x service time
-  const uint64_t window_us = options_.op_service_us * (uint64_t{1} << exponent);
-  const uint64_t salt = backoff_salt_.fetch_add(1, std::memory_order_relaxed);
-  const uint64_t jitter = Mix(salt ^ (uint64_t{aborts} << 32));
-  // Sleep uniformly in [window/2, window]: never fully synchronized, never
-  // shorter than half the deterministic schedule.
-  const uint64_t sleep_us = window_us / 2 + jitter % (window_us / 2 + 1);
-  std::this_thread::sleep_for(std::chrono::microseconds(sleep_us));
-}
-
-void TxnProcessor::RunToCommit(const ServerTxn& txn, uint64_t priority, CommittedServerTxn& out) {
+void TxnProcessor::RunToCommit(const ServerTxn& txn, uint64_t priority, CommittedServerTxn& out,
+                               Scratch& scratch) {
   assert(txn.id != kNoTxn && txn.id != kInitTxn && "transaction ids must be nonzero");
   out.txn = txn;
   out.aborts = 0;
   if (hook_) hook_(txn.id, "start");
+  // A failed attempt yields before retrying: critical sections run at
+  // memory speed, so giving the winner the core is enough to keep a retry
+  // storm from sustaining itself.
   switch (scheme_) {
     case UpdateScheme::kSequential:
       RunSequential(txn, out);
       break;
     case UpdateScheme::kTwoPhaseLocking:
-      while (!TryTwoPhase(txn, priority, out)) {
+      while (!TryTwoPhase(txn, priority, out, scratch.held)) {
         out.aborts += 1;
-        Backoff(out.aborts);
+        std::this_thread::yield();
       }
       break;
     case UpdateScheme::kOcc:
-      while (!TryOcc(txn, out)) {
+      while (!TryOcc(txn, out, scratch.read_versions)) {
         out.aborts += 1;
-        Backoff(out.aborts);
+        std::this_thread::yield();
       }
       break;
     case UpdateScheme::kMvcc:
       while (!TryMvcc(txn, out)) {
         out.aborts += 1;
-        Backoff(out.aborts);
+        std::this_thread::yield();
       }
       break;
   }
   if (hook_) hook_(txn.id, "commit");
 }
 
-bool TxnProcessor::TryTwoPhase(const ServerTxn& txn, uint64_t priority, CommittedServerTxn& out) {
-  out.reads.clear();
-  out.ops.clear();
-  out.checksum = 0;
+bool TxnProcessor::TryTwoPhase(const ServerTxn& txn, uint64_t priority, CommittedServerTxn& out,
+                               std::vector<ObjectId>& held) {
+  BeginAttempt(txn, out);
 
   // Growing phase: everything before the first access. Reads take shared
   // locks; an object also written is upgraded to exclusive when the write
   // lock is requested (the LockManager promotes the holder in place, so the
   // object still appears once in `held`).
-  std::vector<ObjectId> held;
-  held.reserve(txn.read_set.size() + txn.write_set.size());
+  held.clear();
   auto release_all = [&] {
     for (ObjectId ob : held) locks_->Release(ob, priority);
     held.clear();
@@ -230,13 +173,11 @@ bool TxnProcessor::TryTwoPhase(const ServerTxn& txn, uint64_t priority, Committe
     const uint64_t seq = next_op_seq_.fetch_add(1, std::memory_order_relaxed);
     out.reads.push_back(ReadObservation{ob, last_writer_[ob]});
     out.ops.push_back(SeqOp{seq, Operation::Read(txn.id, ob)});
-    out.checksum ^= OpWork(seq);
   }
   for (ObjectId ob : txn.write_set) {
     const uint64_t seq = next_op_seq_.fetch_add(1, std::memory_order_relaxed);
     last_writer_[ob] = txn.id;
     out.ops.push_back(SeqOp{seq, Operation::Write(txn.id, ob)});
-    out.checksum ^= OpWork(seq);
   }
   // The commit point is reached with all locks held: for any conflicting
   // pair the earlier transaction draws its commit_seq before releasing, the
@@ -249,33 +190,23 @@ bool TxnProcessor::TryTwoPhase(const ServerTxn& txn, uint64_t priority, Committe
   return true;
 }
 
-bool TxnProcessor::TryOcc(const ServerTxn& txn, CommittedServerTxn& out) {
-  out.reads.clear();
-  out.ops.clear();
-  out.checksum = 0;
+bool TxnProcessor::TryOcc(const ServerTxn& txn, CommittedServerTxn& out,
+                          std::vector<uint64_t>& read_versions) {
+  BeginAttempt(txn, out);
 
-  // Read phase: snapshot {writer, install-version} per object under a brief
-  // shared latch; the service time (the store access) is paid outside it.
-  std::vector<uint64_t> read_versions;
-  read_versions.reserve(txn.read_set.size());
-  for (ObjectId ob : txn.read_set) {
-    uint64_t seq;
-    {
-      std::shared_lock<std::shared_mutex> lock(occ_mu_);
-      seq = next_op_seq_.fetch_add(1, std::memory_order_relaxed);
+  // Read phase: snapshot {writer, install-version} per object under one
+  // shared latch (reads run at memory speed, so the whole phase is brief).
+  read_versions.clear();
+  {
+    std::shared_lock<std::shared_mutex> lock(occ_mu_);
+    for (ObjectId ob : txn.read_set) {
+      const uint64_t seq = next_op_seq_.fetch_add(1, std::memory_order_relaxed);
       out.reads.push_back(ReadObservation{ob, last_writer_[ob]});
       read_versions.push_back(occ_version_[ob]);
+      out.ops.push_back(SeqOp{seq, Operation::Read(txn.id, ob)});
     }
-    out.ops.push_back(SeqOp{seq, Operation::Read(txn.id, ob)});
-    out.checksum ^= OpWork(seq);
   }
   if (hook_) hook_(txn.id, "occ:read-done");
-
-  // Compute phase: the write work happens against the transaction's private
-  // workspace, before validation — the critical section stays memory-speed.
-  for (ObjectId ob : txn.write_set) {
-    out.checksum ^= OpWork(static_cast<uint64_t>(txn.id) * 0x10001ULL + ob);
-  }
 
   // Backward validation + install, serialized by the unique latch: if any
   // object we read was re-installed since, a conflicting transaction
@@ -304,46 +235,24 @@ bool TxnProcessor::TryOcc(const ServerTxn& txn, CommittedServerTxn& out) {
 }
 
 bool TxnProcessor::TryMvcc(const ServerTxn& txn, CommittedServerTxn& out) {
-  out.reads.clear();
-  out.ops.clear();
-  out.checksum = 0;
+  BeginAttempt(txn, out);
 
   // Every attempt draws a fresh timestamp; the serialization order of
   // committed transactions is exactly timestamp order, so commit_seq = ts.
   const uint64_t ts = next_ts_.fetch_add(1, std::memory_order_relaxed);
-  // With nonzero service time an attempt is a wide window: while this
-  // transaction pays for its operations, younger readers observe the
-  // pre-state versions it wants to overwrite, and once one does the write
-  // rule can never pass for `ts` again (max_read_ts only grows within the
-  // epoch). Peeking at the rule before each paid operation abandons a
-  // doomed attempt the moment it becomes doomed instead of finishing the
-  // attempt just to fail CommitWrites. At memory speed the window is too
-  // narrow to matter, so the peek is skipped and the hook sequence is
-  // exactly the classic read-done -> commit/die.
-  const bool peek = options_.op_service_us > 0;
-  auto die = [&] {
-    mvcc_write_aborts_.fetch_add(1, std::memory_order_relaxed);
-    if (hook_) hook_(txn.id, "mvcc:die");
-    return false;
-  };
   for (ObjectId ob : txn.read_set) {
-    if (peek && !mvcc_->PrecheckWrites(txn.write_set, ts)) return die();
     const MvccStore::ReadResult r = mvcc_->Read(ob, ts);
     const uint64_t seq = next_op_seq_.fetch_add(1, std::memory_order_relaxed);
     out.reads.push_back(ReadObservation{ob, r.writer});
     out.ops.push_back(SeqOp{seq, Operation::Read(txn.id, ob)});
-    out.checksum ^= OpWork(seq);
   }
   if (hook_) hook_(txn.id, "mvcc:read-done");
-  if (!mvcc_->CommitWrites(txn.write_set, txn.id, ts)) return die();
-  // The write-side store access is paid after the commit decision: MVTO
-  // validates and installs at the commit point, and only a transaction that
-  // actually commits touches the backing store for its writes. Paying it
-  // before CommitWrites would both bill aborted attempts for writes they
-  // never install and stretch the window in which a younger reader can doom
-  // this timestamp.
+  if (!mvcc_->CommitWrites(txn.write_set, txn.id, ts)) {
+    mvcc_write_aborts_.fetch_add(1, std::memory_order_relaxed);
+    if (hook_) hook_(txn.id, "mvcc:die");
+    return false;
+  }
   for (ObjectId ob : txn.write_set) {
-    out.checksum ^= OpWork(ts * 0x10001ULL + ob);
     out.ops.push_back(
         SeqOp{next_op_seq_.fetch_add(1, std::memory_order_relaxed), Operation::Write(txn.id, ob)});
   }
@@ -354,36 +263,25 @@ bool TxnProcessor::TryMvcc(const ServerTxn& txn, CommittedServerTxn& out) {
 }
 
 void TxnProcessor::RunSequential(const ServerTxn& txn, CommittedServerTxn& out) {
-  out.reads.clear();
-  out.ops.clear();
-  out.checksum = 0;
+  BeginAttempt(txn, out);
   for (ObjectId ob : txn.read_set) {
     const uint64_t seq = next_op_seq_.fetch_add(1, std::memory_order_relaxed);
     out.reads.push_back(ReadObservation{ob, last_writer_[ob]});
     out.ops.push_back(SeqOp{seq, Operation::Read(txn.id, ob)});
-    out.checksum ^= OpWork(seq);
   }
   for (ObjectId ob : txn.write_set) {
     const uint64_t seq = next_op_seq_.fetch_add(1, std::memory_order_relaxed);
     last_writer_[ob] = txn.id;
     out.ops.push_back(SeqOp{seq, Operation::Write(txn.id, ob)});
-    out.checksum ^= OpWork(seq);
   }
   out.commit_seq = next_seq_.fetch_add(1, std::memory_order_relaxed);
   out.ops.push_back(
       SeqOp{next_op_seq_.fetch_add(1, std::memory_order_relaxed), Operation::Commit(txn.id)});
 }
 
-uint64_t TxnProcessor::OpWork(uint64_t salt) {
-  if (options_.op_service_us > 0) {
-    std::this_thread::sleep_for(std::chrono::microseconds(options_.op_service_us));
-  }
-  return Mix(salt);
-}
-
 void FoldIntoManager(std::span<const CommittedServerTxn> committed, ServerTxnManager& manager,
                      Cycle cycle) {
-  for (const CommittedServerTxn& c : committed) manager.ExecuteAndCommit(c.txn, cycle);
+  for (const CommittedServerTxn& c : committed) manager.Commit(c.txn, cycle);
 }
 
 Status VerifySerializable(uint32_t num_objects, std::span<const CommittedServerTxn> committed) {

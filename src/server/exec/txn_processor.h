@@ -2,15 +2,15 @@
 //
 // The paper serializes server update transactions through one sequential
 // path before their commits are folded into the F-Matrix broadcast. The
-// TxnProcessor lifts that cap: a StaticThreadPool executes one broadcast
-// cycle's update transactions concurrently under a pluggable scheme —
-// strict 2PL (wait-die, key-striped LockManager), OCC (backward validation
-// at commit), or MVCC (timestamp ordering over an MvccStore with
-// epoch-batched GC) — and returns the committed transactions *in their
-// serialization order*. Folding that order into a ServerTxnManager at the
-// cycle boundary (FoldIntoManager) reuses the cycle-fused
-// FMatrix::ApplyCommitBatch maintenance unchanged, so the broadcast-side
-// pipeline never sees which scheme produced the order.
+// TxnProcessor lifts that cap: a StaticThreadPool's executors (the calling
+// thread included) run one broadcast cycle's update transactions
+// concurrently under a pluggable scheme — strict 2PL (wait-die, key-striped
+// LockManager), OCC (backward validation at commit), or MVCC (timestamp
+// ordering over an MvccStore with epoch-batched GC) — and returns the
+// committed transactions *in their serialization order*. Folding that order
+// into a ServerTxnManager at the cycle boundary (FoldIntoManager) reuses the
+// cycle-fused FMatrix::ApplyCommitBatch maintenance unchanged, so the
+// broadcast-side pipeline never sees which scheme produced the order.
 //
 // Every committed transaction records which writer each of its reads
 // observed; VerifySerializable replays the serialization order through a
@@ -70,9 +70,6 @@ struct CommittedServerTxn {
   /// Scheme-level aborts (wait-die deaths, failed validations, write
   /// conflicts) this transaction survived before committing.
   uint32_t aborts = 0;
-  /// Mixed-in result of the synthetic per-operation work (bench knob); keeps
-  /// the optimizer honest and is otherwise meaningless.
-  uint64_t checksum = 0;
 };
 
 /// Cumulative processor counters (monotone across batches).
@@ -88,35 +85,25 @@ struct TxnProcessorStats {
 /// Concurrent executor for server update transactions.
 class TxnProcessor {
  public:
-  struct Options {
-    /// Synthetic per-operation service time in microseconds, modeling the
-    /// backing-store access a real update operation pays (object payloads
-    /// are object_size_bits wide). Workers overlap these waits, which is
-    /// what the worker-count throughput sweep in bench_txn_processor
-    /// measures. 0 (the default, and the engines' setting) executes ops at
-    /// memory speed.
-    uint64_t op_service_us = 0;
-  };
-
-  /// `num_workers` == 0 or scheme == kSequential executes inline on the
-  /// calling thread (no pool).
-  TxnProcessor(uint32_t num_objects, UpdateScheme scheme, uint32_t num_workers, Options options);
-  TxnProcessor(uint32_t num_objects, UpdateScheme scheme, uint32_t num_workers)
-      : TxnProcessor(num_objects, scheme, num_workers, Options()) {}
+  /// `num_workers` executors, the calling thread included: the pool spawns
+  /// num_workers − 1 threads. One executor (num_workers <= 1, or scheme ==
+  /// kSequential) runs every batch inline on the calling thread, in input
+  /// order.
+  TxnProcessor(uint32_t num_objects, UpdateScheme scheme, uint32_t num_workers);
   ~TxnProcessor();
 
   TxnProcessor(const TxnProcessor&) = delete;
   TxnProcessor& operator=(const TxnProcessor&) = delete;
 
   UpdateScheme scheme() const { return scheme_; }
-  uint32_t num_workers() const { return pool_ ? pool_->num_workers() : 1; }
+  uint32_t num_workers() const { return pool_.num_workers(); }
   uint32_t num_objects() const { return num_objects_; }
 
   /// Executes the batch (one broadcast cycle's update transactions)
-  /// concurrently and blocks until every transaction committed — aborted
-  /// attempts are retried by the scheme until they succeed, so the result
-  /// always holds exactly the input transactions, sorted by commit_seq
-  /// (their serialization order). Committed state persists across batches;
+  /// concurrently, in one hand-off to the pool, and blocks until every
+  /// transaction committed — aborted attempts are retried by the scheme
+  /// until they succeed, so the result always holds exactly the input
+  /// transactions, sorted by commit_seq (their serialization order). Committed state persists across batches;
   /// the return of ExecuteBatch is an epoch boundary (MVCC runs its GC
   /// here). Transaction ids must be unique and nonzero.
   std::vector<CommittedServerTxn> ExecuteBatch(std::span<const ServerTxn> txns);
@@ -134,9 +121,9 @@ class TxnProcessor {
   /// not overlap an ExecuteBatch on another thread.
   std::vector<CommittedServerTxn> ExecuteSerial(std::span<const ServerTxn> txns);
 
-  /// Runs `body(shard)` for shards [0, num_shards) on the worker pool and
-  /// blocks until all complete (inline when the processor has no pool). The
-  /// shard bodies must be mutually independent. Used by the pooled-apply
+  /// Runs `body(shard)` for shards [0, num_shards) on the pool's executors
+  /// and blocks until all complete (inline at one executor). The shard
+  /// bodies must be mutually independent. Used by the pooled-apply
   /// fold to parallelize ApplyCommitBatch column partitions.
   void RunShards(uint32_t num_shards, const std::function<void(uint32_t)>& body);
 
@@ -156,21 +143,26 @@ class TxnProcessor {
   LockManager* lock_manager_for_test() { return locks_.get(); }
 
  private:
-  /// Sleeps between retries — capped exponential in the retry count, scaled
-  /// by the configured service time, jittered — to break retry storms on
-  /// write-hot keys.
-  void Backoff(uint32_t aborts) const;
-  void RunToCommit(const ServerTxn& txn, uint64_t priority, CommittedServerTxn& out);
-  bool TryTwoPhase(const ServerTxn& txn, uint64_t priority, CommittedServerTxn& out);
-  bool TryOcc(const ServerTxn& txn, CommittedServerTxn& out);
+  /// Per-executor temporaries, reused across attempts and batches (each
+  /// executor runs one transaction at a time, so they need no latch; one
+  /// cache line each, so executors never share one).
+  struct alignas(64) Scratch {
+    std::vector<uint64_t> read_versions;  // OCC: install version per read
+    std::vector<ObjectId> held;           // 2PL: objects locked so far
+  };
+
+  void RunToCommit(const ServerTxn& txn, uint64_t priority, CommittedServerTxn& out,
+                   Scratch& scratch);
+  bool TryTwoPhase(const ServerTxn& txn, uint64_t priority, CommittedServerTxn& out,
+                   std::vector<ObjectId>& held);
+  bool TryOcc(const ServerTxn& txn, CommittedServerTxn& out, std::vector<uint64_t>& read_versions);
   bool TryMvcc(const ServerTxn& txn, CommittedServerTxn& out);
   void RunSequential(const ServerTxn& txn, CommittedServerTxn& out);
-  uint64_t OpWork(uint64_t salt);
 
   const uint32_t num_objects_;
   const UpdateScheme scheme_;
-  const Options options_;
-  std::unique_ptr<StaticThreadPool> pool_;
+  StaticThreadPool pool_;
+  std::vector<Scratch> scratch_;  // one per executor, indexed by executor id
 
   // 2PL / OCC / sequential committed state: the last committed writer per
   // object. 2PL guards entries with the object's lock; OCC with occ_mu_.
@@ -188,7 +180,6 @@ class TxnProcessor {
   std::atomic<uint64_t> lock_die_aborts_{0};
   std::atomic<uint64_t> occ_validation_aborts_{0};
   std::atomic<uint64_t> mvcc_write_aborts_{0};
-  mutable std::atomic<uint64_t> backoff_salt_{0};
 
   TestHook hook_;
 };

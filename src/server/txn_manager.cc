@@ -21,17 +21,22 @@ ServerTxnManager::ServerTxnManager(uint32_t num_objects, TxnManagerOptions optio
 }
 
 std::vector<ObjectVersion> ServerTxnManager::ExecuteAndCommit(const ServerTxn& txn, Cycle cycle) {
-  assert(txn.id != kInitTxn && txn.id != kNoTxn);
-  assert(cycle >= last_cycle_ && "commits must arrive in cycle order");
-  last_cycle_ = cycle;
-
   // Read phase: observe committed state (execution is serial, so committed
   // state is also the current state).
   std::vector<ObjectVersion> values_read;
   values_read.reserve(txn.read_set.size());
-  for (ObjectId ob : txn.read_set) {
-    values_read.push_back(store_.ReadForStaging(ob));
-    if (options_.record_history) history_.AppendRead(txn.id, ob);
+  for (ObjectId ob : txn.read_set) values_read.push_back(store_.ReadForStaging(ob));
+  Commit(txn, cycle);
+  return values_read;
+}
+
+void ServerTxnManager::Commit(const ServerTxn& txn, Cycle cycle) {
+  assert(txn.id != kInitTxn && txn.id != kNoTxn);
+  assert(cycle >= last_cycle_ && "commits must arrive in cycle order");
+  last_cycle_ = cycle;
+
+  if (options_.record_history) {
+    for (ObjectId ob : txn.read_set) history_.AppendRead(txn.id, ob);
   }
 
   // Write phase.
@@ -66,7 +71,6 @@ std::vector<ObjectVersion> ServerTxnManager::ExecuteAndCommit(const ServerTxn& t
   }
   if (options_.record_history) commit_cycles_[txn.id] = cycle;
   ++num_committed_;
-  return values_read;
 }
 
 void ServerTxnManager::FlushCommitBatch() {

@@ -83,6 +83,10 @@ class ServerTxnManager {
   /// calls. Returns the values read (for logging/validation).
   std::vector<ObjectVersion> ExecuteAndCommit(const ServerTxn& txn, Cycle cycle);
 
+  /// ExecuteAndCommit without collecting the values read: what the engines
+  /// call, since none of them reads the values back.
+  void Commit(const ServerTxn& txn, Cycle cycle);
+
   const VersionedStore& store() const { return store_; }
 
   /// The F-Matrix after every commit so far. Logically const: with commit

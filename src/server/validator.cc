@@ -36,7 +36,7 @@ StatusOr<Cycle> UpdateValidator::ValidateAndCommit(const ClientUpdateRequest& re
     overlay_->Stage(txn.write_set, current_cycle);
     sink_(std::move(txn));
   } else {
-    manager_->ExecuteAndCommit(txn, current_cycle);
+    manager_->Commit(txn, current_cycle);
   }
   ++num_validated_;
   return current_cycle;

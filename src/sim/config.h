@@ -164,7 +164,9 @@ struct SimConfig {
   /// (client_update_fraction == 0): the uplink validator consults the MC
   /// vector mid-cycle, which a deferred batch would falsify.
   UpdateScheme update_scheme = UpdateScheme::kSequential;
-  /// Worker threads for the pooled engine (update_scheme != kSequential).
+  /// Executors for the pooled engine (update_scheme != kSequential), the
+  /// calling thread included: the pool spawns update_workers − 1 threads,
+  /// and at 1 each batch runs inline on the server thread.
   uint32_t update_workers = 4;
 
   // ---- test instrumentation ----

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <random>
+#include <set>
 #include <vector>
 
 namespace bcc {
@@ -88,6 +90,60 @@ TEST(MvccStoreTest, GcRespectsSafeTimestamp) {
   EXPECT_EQ(store.VersionCount(kOb), 2u);
   EXPECT_EQ(store.Read(kOb, 5).writer, 1u);
   EXPECT_EQ(store.Read(kOb, 9).writer, 2u);
+}
+
+TEST(MvccStoreTest, PartlyCollectedChainIsVisitedAgain) {
+  MvccStore store(2);
+  ASSERT_TRUE(store.CommitWrites(std::vector<ObjectId>{0}, /*writer=*/1, /*ts=*/2));
+  ASSERT_TRUE(store.CommitWrites(std::vector<ObjectId>{0}, /*writer=*/2, /*ts=*/8));
+  EXPECT_EQ(store.CollectGarbage(/*safe_ts=*/5), 1u);
+  EXPECT_EQ(store.chains_visited(), 1u);  // object 1 was never written
+  // No write since, but the chain still holds a version above the old
+  // safe_ts: the next epoch's GC must reach it.
+  EXPECT_EQ(store.CollectGarbage(/*safe_ts=*/100), 1u);
+  EXPECT_EQ(store.VersionCount(0), 1u);
+  EXPECT_EQ(store.chains_visited(), 2u);
+  EXPECT_EQ(store.CollectGarbage(/*safe_ts=*/200), 0u);
+  EXPECT_EQ(store.chains_visited(), 2u);
+}
+
+// Epoch GC is O(objects written): over a random batch sequence it visits
+// exactly the distinct objects each batch wrote, and prunes exactly what a
+// walk over all n chains would.
+TEST(MvccStoreTest, GcVisitsOnlyWrittenChainsAndPrunesLikeAFullWalk) {
+  constexpr uint32_t kObjects = 500;
+  MvccStore store(kObjects);
+  std::vector<uint64_t> chain_len(kObjects, 1);  // the full walk's model
+  std::mt19937_64 rng(20260);
+  uint64_t ts = 0;
+  uint64_t full_walk_pruned = 0;
+  uint64_t distinct_written = 0;
+  for (int batch = 0; batch < 60; ++batch) {
+    std::set<ObjectId> written;
+    const int commits = static_cast<int>(rng() % 40);  // some batches write nothing
+    for (int c = 0; c < commits; ++c) {
+      ++ts;
+      std::set<ObjectId> ws;
+      const size_t k = 1 + rng() % 4;
+      while (ws.size() < k) ws.insert(static_cast<ObjectId>(rng() % kObjects));
+      // A read at the writer's own timestamp never blocks a later writer.
+      store.Read(static_cast<ObjectId>(rng() % kObjects), ts);
+      const std::vector<ObjectId> write_set(ws.begin(), ws.end());
+      ASSERT_TRUE(store.CommitWrites(write_set, static_cast<TxnId>(ts), ts));
+      for (ObjectId ob : write_set) chain_len[ob] += 1;
+      written.insert(ws.begin(), ws.end());
+    }
+    store.CollectGarbage(/*safe_ts=*/ts + 1);
+    for (uint64_t& len : chain_len) {
+      full_walk_pruned += len - 1;
+      len = 1;
+    }
+    distinct_written += written.size();
+    ASSERT_EQ(store.chains_visited(), distinct_written) << "batch " << batch;
+    ASSERT_EQ(store.versions_pruned(), full_walk_pruned) << "batch " << batch;
+  }
+  for (ObjectId ob = 0; ob < kObjects; ++ob) EXPECT_EQ(store.VersionCount(ob), 1u);
+  EXPECT_GT(full_walk_pruned, 0u);
 }
 
 }  // namespace

@@ -83,6 +83,37 @@ TEST_P(TxnProcessorSchemeTest, SmallContendedBatchIsSerializable) {
   EXPECT_EQ(proc.stats().batches, 1u);
 }
 
+// One executor runs the batch inline on the calling thread in input order,
+// so no transaction ever meets a concurrent contender: every scheme commits
+// the batch in input order, first try — the order the engines' decision
+// cross-checks depend on at update_workers = 1.
+TEST_P(TxnProcessorSchemeTest, OneWorkerCommitsInInputOrderFirstTry) {
+  TxnProcessor proc(/*num_objects=*/4, GetParam(), /*num_workers=*/1);
+  EXPECT_EQ(proc.num_workers(), 1u);
+  std::vector<CommittedServerTxn> all;
+  for (TxnId base = 0; base <= 10; base += 10) {  // two batches, unique ids
+    const std::vector<ServerTxn> txns = {
+        MakeTxn(base + 1, {2}, {0}),    MakeTxn(base + 2, {0}, {1}),
+        MakeTxn(base + 3, {1}, {0, 2}), MakeTxn(base + 4, {0, 2}, {3}),
+        MakeTxn(base + 5, {}, {0}),     MakeTxn(base + 6, {0, 1, 2, 3}, {1}),
+    };
+    const auto committed = proc.ExecuteBatch(txns);
+    ASSERT_EQ(committed.size(), txns.size());
+    for (size_t i = 0; i < committed.size(); ++i) {
+      EXPECT_EQ(committed[i].txn.id, txns[i].id);
+      EXPECT_EQ(committed[i].aborts, 0u);
+      if (i > 0) {
+        EXPECT_GT(committed[i].commit_seq, committed[i - 1].commit_seq);
+      }
+    }
+    all.insert(all.end(), committed.begin(), committed.end());
+  }
+  EXPECT_TRUE(VerifySerializable(4, all).ok());
+  EXPECT_EQ(proc.stats().lock_die_aborts, 0u);
+  EXPECT_EQ(proc.stats().occ_validation_aborts, 0u);
+  EXPECT_EQ(proc.stats().mvcc_write_aborts, 0u);
+}
+
 INSTANTIATE_TEST_SUITE_P(AllSchemes, TxnProcessorSchemeTest,
                          ::testing::Values(UpdateScheme::kSequential,
                                            UpdateScheme::kTwoPhaseLocking, UpdateScheme::kOcc,
