@@ -138,18 +138,30 @@ const CycleSnapshot& CycleServer::BeginCycle(Cycle cycle) {
   return server_->snapshot();
 }
 
-uint64_t CycleServer::StageCycle(Cycle cycle) {
+void CycleServer::DrawCycle(Cycle cycle) {
+  assert(drawn_cycle_ == 0 && "the drawn cycle is staged before the next is drawn");
   assert(PhaseOf(next_commit_time_, next_commit_pre_flip_, cycle_bits_) >= cycle &&
-         "cycles are staged in order");
-  uint64_t staged = 0;
+         "cycles are drawn in order");
+  drawn_cycle_ = cycle;
   while (PhaseOf(next_commit_time_, next_commit_pre_flip_, cycle_bits_) == cycle) {
-    ServerTxn txn = workload_.NextTxn();
+    drawn_.push_back(DrawnTxn{workload_.NextTxn(), next_commit_time_});
+    const SimTime prev = next_commit_time_;
+    const bool prev_pre = next_commit_pre_flip_;
+    next_commit_time_ = prev + workload_.NextInterval();
+    next_commit_pre_flip_ = FiresBeforeFlip(next_commit_time_, prev, prev_pre, cycle_bits_);
+  }
+}
+
+uint64_t CycleServer::StageCycle(Cycle cycle) {
+  if (drawn_cycle_ != cycle) DrawCycle(cycle);
+  for (DrawnTxn& drawn : drawn_) {
+    ServerTxn& txn = drawn.txn;
     if (config_.record_decisions) {
       if (processor_ != nullptr) unsequenced_server_.push_back(log_.server_commits.size());
       log_.server_commits.push_back(ServerCommitRecord{
           txn.id, cycle, processor_ != nullptr ? 0 : next_seq_++, txn.read_set, txn.write_set});
     }
-    Trace(trace_, TraceEventType::kCommit, next_commit_time_, 0, cycle, txn.id);
+    Trace(trace_, TraceEventType::kCommit, drawn.time, 0, cycle, txn.id);
     if (processor_ != nullptr) {
       overlay_->Stage(txn.write_set, cycle);
       pending_server_.push_back(std::move(txn));
@@ -157,12 +169,10 @@ uint64_t CycleServer::StageCycle(Cycle cycle) {
       manager_->Commit(txn, cycle);
     }
     if (options_.metrics != nullptr) options_.metrics->RecordServerCommit();
-    ++staged;
-    const SimTime prev = next_commit_time_;
-    const bool prev_pre = next_commit_pre_flip_;
-    next_commit_time_ = prev + workload_.NextInterval();
-    next_commit_pre_flip_ = FiresBeforeFlip(next_commit_time_, prev, prev_pre, cycle_bits_);
   }
+  const uint64_t staged = drawn_.size();
+  drawn_.clear();
+  drawn_cycle_ = 0;
   server_commits_ += staged;
   return staged;
 }

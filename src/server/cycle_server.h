@@ -11,6 +11,7 @@
 // (BroadcastSim, ConcurrentSim, the socket daemon) drive it per cycle k:
 //
 //     BeginCycle(k)            the snapshot (+ delta, + frames) goes on the air
+//     [DrawCycle(k)]           cycle k's server transactions are drawn
 //     StageCycle(k)            every cycle-k server commit is staged
 //     SubmitUplink(..., k)*    client update transactions are validated
 //     EndCycle(k, conflicts)   cycle k folds and the matrix step runs
@@ -26,8 +27,14 @@
 //     prefix, in acceptance order), then cycle k's server batch, under
 //     stamp k, just before BeginCycle(k+1).
 //
+// Drawing is split from staging so a concurrent engine can draw cycle k+1
+// while cycle k's uplinks validate: DrawCycle touches only the workload RNG,
+// the commit clock and the drawn queue, none of which SubmitUplink reads.
+// StageCycle draws the cycle itself when it was not drawn ahead.
+//
 // Not thread-safe: a concurrent engine serializes SubmitUplink itself and
-// calls the other members only while no SubmitUplink can run.
+// calls the other members, DrawCycle excepted, only while no SubmitUplink
+// can run.
 
 #ifndef BCC_SERVER_CYCLE_SERVER_H_
 #define BCC_SERVER_CYCLE_SERVER_H_
@@ -146,8 +153,16 @@ class CycleServer {
   /// channel mode. Cycles begin in order from 1.
   const CycleSnapshot& BeginCycle(Cycle cycle);
 
-  /// Stages every server commit of cycle `cycle` (the staging rule) and
-  /// returns how many it staged.
+  /// Draws cycle `cycle`'s server transactions from the workload, each with
+  /// its commit time, and advances the commit clock past the cycle. Stages
+  /// nothing: the transactions count in server_commits() only once
+  /// StageCycle(cycle) stages them. Cycles are drawn in order, each staged
+  /// before the next is drawn.
+  void DrawCycle(Cycle cycle);
+
+  /// Stages every server commit of cycle `cycle` (the staging rule), drawing
+  /// the cycle first unless DrawCycle(cycle) already did, and returns how
+  /// many it staged.
   uint64_t StageCycle(Cycle cycle);
 
   /// Validates client `client`'s update transaction during cycle `cycle`.
@@ -174,7 +189,8 @@ class CycleServer {
   /// Hier mode: the manager's hierarchical matrix, read without the
   /// flushing accessor so mid-cycle scans see the begin-of-cycle view.
   HierMatrix* hier() const { return hier_; }
-  /// Workload commits staged so far (uplinks not included).
+  /// Workload commits staged so far (uplinks and drawn-only cycles not
+  /// included).
   uint64_t server_commits() const { return server_commits_; }
   /// Empty unless config.record_decisions.
   const DecisionLog& decisions() const { return log_; }
@@ -193,6 +209,13 @@ class CycleServer {
   std::unique_ptr<UpdateValidator> validator_;
   std::vector<ServerTxn> pending_uplinks_;
   std::vector<ServerTxn> pending_server_;
+  /// A drawn server transaction and its commit time.
+  struct DrawnTxn {
+    ServerTxn txn;
+    SimTime time = 0;
+  };
+  std::vector<DrawnTxn> drawn_;
+  Cycle drawn_cycle_ = 0;  ///< the cycle drawn_ holds, 0 when none awaits staging
   std::optional<FrameCodec> frame_codec_;  // channel mode
   // Per-cycle scratch reused across cycles so steady-state cycles allocate
   // nothing: drained dirty columns (delta mode) and the encoded frames.

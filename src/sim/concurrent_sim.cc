@@ -1,12 +1,12 @@
 #include "sim/concurrent_sim.h"
 
 #include <atomic>
-#include <barrier>
 #include <cassert>
 #include <thread>
 
 #include "client/session.h"
 #include "common/format.h"
+#include "sim/cycle_gate.h"
 
 namespace bcc {
 
@@ -183,35 +183,37 @@ StatusOr<ConcurrentSummary> ConcurrentSim::Run() {
   }
 
   // Epoch loop. Per broadcast cycle k: client threads drain their cycle-k
-  // events against the immutable published snapshot while the server thread
-  // stages and folds cycle k; at the work barrier everyone is quiescent, the
-  // server publishes the cycle-(k+1) snapshot and the stop verdict, and the
-  // publish barrier releases the next epoch. With uplinks the server stages
-  // and folds in the exclusive section instead (cycle 1 is staged before
-  // any client thread exists), so mid-phase desk validations see a fixed
-  // manager and overlay.
+  // events against the immutable published snapshot, arrive at the gate
+  // without waiting and sleep until cycle k+1 is published, while the server
+  // thread stages and folds cycle k. Once every client has arrived the
+  // server holds the exclusive section: it publishes the cycle-(k+1)
+  // snapshot and the stop verdict, then opens the gate. With uplinks the
+  // server stages and folds in the exclusive section instead (cycle 1 is
+  // staged before any client thread exists), so mid-phase desk validations
+  // see a fixed manager and overlay; during the phase it draws cycle k+1's
+  // transactions, which no client reads.
   completions_.store(0, std::memory_order_relaxed);
-  std::barrier work_done(static_cast<std::ptrdiff_t>(config_.num_clients) + 1);
-  std::barrier publish_done(static_cast<std::ptrdiff_t>(config_.num_clients) + 1);
+  CycleGate gate(config_.num_clients);
   bool stop = false;
   if (uplinks) server_->StageCycle(1);
 
   std::vector<std::jthread> threads;
   threads.reserve(config_.num_clients);
   for (uint32_t c = 0; c < config_.num_clients; ++c) {
-    threads.emplace_back([this, c, &work_done, &publish_done, &stop] {
+    threads.emplace_back([this, c, &gate, &stop] {
       ClientTimeline& cl = *clients_[c];
       for (Cycle phase = 1;; ++phase) {
-        // Held past the publish barrier, so the last client to let go of
-        // cycle k's state frees it, outside the server's exclusive section.
+        // Held until the next cycle is published, so the last client to let
+        // go of cycle k's state frees it, outside the server's exclusive
+        // section.
         const std::shared_ptr<const CycleSnapshot> snap = server_->broadcast().shared_snapshot();
         // The fault link and receiver are per client: Transmit only touches
         // this client's RNG and burst state inside channel_.
         cl.session.ReceiveCycle(*snap, server_->frames(), channel_.get(), c,
                                 (phase - 1) * cycle_bits_);
         ProcessClientPhase(cl, phase, *snap);
-        work_done.arrive_and_wait();
-        publish_done.arrive_and_wait();
+        gate.Arrive();
+        gate.AwaitPublish(phase);
         if (stop) break;
       }
     });
@@ -222,10 +224,12 @@ StatusOr<ConcurrentSummary> ConcurrentSim::Run() {
     if (!uplinks) {
       server_->StageCycle(phase);
       server_->EndCycle(phase, /*control_conflicts=*/0);
+    } else if (phase != config_.stop_after_cycles) {
+      server_->DrawCycle(phase + 1);
     }
-    work_done.arrive_and_wait();
-    // Exclusive section: every client thread is parked between the two
-    // barriers, so the snapshot swap and stop verdict are race-free.
+    gate.AwaitArrivals();
+    // Exclusive section: every client thread has arrived and sleeps until
+    // Publish, so the snapshot swap and stop verdict are race-free.
     if (uplinks) server_->EndCycle(phase, /*control_conflicts=*/0);
     cycles = phase;
     stop = config_.stop_after_cycles > 0
@@ -235,7 +239,7 @@ StatusOr<ConcurrentSummary> ConcurrentSim::Run() {
       server_->BeginCycle(phase + 1);
       if (uplinks) server_->StageCycle(phase + 1);
     }
-    publish_done.arrive_and_wait();
+    gate.Publish();
     if (stop) break;
   }
   threads.clear();  // join

@@ -5,10 +5,11 @@
 // cycle as the epoch: client threads execute read-only transactions against
 // the immutable snapshot of cycle k while the server thread stages and
 // folds cycle k's commits into its private state, and at the cycle boundary
-// — a pair of std::barrier rendezvous — the server publishes the snapshot of
-// cycle k+1. Readers never observe a half-updated matrix, so Theorem 1's
-// equivalence holds for every transaction exactly as in the sequential
-// engine; see DESIGN.md, "Concurrent engine".
+// — one CycleGate hand-off: each client arrives without waiting and sleeps
+// once — the server publishes the snapshot of cycle k+1. Readers never
+// observe a half-updated matrix, so Theorem 1's equivalence holds for every
+// transaction exactly as in the sequential engine; see DESIGN.md,
+// "Concurrent engine".
 //
 // Determinism: each client's event timeline is private and seeded and
 // replays the DES's event semantics, including its tie-breaking at cycle
@@ -63,8 +64,9 @@ struct ConcurrentSummary {
 /// cycle k in the exclusive section before phase k and folds it in the one
 /// after, so the manager and overlay stay fixed for the whole phase while
 /// uplinks validate one at a time at a "desk" mutex (DESIGN.md, "Cycle
-/// server"). Each client thread feeds the published delta block or frames
-/// to its own tracker or receiver at phase start.
+/// server"); during phase k it draws cycle k+1's transactions. Each client
+/// thread feeds the published delta block or frames to its own tracker or
+/// receiver at phase start.
 ///
 /// Config restrictions (InvalidArgument otherwise):
 ///   - client caching: the timelines have no cache-hit path;
@@ -106,9 +108,11 @@ class ConcurrentSim {
   SimTime cycle_bits_ = 0;
 
   /// The server. Its snapshot and frames are the on-air state of the
-  /// current cycle: written by the server thread only between the phase-end
-  /// and publish barriers (while every client thread is blocked), read by
-  /// client threads only during the work phase.
+  /// current cycle: written by the server thread only in the gate's
+  /// exclusive section (after every client arrived, before the publish),
+  /// read by client threads only during the work phase. During the phase
+  /// the server thread touches only what no client reads (with uplinks, the
+  /// next cycle's draw).
   std::unique_ptr<CycleServer> server_;
   /// Uplink mode: the validator desk. Desk order is acceptance order is fold
   /// order.

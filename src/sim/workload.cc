@@ -48,6 +48,9 @@ ServerWorkload::ServerWorkload(const SimConfig& config, Rng rng, TxnId first_id)
 ServerTxn ServerWorkload::NextTxn() {
   ServerTxn txn;
   txn.id = next_id_++;
+  // Each set holds at most one entry per operation.
+  txn.read_set.reserve(config_.server_txn_length);
+  txn.write_set.reserve(config_.server_txn_length);
   for (;;) {
     txn.read_set.clear();
     txn.write_set.clear();

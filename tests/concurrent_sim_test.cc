@@ -1,15 +1,87 @@
-// Tests for the shared-memory concurrent broadcast engine: seeded
-// multi-thread stress runs (TSan-clean by construction of the epoch design)
-// and commit/abort parity with the single-threaded BroadcastSim oracle.
+// Tests for the shared-memory concurrent broadcast engine: its cycle gate
+// alone, seeded multi-thread stress runs (TSan-clean by construction of the
+// epoch design) and commit/abort parity with the single-threaded
+// BroadcastSim oracle.
 
 #include "sim/concurrent_sim.h"
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <random>
+#include <thread>
+#include <vector>
+
 #include "sim/broadcast_sim.h"
+#include "sim/cycle_gate.h"
 
 namespace bcc {
 namespace {
+
+// The gate driven the way ConcurrentSim drives it. The server writes plain
+// ints only in its exclusive section; each client reads them, and writes its
+// own slot, only in the phase. Every mismatch is counted, by the thread that
+// sees it. Every 64th epoch one side is slow, so both the sleeping server
+// and the clients that find the epoch already published are exercised.
+void RunGate(uint32_t clients, uint64_t stop_epoch) {
+  SCOPED_TRACE(testing::Message() << clients << " clients, stop at " << stop_epoch);
+  CycleGate gate(clients);
+  uint64_t published = 1;  // the epoch whose phase runs now
+  bool stop = false;
+  std::vector<uint64_t> slot(clients, 0);
+  std::vector<uint64_t> client_mismatches(clients, 0);
+  std::vector<uint64_t> phases_run(clients, 0);
+  const auto slow = [] { std::this_thread::sleep_for(std::chrono::microseconds(50)); };
+
+  std::vector<std::jthread> threads;
+  for (uint32_t c = 0; c < clients; ++c) {
+    threads.emplace_back([&, c] {
+      for (uint64_t phase = 1;; ++phase) {
+        if (published != phase) ++client_mismatches[c];
+        if (phase % 64 == 0 && phase / 64 % clients == c) slow();
+        slot[c] = phase * clients + c;
+        ++phases_run[c];
+        gate.Arrive();
+        gate.AwaitPublish(phase);
+        if (stop) break;
+      }
+    });
+  }
+  uint64_t server_mismatches = 0;
+  for (uint64_t phase = 1;; ++phase) {
+    if (phase % 64 == 32) slow();  // clients arrive and sleep first
+    gate.AwaitArrivals();
+    for (uint32_t c = 0; c < clients; ++c) {
+      if (slot[c] != phase * clients + c) ++server_mismatches;
+    }
+    stop = phase == stop_epoch;
+    if (!stop) published = phase + 1;
+    gate.Publish();
+    if (stop) break;
+  }
+  threads.clear();  // join: a thread that missed the stop hangs here
+  EXPECT_EQ(server_mismatches, 0u);
+  for (uint32_t c = 0; c < clients; ++c) {
+    EXPECT_EQ(client_mismatches[c], 0u) << "client " << c;
+    EXPECT_EQ(phases_run[c], stop_epoch) << "client " << c;
+  }
+}
+
+/// At least 10^4 epochs, stopping at a random one past that.
+uint64_t RandomStopEpoch() {
+  std::random_device seed;
+  return 10'000 + std::uniform_int_distribution<uint64_t>(0, 2'000)(seed);
+}
+
+TEST(ConcurrentSimGateTest, OneClientSeesEveryEpochInOrder) { RunGate(1, RandomStopEpoch()); }
+
+TEST(ConcurrentSimGateTest, TwoClientsSeeEveryEpochInOrder) { RunGate(2, RandomStopEpoch()); }
+
+TEST(ConcurrentSimGateTest, EightClientsSeeEveryEpochInOrder) { RunGate(8, RandomStopEpoch()); }
+
+TEST(ConcurrentSimGateTest, StopAtTheFirstEpochExitsEveryThread) {
+  for (const uint32_t clients : {1u, 2u, 8u}) RunGate(clients, 1);
+}
 
 // A small, contended configuration: ~4 server commits per cycle over a
 // 16-object database, several client threads reading concurrently.
@@ -111,6 +183,28 @@ TEST(ConcurrentSimTest, MatchesSequentialOracleWithOneUplinkClient) {
     EXPECT_GT(summary->client_update_commits, 0u) << "seed " << seed;
     EXPECT_GT(summary->client_update_rejects, 0u) << "seed " << seed;
   }
+}
+
+TEST(ConcurrentSimTest, UplinkRunStoppedOnTransactionCountCountsOnlyStagedCommits) {
+  SimConfig config = SmallConfig(5);
+  config.num_clients = 2;
+  config.stop_after_cycles = 0;
+  config.num_client_txns = 60;
+  config.client_update_fraction = 0.5;
+  config.update_scheme = UpdateScheme::kOcc;
+  config.update_workers = 1;
+  config.record_decisions = true;
+  ConcurrentSim sim(config);
+  const auto summary = sim.Run();
+  ASSERT_TRUE(summary.ok()) << summary.status().ToString();
+  EXPECT_GE(summary->completed_txns, 60u);
+  // The server drew the cycle after the last one while the clients ran the
+  // last; those transactions were never staged, so they neither count nor
+  // reach the log.
+  const auto& staged = sim.server_decisions().server_commits;
+  ASSERT_FALSE(staged.empty());
+  EXPECT_LE(staged.back().cycle, summary->cycles);
+  EXPECT_EQ(summary->server_commits, staged.size() + summary->client_update_commits);
 }
 
 TEST(ConcurrentSimTest, MatchesSequentialOracleWithDeltaBroadcast) {

@@ -258,6 +258,92 @@ TEST(CycleServerTest, SparseControlBitsMatchTheMatrixEncoding) {
   EXPECT_GT(summary.server_commits, 0u);
 }
 
+/// What a cycle-by-cycle run of a server left behind.
+struct StagedRun {
+  DecisionLog log;
+  std::vector<TraceEvent> trace;
+  std::vector<TxnId> commit_order;
+  uint64_t server_commits = 0;
+};
+
+/// Runs `cycles` cycles with one uplink per cycle. With `draw_ahead` the
+/// cycles after the first are drawn the way ConcurrentSim draws them: while
+/// the previous cycle's uplinks validate, before it folds; and one more
+/// cycle is drawn at the end and never staged, as when a run stops on its
+/// transaction count.
+StagedRun RunCycles(const SimConfig& config, Cycle cycles, bool draw_ahead) {
+  TraceRing ring(1 << 14);
+  std::unique_ptr<CycleServer> server = MakeServer(config);
+  server->set_trace_ring(&ring);
+  server->BeginCycle(1);
+  for (Cycle k = 1; k <= cycles; ++k) {
+    server->StageCycle(k);
+    const ObjectId ob = static_cast<ObjectId>(k % config.num_objects);
+    server->SubmitUplink(0, {{ob, k > 1 ? k - 1 : 1}}, {ob}, k);
+    if (draw_ahead) {
+      const uint64_t staged = server->server_commits();
+      const size_t logged = server->decisions().server_commits.size();
+      server->DrawCycle(k + 1);
+      EXPECT_EQ(server->server_commits(), staged) << "a drawn commit counted before staging";
+      EXPECT_EQ(server->decisions().server_commits.size(), logged);
+    }
+    server->EndCycle(k, 0);
+    server->BeginCycle(k + 1);
+  }
+  StagedRun run;
+  run.log = server->decisions();
+  run.trace = ring.Snapshot();
+  run.commit_order = HistoryCommitOrder(server->manager());
+  run.server_commits = server->server_commits();
+  EXPECT_EQ(ring.dropped(), 0u);
+  return run;
+}
+
+TEST(CycleServerTest, DrawnAheadCycleStagesExactlyWhatStagingAloneDoes) {
+  for (const UpdateScheme scheme : {UpdateScheme::kSequential, UpdateScheme::kOcc}) {
+    SCOPED_TRACE(UpdateSchemeName(scheme));
+    SimConfig config = SmallConfig(scheme);
+    constexpr Cycle kCycles = 12;
+    const StagedRun plain = RunCycles(config, kCycles, /*draw_ahead=*/false);
+    const StagedRun ahead = RunCycles(config, kCycles, /*draw_ahead=*/true);
+    ASSERT_GT(plain.server_commits, kCycles);
+    EXPECT_EQ(ahead.server_commits, plain.server_commits);
+
+    ASSERT_EQ(ahead.log.server_commits.size(), plain.log.server_commits.size());
+    for (size_t i = 0; i < plain.log.server_commits.size(); ++i) {
+      const ServerCommitRecord& a = ahead.log.server_commits[i];
+      const ServerCommitRecord& p = plain.log.server_commits[i];
+      EXPECT_EQ(a.id, p.id) << i;
+      EXPECT_EQ(a.cycle, p.cycle) << i;
+      EXPECT_EQ(a.seq, p.seq) << i;
+      EXPECT_EQ(a.reads, p.reads) << i;
+      EXPECT_EQ(a.writes, p.writes) << i;
+    }
+    ASSERT_EQ(ahead.log.uplinks.size(), plain.log.uplinks.size());
+    for (size_t i = 0; i < plain.log.uplinks.size(); ++i) {
+      const UplinkDecision& a = ahead.log.uplinks[i];
+      const UplinkDecision& p = plain.log.uplinks[i];
+      EXPECT_EQ(a.id, p.id) << i;
+      EXPECT_EQ(a.accepted, p.accepted) << i;
+      EXPECT_EQ(a.seq, p.seq) << i;
+      EXPECT_EQ(a.cause.cause, p.cause.cause) << i;
+      EXPECT_EQ(a.writes, p.writes) << i;
+    }
+    EXPECT_EQ(ahead.commit_order, plain.commit_order);
+
+    ASSERT_EQ(ahead.trace.size(), plain.trace.size());
+    for (size_t i = 0; i < plain.trace.size(); ++i) {
+      const TraceEvent& a = ahead.trace[i];
+      const TraceEvent& p = plain.trace[i];
+      EXPECT_EQ(a.type, p.type) << i;
+      EXPECT_EQ(a.time, p.time) << i;
+      EXPECT_EQ(a.duration, p.duration) << i;
+      EXPECT_EQ(a.cycle, p.cycle) << i;
+      EXPECT_EQ(a.value, p.value) << i;
+    }
+  }
+}
+
 /// The uplink workload's server shape: sparse control, 50 commits pinned
 /// per cycle under the OCC engine, no clients.
 SimConfig UplinkShape(uint32_t num_objects) {
