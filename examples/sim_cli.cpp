@@ -60,8 +60,8 @@ void PrintHelp() {
       "  --burst                   Gilbert-Elliott burst loss  (off)\n"
       "  --burst-loss=F            Bad-state loss rate         (0.9)\n"
       "  --burst-in=F --burst-out=F  Good->Bad / Bad->Good     (0.02 / 0.25)\n"
-      "  --update-scheme=seq|2pl|occ|mvcc  server update engine (seq;\n"
-      "                            non-seq = thread-pooled TxnProcessor)\n"
+      "  --update-scheme=seq|occ   server update engine (seq;\n"
+      "                            occ = thread-pooled TxnProcessor)\n"
       "  --update-workers=N        pooled engine executors, caller included (4)\n"
       "  --seed=N                  RNG seed                    (42)\n"
       "  --csv                     emit a machine-readable row\n"

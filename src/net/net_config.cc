@@ -164,7 +164,7 @@ std::string NetFlagsHelp() {
          "             --seed=N --timestamp-bits=N --delta --delta-refresh=N\n"
          "             --server-interval=N --server-txn-length=N\n"
          "             --client-txn-length=N --update-fraction=F\n"
-         "             --update-scheme=seq|2pl|occ|mvcc --update-workers=N\n";
+         "             --update-scheme=seq|occ --update-workers=N\n";
 }
 
 Status NormalizeNetSimConfig(SimConfig* sim) {

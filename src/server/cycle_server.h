@@ -205,7 +205,7 @@ class CycleServer {
   HierMatrix* hier_ = nullptr;
   ServerWorkload workload_;
   std::unique_ptr<TxnProcessor> processor_;  // null under the sequential scheme
-  std::unique_ptr<McOverlay> overlay_;       // pooled schemes only
+  std::unique_ptr<McOverlay> overlay_;       // pooled (OCC) scheme only
   std::unique_ptr<UpdateValidator> validator_;
   std::vector<ServerTxn> pending_uplinks_;
   std::vector<ServerTxn> pending_server_;

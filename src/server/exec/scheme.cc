@@ -8,23 +8,17 @@ std::string_view UpdateSchemeName(UpdateScheme scheme) {
   switch (scheme) {
     case UpdateScheme::kSequential:
       return "seq";
-    case UpdateScheme::kTwoPhaseLocking:
-      return "2pl";
     case UpdateScheme::kOcc:
       return "occ";
-    case UpdateScheme::kMvcc:
-      return "mvcc";
   }
   return "unknown";
 }
 
 StatusOr<UpdateScheme> ParseUpdateScheme(std::string_view name) {
   if (name == "seq" || name == "sequential") return UpdateScheme::kSequential;
-  if (name == "2pl") return UpdateScheme::kTwoPhaseLocking;
   if (name == "occ") return UpdateScheme::kOcc;
-  if (name == "mvcc") return UpdateScheme::kMvcc;
   return Status::InvalidArgument("unknown update scheme '" + std::string(name) +
-                                 "' (expected seq|2pl|occ|mvcc)");
+                                 "' (expected seq|occ)");
 }
 
 }  // namespace bcc

@@ -1,7 +1,7 @@
-// Pluggable concurrency-control schemes for the server's parallel update
-// engine (DESIGN.md §4h). The paper assumes server update transactions are
-// serialized by *some* local scheme before their commits are folded into the
-// control-information broadcast; this enum names the schemes the
+// Concurrency-control schemes for the server's update engine (DESIGN.md
+// §4h). The paper assumes server update transactions are serialized by
+// *some* local scheme before their commits are folded into the
+// control-information broadcast (§3.2.1); this enum names the two the
 // TxnProcessor implements.
 
 #ifndef BCC_SERVER_EXEC_SCHEME_H_
@@ -15,16 +15,15 @@ namespace bcc {
 
 /// How the server serializes its update transactions.
 enum class UpdateScheme {
-  kSequential,       ///< the classic single-path ServerTxnManager ordering
-  kTwoPhaseLocking,  ///< strict 2PL with a key-striped wait-die lock manager
-  kOcc,              ///< optimistic execution, backward validation at commit
-  kMvcc,             ///< multiversion timestamp ordering over a version store
+  kSequential,  ///< the classic single-path ServerTxnManager ordering
+  kOcc,         ///< optimistic execution, backward validation at commit
 };
 
-/// Short stable name ("seq", "2pl", "occ", "mvcc") for flags and JSON rows.
+/// Short stable name ("seq", "occ") for flags and JSON rows.
 std::string_view UpdateSchemeName(UpdateScheme scheme);
 
-/// Inverse of UpdateSchemeName; InvalidArgument on unknown names.
+/// Inverse of UpdateSchemeName (also accepts "sequential"); InvalidArgument
+/// on unknown names.
 StatusOr<UpdateScheme> ParseUpdateScheme(std::string_view name);
 
 }  // namespace bcc

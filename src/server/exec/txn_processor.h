@@ -4,13 +4,13 @@
 // path before their commits are folded into the F-Matrix broadcast. The
 // TxnProcessor lifts that cap: a StaticThreadPool's executors (the calling
 // thread included) run one broadcast cycle's update transactions
-// concurrently under a pluggable scheme — strict 2PL (wait-die, key-striped
-// LockManager), OCC (backward validation at commit), or MVCC (timestamp
-// ordering over an MvccStore with epoch-batched GC) — and returns the
-// committed transactions *in their serialization order*. Folding that order
-// into a ServerTxnManager at the cycle boundary (FoldIntoManager) reuses the
-// cycle-fused FMatrix::ApplyCommitBatch maintenance unchanged, so the
-// broadcast-side pipeline never sees which scheme produced the order.
+// concurrently under OCC (backward validation at commit) and return the
+// committed transactions *in their serialization order*. The paper needs
+// only some serializable local order (§3.2.1), so one optimistic scheme is
+// enough. Folding that order into a ServerTxnManager at the cycle boundary
+// (FoldIntoManager) reuses the cycle-fused FMatrix::ApplyCommitBatch
+// maintenance unchanged, so the broadcast-side pipeline never sees how the
+// order was produced.
 //
 // Every committed transaction records which writer each of its reads
 // observed; VerifySerializable replays the serialization order through a
@@ -25,7 +25,6 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <shared_mutex>
 #include <span>
 #include <string_view>
@@ -34,8 +33,6 @@
 #include "common/status.h"
 #include "history/history.h"
 #include "history/operation.h"
-#include "server/exec/lock_manager.h"
-#include "server/exec/mvcc_store.h"
 #include "server/exec/scheme.h"
 #include "server/exec/static_thread_pool.h"
 #include "server/txn_manager.h"
@@ -60,15 +57,14 @@ struct SeqOp {
 /// A server update transaction the processor committed.
 struct CommittedServerTxn {
   ServerTxn txn;
-  /// Position in the scheme's serialization order (2PL/OCC: commit-point
-  /// order; MVCC: timestamp order). Unique; ascending = the order to replay.
+  /// Position in the serialization order (the commit-point order). Unique;
+  /// ascending = the order to replay.
   uint64_t commit_seq = 0;
   std::vector<ReadObservation> reads;
   /// Interleaved-history trace: this transaction's reads, writes, and commit
   /// marker with their global sequence numbers (BuildInterleavedHistory).
   std::vector<SeqOp> ops;
-  /// Scheme-level aborts (wait-die deaths, failed validations, write
-  /// conflicts) this transaction survived before committing.
+  /// Failed OCC validations this transaction survived before committing.
   uint32_t aborts = 0;
 };
 
@@ -76,10 +72,7 @@ struct CommittedServerTxn {
 struct TxnProcessorStats {
   uint64_t committed = 0;
   uint64_t batches = 0;
-  uint64_t lock_die_aborts = 0;        ///< 2PL wait-die deaths
   uint64_t occ_validation_aborts = 0;  ///< OCC backward-validation failures
-  uint64_t mvcc_write_aborts = 0;      ///< MVTO write-rule rejections
-  uint64_t mvcc_versions_pruned = 0;   ///< epoch GC reclamation
 };
 
 /// Concurrent executor for server update transactions.
@@ -90,7 +83,6 @@ class TxnProcessor {
   /// kSequential) runs every batch inline on the calling thread, in input
   /// order.
   TxnProcessor(uint32_t num_objects, UpdateScheme scheme, uint32_t num_workers);
-  ~TxnProcessor();
 
   TxnProcessor(const TxnProcessor&) = delete;
   TxnProcessor& operator=(const TxnProcessor&) = delete;
@@ -103,9 +95,9 @@ class TxnProcessor {
   /// concurrently, in one hand-off to the pool, and blocks until every
   /// transaction committed — aborted attempts are retried by the scheme
   /// until they succeed, so the result always holds exactly the input
-  /// transactions, sorted by commit_seq (their serialization order). Committed state persists across batches;
-  /// the return of ExecuteBatch is an epoch boundary (MVCC runs its GC
-  /// here). Transaction ids must be unique and nonzero.
+  /// transactions, sorted by commit_seq (their serialization order).
+  /// Committed state persists across batches. Transaction ids must be unique
+  /// and nonzero.
   std::vector<CommittedServerTxn> ExecuteBatch(std::span<const ServerTxn> txns);
 
   /// Executes `txns` inline on the calling thread, in the given order,
@@ -130,17 +122,11 @@ class TxnProcessor {
   const TxnProcessorStats& stats() const { return stats_; }
 
   /// Test-only interleaving hook, invoked at scheme stage boundaries
-  /// ("start", "2pl:locked", "2pl:die", "occ:read-done", "occ:install",
-  /// "mvcc:read-done", "mvcc:die", "commit") with no internal latch held
-  /// (2pl:locked runs with the transaction's logical locks held, which is
-  /// what lets tests build contention windows). Set before the first
-  /// ExecuteBatch and never change it while a batch runs.
+  /// ("start", "occ:read-done", "occ:install", "commit") with no internal
+  /// latch held, which is what lets tests build contention windows. Set
+  /// before the first ExecuteBatch and never change it while a batch runs.
   using TestHook = std::function<void(TxnId txn, std::string_view stage)>;
   void set_test_hook(TestHook hook) { hook_ = std::move(hook); }
-
-  /// Test-only: the 2PL lock table (null under other schemes). Lets tests
-  /// assert the table drains between batches.
-  LockManager* lock_manager_for_test() { return locks_.get(); }
 
  private:
   /// Per-executor temporaries, reused across attempts and batches (each
@@ -148,15 +134,10 @@ class TxnProcessor {
   /// cache line each, so executors never share one).
   struct alignas(64) Scratch {
     std::vector<uint64_t> read_versions;  // OCC: install version per read
-    std::vector<ObjectId> held;           // 2PL: objects locked so far
   };
 
-  void RunToCommit(const ServerTxn& txn, uint64_t priority, CommittedServerTxn& out,
-                   Scratch& scratch);
-  bool TryTwoPhase(const ServerTxn& txn, uint64_t priority, CommittedServerTxn& out,
-                   std::vector<ObjectId>& held);
+  void RunToCommit(const ServerTxn& txn, CommittedServerTxn& out, Scratch& scratch);
   bool TryOcc(const ServerTxn& txn, CommittedServerTxn& out, std::vector<uint64_t>& read_versions);
-  bool TryMvcc(const ServerTxn& txn, CommittedServerTxn& out);
   void RunSequential(const ServerTxn& txn, CommittedServerTxn& out);
 
   const uint32_t num_objects_;
@@ -164,29 +145,24 @@ class TxnProcessor {
   StaticThreadPool pool_;
   std::vector<Scratch> scratch_;  // one per executor, indexed by executor id
 
-  // 2PL / OCC / sequential committed state: the last committed writer per
-  // object. 2PL guards entries with the object's lock; OCC with occ_mu_.
+  // Committed state: the last committed writer per object, guarded by
+  // occ_mu_ under OCC.
   std::vector<TxnId> last_writer_;
-  std::unique_ptr<LockManager> locks_;           // 2PL
-  std::shared_mutex occ_mu_;                     // OCC: shared=read, unique=validate+install
-  std::vector<uint64_t> occ_version_;            // OCC per-object install counter
-  std::unique_ptr<MvccStore> mvcc_;              // MVCC
+  std::shared_mutex occ_mu_;           // OCC: shared=read, unique=validate+install
+  std::vector<uint64_t> occ_version_;  // OCC per-object install counter
 
-  std::atomic<uint64_t> next_seq_{1};   // commit_seq (2PL/OCC/seq)
-  std::atomic<uint64_t> next_ts_{1};    // 2PL priorities & MVCC timestamps
+  std::atomic<uint64_t> next_seq_{1};  // commit_seq
   std::atomic<uint64_t> next_op_seq_{1};
 
   TxnProcessorStats stats_;  // batch-level fields updated at barriers
-  std::atomic<uint64_t> lock_die_aborts_{0};
   std::atomic<uint64_t> occ_validation_aborts_{0};
-  std::atomic<uint64_t> mvcc_write_aborts_{0};
 
   TestHook hook_;
 };
 
 /// Replays `committed` (ascending commit_seq) into `manager` at broadcast
-/// cycle `cycle` — the bridge from the scheme's serialization order into the
-/// cycle-fused F-Matrix/MC-vector maintenance.
+/// cycle `cycle` — the bridge from the serialization order into the
+/// cycle-fused F-Matrix and store maintenance.
 void FoldIntoManager(std::span<const CommittedServerTxn> committed, ServerTxnManager& manager,
                      Cycle cycle);
 
@@ -198,10 +174,8 @@ Status VerifySerializable(uint32_t num_objects, std::span<const CommittedServerT
 
 /// Rebuilds the totally ordered history the committed transactions actually
 /// executed, by sorting every recorded operation by its global sequence
-/// number. For 2PL and OCC this single-version interleaving must be conflict
-/// serializable (the property suite enforces it); MVCC interleavings are
-/// only timestamp-order serializable, so tests feed its serialization-order
-/// history instead.
+/// number. This single-version interleaving must be conflict serializable
+/// (the property suite enforces it).
 History BuildInterleavedHistory(std::span<const CommittedServerTxn> committed);
 
 }  // namespace bcc

@@ -155,16 +155,16 @@ struct SimConfig {
 
   /// Parallel update engine (src/server/exec/, DESIGN.md §4h): how the
   /// server executes its update transactions. kSequential is the paper's
-  /// serial path (commits applied at their generated event times). Any other
-  /// scheme defers each broadcast cycle's server transactions to a
-  /// thread-pooled TxnProcessor and folds the scheme's serialization order
-  /// into the manager at the cycle boundary — before the next cycle's
-  /// snapshot, so clients observe exactly the same cycle-granular state
-  /// visibility as the serial path. Requires read-only clients
-  /// (client_update_fraction == 0): the uplink validator consults the MC
-  /// vector mid-cycle, which a deferred batch would falsify.
+  /// serial path (commits applied at their generated event times). kOcc
+  /// defers each broadcast cycle's server transactions to a thread-pooled
+  /// TxnProcessor and folds its serialization order into the manager at the
+  /// cycle boundary — before the next cycle's snapshot, so clients observe
+  /// exactly the same cycle-granular state visibility as the serial path.
+  /// Client uplinks run under either scheme; under kOcc they validate
+  /// mid-cycle against the staged MC overlay and fold as a serial prefix of
+  /// the cycle's batch. ConcurrentSim accepts uplinks under kOcc only.
   UpdateScheme update_scheme = UpdateScheme::kSequential;
-  /// Executors for the pooled engine (update_scheme != kSequential), the
+  /// Executors for the pooled engine (update_scheme == kOcc), the
   /// calling thread included: the pool spawns update_workers − 1 threads,
   /// and at 1 each batch runs inline on the server thread.
   uint32_t update_workers = 4;

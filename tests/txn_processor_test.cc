@@ -73,11 +73,9 @@ TEST_P(TxnProcessorSchemeTest, SmallContendedBatchIsSerializable) {
   }
   const Status s = VerifySerializable(4, committed);
   EXPECT_TRUE(s.ok()) << s.ToString();
-  if (GetParam() != UpdateScheme::kMvcc) {
-    const History h = BuildInterleavedHistory(committed);
-    EXPECT_TRUE(h.Validate().ok());
-    EXPECT_TRUE(IsConflictSerializable(h));
-  }
+  const History h = BuildInterleavedHistory(committed);
+  EXPECT_TRUE(h.Validate().ok());
+  EXPECT_TRUE(IsConflictSerializable(h));
   ExpectMatchesSequentialOracle(4, committed);
   EXPECT_EQ(proc.stats().committed, 4u);
   EXPECT_EQ(proc.stats().batches, 1u);
@@ -109,23 +107,15 @@ TEST_P(TxnProcessorSchemeTest, OneWorkerCommitsInInputOrderFirstTry) {
     all.insert(all.end(), committed.begin(), committed.end());
   }
   EXPECT_TRUE(VerifySerializable(4, all).ok());
-  EXPECT_EQ(proc.stats().lock_die_aborts, 0u);
   EXPECT_EQ(proc.stats().occ_validation_aborts, 0u);
-  EXPECT_EQ(proc.stats().mvcc_write_aborts, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllSchemes, TxnProcessorSchemeTest,
-                         ::testing::Values(UpdateScheme::kSequential,
-                                           UpdateScheme::kTwoPhaseLocking, UpdateScheme::kOcc,
-                                           UpdateScheme::kMvcc),
-                         [](const auto& info) {
-                           return std::string(UpdateSchemeName(info.param)) == "2pl"
-                                      ? std::string("TwoPhaseLocking")
-                                      : std::string(UpdateSchemeName(info.param));
-                         });
+                         ::testing::Values(UpdateScheme::kSequential, UpdateScheme::kOcc),
+                         [](const auto& info) { return std::string(UpdateSchemeName(info.param)); });
 
 TEST(TxnProcessorTest, CommittedStatePersistsAcrossBatches) {
-  TxnProcessor proc(/*num_objects=*/2, UpdateScheme::kTwoPhaseLocking, /*num_workers=*/2);
+  TxnProcessor proc(/*num_objects=*/2, UpdateScheme::kOcc, /*num_workers=*/2);
   auto first = proc.ExecuteBatch(std::vector<ServerTxn>{MakeTxn(1, {}, {0})});
   auto second = proc.ExecuteBatch(std::vector<ServerTxn>{MakeTxn(2, {0}, {1})});
   ASSERT_EQ(second.size(), 1u);
@@ -137,67 +127,7 @@ TEST(TxnProcessorTest, CommittedStatePersistsAcrossBatches) {
   EXPECT_EQ(proc.stats().batches, 2u);
 }
 
-TEST(TxnProcessorTest, MvccGcRunsAtTheBatchBarrier) {
-  TxnProcessor proc(/*num_objects=*/1, UpdateScheme::kMvcc, /*num_workers=*/2);
-  const std::vector<ServerTxn> txns = {
-      MakeTxn(1, {}, {0}),
-      MakeTxn(2, {}, {0}),
-      MakeTxn(3, {}, {0}),
-  };
-  const auto committed = proc.ExecuteBatch(txns);
-  ASSERT_EQ(committed.size(), 3u);
-  // Three versions were installed on top of t0; the epoch GC at the barrier
-  // keeps only the newest.
-  EXPECT_GE(proc.stats().mvcc_versions_pruned, 3u);
-}
-
-// Satellite test (ISSUE 6): under 2PL wait-die, the younger of two writers
-// on one object dies, retries with its original priority, and commits after
-// the older one — and only the surviving attempt is handed to the fold, so
-// an aborted attempt can never reach ApplyCommitBatch.
-TEST(TxnProcessorTest, TwoPhaseLockingWaitDieAbortsYoungerAndRetries) {
-  TxnProcessor proc(/*num_objects=*/2, UpdateScheme::kTwoPhaseLocking, /*num_workers=*/2);
-
-  std::mutex mu;
-  std::condition_variable cv;
-  bool older_locked = false;
-  int younger_deaths = 0;
-  proc.set_test_hook([&](TxnId txn, std::string_view stage) {
-    std::unique_lock<std::mutex> lock(mu);
-    if (txn == 1 && stage == "2pl:locked") {
-      // Txn 1 (older: submitted first) holds its locks open until txn 2 has
-      // died on the conflict at least once.
-      older_locked = true;
-      cv.notify_all();
-      cv.wait(lock, [&] { return younger_deaths >= 1; });
-    } else if (txn == 2 && stage == "start") {
-      // Keep txn 2 from racing ahead of txn 1's lock acquisition.
-      cv.wait(lock, [&] { return older_locked; });
-    } else if (txn == 2 && stage == "2pl:die") {
-      younger_deaths += 1;
-      cv.notify_all();
-    }
-  });
-
-  const std::vector<ServerTxn> txns = {
-      MakeTxn(1, {}, {0}),
-      MakeTxn(2, {}, {0}),
-  };
-  const auto committed = proc.ExecuteBatch(txns);
-  ASSERT_EQ(committed.size(), 2u);
-  EXPECT_EQ(committed[0].txn.id, 1u);  // the older transaction commits first
-  EXPECT_EQ(committed[1].txn.id, 2u);
-  EXPECT_GE(committed[1].aborts, 1u);
-  EXPECT_GE(proc.stats().lock_die_aborts, 1u);
-  // The victim's surviving attempt left exactly one trace: w2(ob0) c2.
-  ASSERT_EQ(committed[1].ops.size(), 2u);
-  EXPECT_EQ(committed[1].ops[0].op, Operation::Write(2, 0));
-  EXPECT_EQ(committed[1].ops[1].op, Operation::Commit(2));
-  EXPECT_TRUE(VerifySerializable(2, committed).ok());
-  ExpectMatchesSequentialOracle(2, committed);
-}
-
-// Satellite test (ISSUE 6): an OCC transaction whose read set is overwritten
+// An OCC transaction whose read set is overwritten
 // inside its window fails backward validation, retries, observes the new
 // writer, and serializes after it; the failed attempt's writes are never
 // installed and never reach ApplyCommitBatch.
