@@ -189,8 +189,7 @@ void BM_PagedSnapshotValues(benchmark::State& state) {
   Cycle cycle = 1;
   for (auto _ : state) {
     for (uint32_t c = 0; c < kCommitsPerCycle; ++c, next = (next + 1) % sets.size()) {
-      for (ObjectId w : sets[next]) store.StageWrite(w, static_cast<TxnId>(cycle));
-      store.CommitStaged(cycle);
+      for (ObjectId w : sets[next]) store.Install(w, static_cast<TxnId>(cycle), cycle);
     }
     held.reset();
     held.emplace(store.committed());

@@ -61,8 +61,7 @@ void PrintHelp() {
       "  --burst-loss=F            Bad-state loss rate         (0.9)\n"
       "  --burst-in=F --burst-out=F  Good->Bad / Bad->Good     (0.02 / 0.25)\n"
       "  --update-scheme=seq|occ   server update engine (seq;\n"
-      "                            occ = thread-pooled TxnProcessor)\n"
-      "  --update-workers=N        pooled engine executors, caller included (4)\n"
+      "                            occ = staged, folded at the cycle boundary)\n"
       "  --seed=N                  RNG seed                    (42)\n"
       "  --csv                     emit a machine-readable row\n"
       "  --trace-out=FILE          write a Chrome trace_event JSON trace\n"
@@ -194,8 +193,6 @@ int main(int argc, char** argv) {
         return 2;
       }
       config.update_scheme = *scheme;
-    } else if (ParseFlag(argv[i], "--update-workers", &v)) {
-      config.update_workers = static_cast<uint32_t>(std::strtoul(v, nullptr, 10));
     } else if (ParseFlag(argv[i], "--seed", &v)) {
       config.seed = std::strtoull(v, nullptr, 10);
     } else if (ParseFlag(argv[i], "--trace-out", &v)) {

@@ -79,7 +79,7 @@ class CowPages {
   /// entries is a memcpy, so those pages are large and the table small;
   /// copying a page of handles bumps one reference count per entry, so
   /// those pages are small.
-  static constexpr uint32_t kPageShift = std::is_trivially_copyable_v<T> ? 6 : 3;
+  static constexpr uint32_t kPageShift = std::is_trivially_copyable_v<T> ? 5 : 3;
   static constexpr uint32_t kPageEntries = 1u << kPageShift;
   static constexpr size_t kPageBytes = kPageEntries * sizeof(T);
   /// Reclaimed pages kept for reuse by later page copies; the rest are freed.

@@ -123,7 +123,6 @@ bool ParseNetFlag(const std::string& arg, NetConfig* net, SimConfig* sim) {
   if (ParseU64(arg, "--server-interval", &sim->server_txn_interval)) return true;
   if (ParseU32(arg, "--server-txn-length", &sim->server_txn_length)) return true;
   if (ParseU32(arg, "--client-txn-length", &sim->client_txn_length)) return true;
-  if (ParseU32(arg, "--update-workers", &sim->update_workers)) return true;
   if (ParseDouble(arg, "--update-fraction", &sim->client_update_fraction)) return true;
   if (arg == "--delta") {
     sim->delta_broadcast = true;
@@ -164,7 +163,7 @@ std::string NetFlagsHelp() {
          "             --seed=N --timestamp-bits=N --delta --delta-refresh=N\n"
          "             --server-interval=N --server-txn-length=N\n"
          "             --client-txn-length=N --update-fraction=F\n"
-         "             --update-scheme=seq|occ --update-workers=N\n";
+         "             --update-scheme=seq|occ\n";
 }
 
 Status NormalizeNetSimConfig(SimConfig* sim) {

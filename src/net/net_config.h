@@ -97,7 +97,7 @@ struct NetConfig {
 /// --connect, --mcast, --pace, ...) plus the sim knobs the networked tier
 /// shares, under sim_cli's names (--objects, --object-kb, --timestamp-bits,
 /// --frame-bits, --cycles, --seed, --delta, --delta-refresh, --clients,
-/// --update-scheme, --update-workers, --update-fraction,
+/// --update-scheme, --update-fraction,
 /// --client-txn-length, ...). Unrecognized flags are left for the caller, so
 /// sim_cli can layer this under its own flag set.
 bool ParseNetFlag(const std::string& arg, NetConfig* net, SimConfig* sim);

@@ -97,24 +97,14 @@ CycleServer::CycleServer(const SimConfig& config, Rng workload_rng, CycleServerO
   if (config.channel_broadcast) {
     frame_codec_.emplace(CycleStampCodec(config.timestamp_bits), config.channel_frame_bits);
   }
-  if (config.update_scheme != UpdateScheme::kSequential) {
-    processor_ = std::make_unique<TxnProcessor>(config.num_objects, config.update_scheme,
-                                                config.update_workers);
-    // Pooled-apply: the cycle-batch F-Matrix fold borrows the processor's
-    // executors, partitioned by column (bit-identical to the serial fold).
-    manager_->SetParallelFold(
-        [pool = processor_.get()](uint32_t shards, const std::function<void(uint32_t)>& body) {
-          pool->RunShards(shards, body);
-        },
-        config.update_workers);
-    // A cycle's commits reach the manager only at the fold, so the
-    // validator reads the store's MC stamps through the cycle-epoch overlay
-    // and accepted uplinks queue for the fold's serial prefix.
-    overlay_ = std::make_unique<McOverlay>(config.num_objects);
-    validator_->AttachStagedMode(overlay_.get(), [this](ServerTxn&& txn) {
-      pending_uplinks_.push_back(std::move(txn));
-    });
-  }
+  if (!staged()) return;
+  // A cycle's commits reach the manager only at the fold, so the validator
+  // reads the store's MC stamps through the cycle-epoch overlay and accepted
+  // uplinks queue for the fold's serial prefix.
+  overlay_ = std::make_unique<McOverlay>(config.num_objects);
+  validator_->AttachStagedMode(overlay_.get(), [this](ServerTxn&& txn) {
+    pending_uplinks_.push_back(std::move(txn));
+  });
 }
 
 CycleServer::~CycleServer() = default;
@@ -157,12 +147,12 @@ uint64_t CycleServer::StageCycle(Cycle cycle) {
   for (DrawnTxn& drawn : drawn_) {
     ServerTxn& txn = drawn.txn;
     if (config_.record_decisions) {
-      if (processor_ != nullptr) unsequenced_server_.push_back(log_.server_commits.size());
+      if (staged()) unsequenced_server_.push_back(log_.server_commits.size());
       log_.server_commits.push_back(ServerCommitRecord{
-          txn.id, cycle, processor_ != nullptr ? 0 : next_seq_++, txn.read_set, txn.write_set});
+          txn.id, cycle, staged() ? 0 : next_seq_++, txn.read_set, txn.write_set});
     }
     Trace(trace_, TraceEventType::kCommit, drawn.time, 0, cycle, txn.id);
-    if (processor_ != nullptr) {
+    if (staged()) {
       overlay_->Stage(txn.write_set, cycle);
       pending_server_.push_back(std::move(txn));
     } else {
@@ -195,9 +185,9 @@ UplinkOutcome CycleServer::SubmitUplink(uint32_t client, std::vector<ReadRecord>
     }
   }
   if (config_.record_decisions) {
-    // The sequential scheme commits an accepted uplink on the spot; a pooled
-    // one sequences it at the fold.
-    const bool direct = outcome.accepted && processor_ == nullptr;
+    // The sequential scheme commits an accepted uplink on the spot; the
+    // staged one sequences it at the fold.
+    const bool direct = outcome.accepted && !staged();
     if (outcome.accepted && !direct) unsequenced_uplinks_.push_back(log_.uplinks.size());
     log_.uplinks.push_back(UplinkDecision{request.id, client, cycle, direct ? next_seq_++ : 0,
                                           outcome.accepted, outcome.cause, std::move(request.reads),
@@ -207,21 +197,17 @@ UplinkOutcome CycleServer::SubmitUplink(uint32_t client, std::vector<ReadRecord>
 }
 
 void CycleServer::Fold(Cycle cycle) {
-  if (processor_ == nullptr) return;  // everything committed when staged
-  if (!pending_uplinks_.empty()) {
-    // Accepted uplinks commit first, serially, in acceptance order.
-    // Validation saw every write of the cycle's server batch, so each
-    // uplink's reads are disjoint from it: the serial prefix places the
-    // uplink exactly where the client's broadcast reads put it, after the
-    // prior cycle. Letting the pooled batch order them instead could slot a
-    // conflicting server commit in front.
-    FoldIntoManager(processor_->ExecuteSerial(pending_uplinks_), *manager_, cycle);
-    pending_uplinks_.clear();
-  }
-  if (!pending_server_.empty()) {
-    FoldIntoManager(processor_->ExecuteBatch(pending_server_), *manager_, cycle);
-    pending_server_.clear();
-  }
+  if (!staged()) return;  // sequential scheme: each commit happened at its event time
+  // Accepted uplinks commit first, in acceptance order, then the server
+  // batch in staging order. Validation saw every write of the cycle's server
+  // batch, so each uplink's reads are disjoint from it: committing the
+  // uplinks first places each exactly where the client's broadcast reads put
+  // it, after the prior cycle. The staging order is a serial order, so the
+  // fold needs no concurrency control and commits straight into the manager.
+  for (const ServerTxn& txn : pending_uplinks_) manager_->Commit(txn, cycle);
+  for (const ServerTxn& txn : pending_server_) manager_->Commit(txn, cycle);
+  pending_uplinks_.clear();
+  pending_server_.clear();
   // The fold published every staged MC effect for real; retire the epoch.
   overlay_->Clear();
   // The fold is the store's commit point: sequence the log in its order.

@@ -5,7 +5,7 @@
 // transactions commit during cycle k, the F-Matrix is maintained at commit
 // time (Theorem 2), and clients validate against the state broadcast at the
 // start of the cycle. CycleServer owns what that loop touches — manager,
-// broadcast front end, workload and commit clock, pooled update engine,
+// broadcast front end, workload and commit clock, the staged-commit queues,
 // uplink validator with its overlay and queues, delta and frame scratch,
 // the end-of-cycle matrix step and the decision log — and the engines
 // (BroadcastSim, ConcurrentSim, the socket daemon) drive it per cycle k:
@@ -19,7 +19,7 @@
 // One rule of each kind (DESIGN.md, "Cycle server"):
 //   - Staging: all of cycle k's server commits are staged when cycle k
 //     begins (executed under the sequential scheme, queued with their MC
-//     effects in the overlay under a pooled one), so an uplink validated in
+//     effects in the overlay under the staged OCC scheme), so an uplink validated in
 //     cycle k sees every cycle-k server write.
 //   - Boundary: a commit landing exactly on a cycle boundary belongs to the
 //     old cycle iff it fires before the flip (FiresBeforeFlip / PhaseOf).
@@ -50,7 +50,6 @@
 #include "common/statusor.h"
 #include "obs/trace.h"
 #include "server/broadcast_server.h"
-#include "server/exec/txn_processor.h"
 #include "server/mc_overlay.h"
 #include "server/txn_manager.h"
 #include "server/validator.h"
@@ -107,7 +106,7 @@ struct UplinkDecision {
 /// The server's decision log: everything the offline history and
 /// serializability checkers need to audit a run's update sub-history.
 /// `seq` is the store's commit order: assigned at the commit call under the
-/// sequential scheme, at the cycle fold under a pooled one.
+/// sequential scheme, at the cycle fold under the staged one.
 struct DecisionLog {
   std::vector<ServerCommitRecord> server_commits;
   std::vector<UplinkDecision> uplinks;
@@ -167,11 +166,12 @@ class CycleServer {
 
   /// Validates client `client`'s update transaction during cycle `cycle`.
   /// Under the sequential scheme an accepted one commits on the spot; under
-  /// a pooled one it queues for cycle `cycle`'s fold.
+  /// the staged one it queues for cycle `cycle`'s fold.
   UplinkOutcome SubmitUplink(uint32_t client, std::vector<ReadRecord> reads,
                              std::vector<ObjectId> writes, Cycle cycle);
 
-  /// Folds cycle `cycle`'s pooled commits into the manager (the fold rule).
+  /// Folds cycle `cycle`'s staged commits into the manager, in staging order
+  /// (the fold rule).
   /// Idempotent; EndCycle calls it. A run cut mid-cycle calls it alone.
   void Fold(Cycle cycle);
 
@@ -198,14 +198,16 @@ class CycleServer {
  private:
   CycleServer(const SimConfig& config, Rng workload_rng, CycleServerOptions options);
 
+  /// Staged mode (the OCC scheme): a cycle's commits queue for the fold.
+  bool staged() const { return config_.update_scheme != UpdateScheme::kSequential; }
+
   const SimConfig config_;
   const CycleServerOptions options_;
   std::unique_ptr<ServerTxnManager> manager_;
   std::unique_ptr<BroadcastServer> server_;
   HierMatrix* hier_ = nullptr;
   ServerWorkload workload_;
-  std::unique_ptr<TxnProcessor> processor_;  // null under the sequential scheme
-  std::unique_ptr<McOverlay> overlay_;       // pooled (OCC) scheme only
+  std::unique_ptr<McOverlay> overlay_;  // staged mode only
   std::unique_ptr<UpdateValidator> validator_;
   std::vector<ServerTxn> pending_uplinks_;
   std::vector<ServerTxn> pending_server_;

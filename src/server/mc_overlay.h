@@ -1,12 +1,12 @@
 // Cycle-epoch MC-vector overlay: the side buffer that keeps the uplink
-// validator consistent while pooled server updates are in flight (DESIGN.md
+// validator consistent while staged server updates are in flight (DESIGN.md
 // §4i).
 //
 // MC(ob) is the commit cycle of ob's committed version, values[ob].cycle in
 // the manager's store. With the sequential update path the store is
 // written eagerly, so the validator's backward check (`MC(ob) >= read
 // cycle`?) sees every commit that precedes the uplink transaction in the
-// serialization order. A pooled cycle's commits reach the manager only at
+// serialization order. A staged cycle's commits reach the manager only at
 // the fold, so every transaction accepted into the current cycle — the
 // cycle's server transactions when CycleServer stages them, accepted
 // uplinks when they validate — stages its write set here, and the validator

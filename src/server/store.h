@@ -9,12 +9,8 @@
 #ifndef BCC_SERVER_STORE_H_
 #define BCC_SERVER_STORE_H_
 
-#include <optional>
-#include <vector>
-
 #include "common/cow_pages.h"
 #include "common/cycle_stamp.h"
-#include "common/status.h"
 #include "history/object_id.h"
 
 namespace bcc {
@@ -34,32 +30,25 @@ struct ObjectVersion {
 /// the cycle snapshots taken of it.
 using ObjectValues = CowPages<ObjectVersion>;
 
-/// Two-version store: committed versions plus a staging area for the single
-/// update transaction currently executing at the server (updates are applied
-/// serially, matching the paper's simple case).
+/// Two-version store. The live values hold every write committed so far; the
+/// other version is the one on the air, the cycle snapshot (a page-shared
+/// copy of committed() taken when the cycle begins). Update transactions run
+/// serially and read before they write, so each write installs directly:
+/// nothing written but uncommitted is ever visible to a read.
 class VersionedStore {
  public:
-  explicit VersionedStore(uint32_t num_objects);
+  explicit VersionedStore(uint32_t num_objects) : committed_(num_objects) {}
 
   uint32_t num_objects() const { return static_cast<uint32_t>(committed_.size()); }
 
   /// Latest committed version.
   const ObjectVersion& Committed(ObjectId ob) const { return committed_[ob]; }
 
-  /// Value a server-side transaction read: its own staged write if any,
-  /// else the latest committed version.
-  const ObjectVersion& ReadForStaging(ObjectId ob) const;
-
-  /// Stages a write for the in-flight transaction (last-written version).
-  void StageWrite(ObjectId ob, TxnId writer);
-
-  bool HasStagedWrites() const { return !staged_order_.empty(); }
-
-  /// Installs all staged writes as committed at `commit_cycle`.
-  void CommitStaged(Cycle commit_cycle);
-
-  /// Discards all staged writes.
-  void AbortStaged();
+  /// Installs `writer`'s write of `ob`, committed at `commit_cycle`, with
+  /// the next value.
+  void Install(ObjectId ob, TxnId writer, Cycle commit_cycle) {
+    committed_.Set(ob, ObjectVersion{next_value_++, writer, commit_cycle});
+  }
 
   /// All committed versions (snapshot source for the broadcast: a copy
   /// shares every page no later commit writes).
@@ -67,8 +56,6 @@ class VersionedStore {
 
  private:
   ObjectValues committed_;
-  std::vector<std::optional<ObjectVersion>> staged_;
-  std::vector<ObjectId> staged_order_;
   uint64_t next_value_ = 1;
 };
 

@@ -25,7 +25,7 @@ std::vector<ObjectVersion> ServerTxnManager::ExecuteAndCommit(const ServerTxn& t
   // state is also the current state).
   std::vector<ObjectVersion> values_read;
   values_read.reserve(txn.read_set.size());
-  for (ObjectId ob : txn.read_set) values_read.push_back(store_.ReadForStaging(ob));
+  for (ObjectId ob : txn.read_set) values_read.push_back(store_.Committed(ob));
   Commit(txn, cycle);
   return values_read;
 }
@@ -39,12 +39,11 @@ void ServerTxnManager::Commit(const ServerTxn& txn, Cycle cycle) {
     for (ObjectId ob : txn.read_set) history_.AppendRead(txn.id, ob);
   }
 
-  // Write phase.
+  // Write phase: reads came first, so each write installs as committed.
   for (ObjectId ob : txn.write_set) {
-    store_.StageWrite(ob, txn.id);
+    store_.Install(ob, txn.id, cycle);
     if (options_.record_history) history_.AppendWrite(txn.id, ob);
   }
-  store_.CommitStaged(cycle);
   if (options_.record_history) history_.AppendCommit(txn.id);
 
   // Control information (Theorem 2 incremental maintenance). With batching

@@ -51,8 +51,8 @@ class UpdateValidator {
   /// is executed serially at the manager on the spot. Staged mode
   /// (AttachStagedMode): validation reads the merged max(store MC, overlay)
   /// view and an accepted transaction is staged into the overlay and handed
-  /// to the sink instead — the engine folds it through the TxnProcessor at
-  /// the cycle boundary. Either way the view covers every transaction
+  /// to the sink instead — the engine folds it into the manager at the
+  /// cycle boundary. Either way the view covers every transaction
   /// accepted into the current cycle so far, so the commit/abort decision is
   /// identical to the sequential path's.
   StatusOr<Cycle> ValidateAndCommit(const ClientUpdateRequest& request, Cycle current_cycle);

@@ -286,8 +286,7 @@ std::string SimConfig::ToString() const {
                      ChannelFaults().ToString().c_str());
   }
   if (update_scheme != UpdateScheme::kSequential) {
-    out += StrFormat(" update(%s x%u)", std::string(UpdateSchemeName(update_scheme)).c_str(),
-                     update_workers);
+    out += StrFormat(" update(%s)", std::string(UpdateSchemeName(update_scheme)).c_str());
   }
   return out;
 }

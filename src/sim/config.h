@@ -153,21 +153,24 @@ struct SimConfig {
   /// The channel knobs above as a ChannelFaultConfig.
   ChannelFaultConfig ChannelFaults() const;
 
-  /// Parallel update engine (src/server/exec/, DESIGN.md §4h): how the
-  /// server executes its update transactions. kSequential is the paper's
+  /// Update scheme (DESIGN.md §4h): how the server executes its update
+  /// transactions. kSequential is the paper's
   /// serial path (commits applied at their generated event times). kOcc
-  /// defers each broadcast cycle's server transactions to a thread-pooled
-  /// TxnProcessor and folds its serialization order into the manager at the
+  /// defers each broadcast cycle's server transactions to the fold at the
   /// cycle boundary — before the next cycle's snapshot, so clients observe
   /// exactly the same cycle-granular state visibility as the serial path.
+  /// The staging order is a serial order, so the fold commits them straight
+  /// into the manager in that order, with no concurrency control.
   /// Client uplinks run under either scheme; under kOcc they validate
   /// mid-cycle against the staged MC overlay and fold as a serial prefix of
   /// the cycle's batch. ConcurrentSim accepts uplinks under kOcc only.
   UpdateScheme update_scheme = UpdateScheme::kSequential;
-  /// Executors for the pooled engine (update_scheme == kOcc), the
-  /// calling thread included: the pool spawns update_workers − 1 threads,
-  /// and at 1 each batch runs inline on the server thread.
-  uint32_t update_workers = 4;
+  /// Executors of a TxnProcessor that replays the cycle's batch (the
+  /// calling thread included; perfbench's traced replay sizes its pool from
+  /// it). The engines do not read it: their fold is serial at every value,
+  /// since on 4 vCPUs every measured batch shape ran 2–5× slower per batch
+  /// at W >= 2 than at W = 1 (DESIGN.md §4h).
+  uint32_t update_workers = 1;
 
   // ---- test instrumentation ----
   /// Record the full update history plus client reads so the run can be

@@ -173,7 +173,6 @@ TEST(ConcurrentSimTest, MatchesSequentialOracleWithOneUplinkClient) {
     config.stop_after_cycles = 80;
     config.client_update_fraction = 0.5;
     config.update_scheme = UpdateScheme::kOcc;
-    config.update_workers = 1;
     EXPECT_EQ(CrossCheckEngines(config), Status::OK()) << "seed " << seed;
 
     config.record_decisions = true;
@@ -192,7 +191,6 @@ TEST(ConcurrentSimTest, UplinkRunStoppedOnTransactionCountCountsOnlyStagedCommit
   config.num_client_txns = 60;
   config.client_update_fraction = 0.5;
   config.update_scheme = UpdateScheme::kOcc;
-  config.update_workers = 1;
   config.record_decisions = true;
   ConcurrentSim sim(config);
   const auto summary = sim.Run();

@@ -11,9 +11,15 @@
 #include <map>
 #include <memory>
 #include <set>
+#include <tuple>
+#include <utility>
+#include <vector>
 
 #include "des/event_queue.h"
 #include "matrix/sparse_f_matrix.h"
+#include "matrix/wire.h"
+#include "server/delta_broadcast.h"
+#include "server/exec/txn_processor.h"
 #include "sim/metrics.h"
 
 namespace bcc {
@@ -28,7 +34,6 @@ SimConfig SmallConfig(UpdateScheme scheme) {
   config.server_txn_length = 3;
   config.server_txn_interval = 300;
   config.update_scheme = scheme;
-  config.update_workers = 1;
   config.record_decisions = true;
   config.record_history = true;
   config.seed = 5;
@@ -352,7 +357,6 @@ SimConfig UplinkShape(uint32_t num_objects) {
   config.num_objects = num_objects;
   config.object_size_bits = 64;
   config.update_scheme = UpdateScheme::kOcc;
-  config.update_workers = 1;
   config.server_txn_interval = config.Geometry().cycle_bits / 50;
   config.server_interval_exponential = false;
   config.record_decisions = true;
@@ -404,6 +408,102 @@ TEST(CycleServerTest, SnapshotBytesScaleWithTouchedPagesNotObjects) {
   // tables (n / kPageEntries slots) and the spread of the writes over more
   // pages grow, so the per-cycle cost grows far less than n does.
   EXPECT_LT(mean_total[100'000], 5 * mean_total[10'000]);
+}
+
+/// The transactions of `batch`, ordered by their seq.
+std::vector<ServerTxn> InSeqOrder(std::vector<std::pair<uint64_t, ServerTxn>> batch) {
+  std::sort(batch.begin(), batch.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+  std::vector<ServerTxn> txns;
+  for (auto& [seq, txn] : batch) txns.push_back(std::move(txn));
+  return txns;
+}
+
+/// The fields of a delta control block the fold's touched columns decide.
+auto DeltaFields(const DeltaControl& ctl) {
+  std::vector<std::tuple<ObjectId, ObjectId, uint32_t>> entries;
+  for (const DeltaCodec::Entry& e : ctl.entries) entries.emplace_back(e.row, e.col, e.residue);
+  return std::tuple(ctl.cycle, ctl.full_refresh, ctl.control_bits, entries);
+}
+
+// The fold commits each cycle straight into the manager, in staging order.
+// Replaying every cycle's log, in seq order, through the processor at one
+// executor (which commits in input order) must leave the same store and
+// sparse matrix, and the same delta control from the drained columns.
+TEST(CycleServerTest, OneExecutorFoldMatchesTheProcessorReplay) {
+  constexpr uint32_t kObjects = 2000;
+  constexpr Cycle kCycles = 40;
+  for (const uint64_t seed : {3ull, 19ull, 1009ull}) {
+    SCOPED_TRACE(seed);
+    SimConfig config = UplinkShape(kObjects);
+    config.seed = seed;
+    config.delta_broadcast = true;
+    std::unique_ptr<CycleServer> server = MakeServer(config);
+    TxnManagerOptions shadow_options;
+    shadow_options.maintain_f_matrix = false;
+    shadow_options.maintain_sparse_matrix = true;
+    shadow_options.track_dirty_columns = true;
+    ServerTxnManager shadow(kObjects, shadow_options);
+    TxnProcessor processor(kObjects, UpdateScheme::kOcc, 1);
+    DeltaBroadcaster shadow_delta(kObjects, CycleStampCodec(config.timestamp_bits),
+                                  config.delta_refresh_period);
+    const auto shadow_control = [&](Cycle cycle) {
+      const std::vector<ObjectId> touched = shadow.TakeTouchedColumns();
+      return DeltaFields(
+          shadow_delta.BuildControl(shadow.sparse_f_matrix().Snapshot(), touched, cycle));
+    };
+    Rng traffic(seed);
+    size_t seen_commits = 0, seen_uplinks = 0, accepted = 0, rejected = 0;
+    server->BeginCycle(1);
+    ASSERT_EQ(DeltaFields(*server->snapshot().delta), shadow_control(1));
+    for (Cycle k = 1; k <= kCycles; ++k) {
+      server->StageCycle(k);
+      // Uplinks read what cycle k or k - 1 broadcast (the older reads are
+      // often stale) and write objects of their own.
+      for (uint32_t u = 0; u < 8; ++u) {
+        std::vector<ReadRecord> reads;
+        const Cycle read_cycle = k > 1 && traffic.NextBernoulli(0.5) ? k - 1 : k;
+        for (ObjectId ob : traffic.SampleWithoutReplacement(kObjects, 3)) {
+          reads.push_back({ob, read_cycle});
+        }
+        const UplinkOutcome outcome =
+            server->SubmitUplink(u % 2, std::move(reads),
+                                 traffic.SampleWithoutReplacement(kObjects, 2), k);
+        ++(outcome.accepted ? accepted : rejected);
+      }
+      server->EndCycle(k, 0);
+
+      // Cycle k's commits, each kind in seq order: the fold committed the
+      // accepted uplinks, then the server batch.
+      const DecisionLog& log = server->decisions();
+      std::vector<std::pair<uint64_t, ServerTxn>> uplinks, commits;
+      for (; seen_uplinks < log.uplinks.size(); ++seen_uplinks) {
+        const UplinkDecision& d = log.uplinks[seen_uplinks];
+        if (!d.accepted) continue;
+        ServerTxn txn{d.id, {}, d.writes};
+        for (const ReadRecord& r : d.reads) txn.read_set.push_back(r.object);
+        uplinks.emplace_back(d.seq, std::move(txn));
+      }
+      for (; seen_commits < log.server_commits.size(); ++seen_commits) {
+        const ServerCommitRecord& r = log.server_commits[seen_commits];
+        commits.emplace_back(r.seq, ServerTxn{r.id, r.reads, r.writes});
+      }
+      const std::vector<ServerTxn> uplink_txns = InSeqOrder(std::move(uplinks));
+      const std::vector<ServerTxn> commit_txns = InSeqOrder(std::move(commits));
+      FoldIntoManager(processor.ExecuteSerial(uplink_txns), shadow, k);
+      FoldIntoManager(processor.ExecuteBatch(commit_txns), shadow, k);
+
+      ASSERT_TRUE(server->manager().store().committed() == shadow.store().committed())
+          << "cycle " << k;
+      ASSERT_TRUE(server->manager().sparse_f_matrix() == shadow.sparse_f_matrix())
+          << "cycle " << k;
+      server->BeginCycle(k + 1);
+      ASSERT_EQ(DeltaFields(*server->snapshot().delta), shadow_control(k + 1)) << "cycle " << k;
+    }
+    EXPECT_EQ(server->manager().num_committed(), shadow.num_committed());
+    EXPECT_GT(accepted, kCycles);
+    EXPECT_GT(rejected, 0u);
+  }
 }
 
 }  // namespace

@@ -115,7 +115,6 @@ void AuditDecisionLog(UpdateScheme scheme, const std::string& tag) {
   sim.stop_after_cycles = kCycles;
   sim.client_update_fraction = 0.5;
   sim.update_scheme = scheme;
-  sim.update_workers = 1;
 
   NetConfig server_net;
   server_net.listen = "127.0.0.1:0";

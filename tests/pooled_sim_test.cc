@@ -1,11 +1,13 @@
-// End-to-end wiring of the parallel update engine into both simulation
-// engines: with update_scheme = occ, each cycle's server transactions run
-// on the thread-pooled TxnProcessor and their serialization order is folded
-// at the cycle boundary. The oracle audit (record_history) then checks the
+// End-to-end wiring of the staged update scheme into both simulation
+// engines: with update_scheme = occ, each cycle's server transactions are
+// staged and folded into the manager, in staging order, at the cycle
+// boundary. The oracle audit (record_history) then checks the
 // same currency/consistency invariants as the sequential path.
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <string>
 #include <tuple>
 
 #include "sim/broadcast_sim.h"
@@ -28,7 +30,6 @@ SimConfig PooledConfig(uint64_t seed = 42) {
   c.warmup_txns = 20;
   c.seed = seed;
   c.update_scheme = UpdateScheme::kOcc;
-  c.update_workers = 2;
   return c;
 }
 
@@ -54,10 +55,8 @@ TEST(PooledSimTest, DesOracleAuditPassesUnderEveryScheme) {
 }
 
 TEST(PooledSimTest, PoolInterleavingNeverLosesOrDuplicatesCommits) {
-  // The pool's interleavings (and hence the serialization order within a
-  // batch) may vary between runs, but the *set* of committed transactions is
-  // the deterministic DES commit stream: every staged transaction retries
-  // until it commits, and the fold happens at the same cycle boundary.
+  // The committed transactions are the deterministic DES commit stream:
+  // every staged transaction commits at the fold of its cycle, once.
   auto run = [&](uint64_t seed) {
     BroadcastSim sim(PooledConfig(seed));
     auto s = sim.Run();
@@ -119,8 +118,7 @@ TEST(PooledSimTest, DesMixedClientsOracleAuditPassesUnderEveryScheme) {
 
 TEST(PooledSimTest, DesMixedClientsAreDeterministic) {
   // Uplink validation happens at event time against the overlay-merged MC
-  // view; the decision stream must be a pure function of the config even
-  // though the pooled batch's interleaving is not.
+  // view; the decision stream must be a pure function of the config.
   auto run = [&](uint64_t seed) {
     BroadcastSim sim(MixedClientConfig(seed));
     auto s = sim.Run();
@@ -150,6 +148,32 @@ TEST(PooledSimTest, ConcurrentEngineRejectsSequentialUplinks) {
   config.stop_after_cycles = 10;
   ConcurrentSim sim(config);
   EXPECT_EQ(sim.Run().status().code(), StatusCode::kInvalidArgument);
+}
+
+// A staged run repeats: with one update client its decision log is a pure
+// function of the config, in the DES and in the concurrent engine alike.
+TEST(PooledSimTest, StagedRunDecisionLogRepeats) {
+  SimConfig config = MixedClientConfig(13);
+  config.num_clients = 1;
+  config.client_update_fraction = 0.5;
+  config.num_client_txns = std::numeric_limits<uint32_t>::max();
+  config.stop_after_cycles = 40;
+  config.record_decisions = true;
+  const auto des_log = [&] {
+    BroadcastSim sim(config);
+    EXPECT_TRUE(sim.Run().ok());
+    return sim.server_decisions().ToJson();
+  };
+  const auto concurrent_log = [&] {
+    ConcurrentSim sim(config);
+    EXPECT_TRUE(sim.Run().ok());
+    EXPECT_FALSE(sim.server_decisions().uplinks.empty());
+    return sim.server_decisions().ToJson();
+  };
+  const std::string des = des_log();
+  EXPECT_NE(des.find("\"accepted\":true"), std::string::npos);
+  EXPECT_EQ(des, des_log());
+  EXPECT_EQ(concurrent_log(), concurrent_log());
 }
 
 }  // namespace

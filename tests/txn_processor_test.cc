@@ -83,8 +83,8 @@ TEST_P(TxnProcessorSchemeTest, SmallContendedBatchIsSerializable) {
 
 // One executor runs the batch inline on the calling thread in input order,
 // so no transaction ever meets a concurrent contender: every scheme commits
-// the batch in input order, first try — the order the engines' decision
-// cross-checks depend on at update_workers = 1.
+// the batch in input order, first try — the staging order the engines'
+// fold commits in.
 TEST_P(TxnProcessorSchemeTest, OneWorkerCommitsInInputOrderFirstTry) {
   TxnProcessor proc(/*num_objects=*/4, GetParam(), /*num_workers=*/1);
   EXPECT_EQ(proc.num_workers(), 1u);
