@@ -30,6 +30,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "matrix/control_view.h"
 #include "matrix/f_matrix.h"
 #include "matrix/sparse_f_matrix.h"
 #include "obs/json.h"
@@ -138,7 +139,7 @@ SparseResult MeasureSparse(uint32_t n, uint32_t cycles, uint32_t commits_per_cyc
       check.ApplyCommitBatch(batch, cycle);
       ++cycle;
     }
-    if (!(check == dense)) {
+    if (!(ControlView(check) == ControlView(dense))) {
       std::fprintf(stderr, "FATAL: sparse maintenance diverged from the dense oracle at n=%u\n",
                    n);
       std::exit(1);

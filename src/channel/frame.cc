@@ -334,9 +334,7 @@ void EncodeCycleFramesInto(const CycleSnapshot& snap, const FrameCodec& codec,
       // format stays dense), so downstream frames and seeded loss patterns
       // do not depend on the server's representation.
       emit(FrameKind::kControlRefresh, 0,
-           Payload{snap.sparse_f_matrix != nullptr ? PackMatrix(*snap.sparse_f_matrix, sc)
-                                                   : PackMatrix(snap.f_matrix, sc),
-                   FullMatrixControlBits(n, sc.bits())});
+           Payload{PackMatrix(snap.control(), sc), FullMatrixControlBits(n, sc.bits())});
     } else {
       emit(FrameKind::kControlDelta, 0,
            Payload{DeltaCodec::Pack(snap.delta->entries, n, sc),
@@ -352,19 +350,14 @@ void EncodeCycleFramesInto(const CycleSnapshot& snap, const FrameCodec& codec,
 
   // Full mode: the on-air slot layout — each object's data page immediately
   // followed by its control column.
-  std::vector<Cycle> sparse_col;
+  const ControlView control = snap.control();
+  std::vector<Cycle> scratch;
   for (uint32_t j = 0; j < n; ++j) {
     EncodeObjectPayloadInto(snap.values[j], object_size_bits, &page);
     emit(FrameKind::kData, j, page);
-    if (snap.sparse_f_matrix != nullptr) {
-      snap.sparse_f_matrix->MaterializeColumn(j, sparse_col);
-      emit(FrameKind::kControlColumn, j,
-           Payload{PackStamps(sparse_col, sc), static_cast<uint64_t>(n) * sc.bits()});
-    } else {
-      emit(FrameKind::kControlColumn, j,
-           Payload{PackStamps(snap.f_matrix.Column(j), sc),
-                   static_cast<uint64_t>(n) * sc.bits()});
-    }
+    emit(FrameKind::kControlColumn, j,
+         Payload{PackStamps(control.Column(j, scratch), sc),
+                 static_cast<uint64_t>(n) * sc.bits()});
   }
   out.resize(used);
 }

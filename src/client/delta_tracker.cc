@@ -1,7 +1,6 @@
 #include "client/delta_tracker.h"
 
 #include <cassert>
-#include <type_traits>
 
 namespace bcc {
 
@@ -11,10 +10,7 @@ DeltaMatrixTracker::DeltaMatrixTracker(uint32_t num_objects, CycleStampCodec cod
       matrix_(sparse ? 0 : num_objects),
       sparse_matrix_(sparse ? num_objects : 0) {}
 
-template <typename OnAirMatrix>
-void DeltaMatrixTracker::ObserveImpl(const DeltaControl& ctl, const OnAirMatrix& on_air_matrix) {
-  constexpr bool kSparseOnAir = std::is_same_v<OnAirMatrix, SparseFMatrix>;
-  assert(kSparseOnAir == sparse_ && "Observe overload must match the tracker's representation");
+void DeltaMatrixTracker::Observe(const DeltaControl& ctl, ControlView on_air_matrix) {
   if (ctl.full_refresh) {
     // A refresh OLDER than the sync point would regress entries below their
     // current values — and lower stamps can only ever accept more reads, so
@@ -24,10 +20,12 @@ void DeltaMatrixTracker::ObserveImpl(const DeltaControl& ctl, const OnAirMatrix&
     if (!synced_) EmitSyncEvent(TraceEventType::kResync, ctl.cycle);
     // Adopt the on-air matrix's pages (no entry is copied until a delta
     // writes its column).
-    if constexpr (kSparseOnAir) {
-      sparse_matrix_ = on_air_matrix.Snapshot();
+    assert((on_air_matrix.sparse() != nullptr) == sparse_ &&
+           "a refresh must come in the tracker's representation");
+    if (sparse_) {
+      sparse_matrix_ = on_air_matrix.sparse()->Snapshot();
     } else {
-      matrix_ = on_air_matrix.Snapshot();
+      matrix_ = on_air_matrix.dense()->Snapshot();
     }
     synced_ = true;
     last_sync_ = ctl.cycle;
@@ -46,20 +44,12 @@ void DeltaMatrixTracker::ObserveImpl(const DeltaControl& ctl, const OnAirMatrix&
     synced_ = false;
     return;
   }
-  if constexpr (kSparseOnAir) {
+  if (sparse_) {
     DeltaCodec::Apply(&sparse_matrix_, ctl.entries, codec_, ctl.cycle);
   } else {
     DeltaCodec::Apply(&matrix_, ctl.entries, codec_, ctl.cycle);
   }
   last_sync_ = ctl.cycle;
-}
-
-void DeltaMatrixTracker::Observe(const DeltaControl& ctl, const FMatrix& on_air_matrix) {
-  ObserveImpl(ctl, on_air_matrix);
-}
-
-void DeltaMatrixTracker::Observe(const DeltaControl& ctl, const SparseFMatrix& on_air_matrix) {
-  ObserveImpl(ctl, on_air_matrix);
 }
 
 }  // namespace bcc

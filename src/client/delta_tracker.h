@@ -36,6 +36,7 @@
 #ifndef BCC_CLIENT_DELTA_TRACKER_H_
 #define BCC_CLIENT_DELTA_TRACKER_H_
 
+#include "matrix/control_view.h"
 #include "matrix/f_matrix.h"
 #include "matrix/sparse_f_matrix.h"
 #include "obs/trace.h"
@@ -50,20 +51,16 @@ class DeltaMatrixTracker {
   /// delta mode): the tracker holds a SparseFMatrix instead of an O(n^2)
   /// dense one — refreshes adopt the snapshot's shared column payloads in
   /// O(n) pointer copies and deltas apply in O(columns touched). Sync-state
-  /// policy (desync, staleness window, stale-block rejection) is identical;
-  /// use sparse_matrix() / set_sparse_control_override on the protocol.
+  /// policy (desync, staleness window, stale-block rejection) is identical.
   DeltaMatrixTracker(uint32_t num_objects, CycleStampCodec codec, bool sparse = false);
 
   /// Ingests cycle `ctl.cycle`'s control block. `on_air_matrix` is the full
-  /// matrix a refresh cycle broadcasts (the snapshot's f_matrix); it is only
-  /// read when ctl.full_refresh. Cycles may be skipped (a client that tuned
-  /// out misses blocks); any gap desyncs until the next refresh.
-  void Observe(const DeltaControl& ctl, const FMatrix& on_air_matrix);
-  /// Sparse-mode variant: a refresh adopts `on_air_matrix`'s shared column
-  /// payloads (absolute values, exactly like the dense path); deltas decode
-  /// residues at ctl.cycle via the sparse DeltaCodec::Apply. Requires the
-  /// sparse constructor flag.
-  void Observe(const DeltaControl& ctl, const SparseFMatrix& on_air_matrix);
+  /// matrix a refresh cycle broadcasts (the snapshot's control()); it is
+  /// only read when ctl.full_refresh, and then must be in the tracker's own
+  /// representation (a refresh adopts its pages; a sparse tracker adopts
+  /// the shared column payloads). Cycles may be skipped (a client that
+  /// tuned out misses blocks); any gap desyncs until the next refresh.
+  void Observe(const DeltaControl& ctl, ControlView on_air_matrix);
 
   /// Tracker is reconstructing successfully (saw a refresh and every delta
   /// since).
@@ -72,12 +69,12 @@ class DeltaMatrixTracker {
   /// Last cycle whose control block was applied (valid when synced).
   Cycle last_sync() const { return last_sync_; }
 
-  /// The reconstructed matrix; meaningful only when synced (dense mode).
-  const FMatrix& matrix() const { return matrix_; }
+  /// The reconstructed matrix, whatever the representation; meaningful only
+  /// when synced. The protocol's control source in delta mode.
+  ControlView view() const { return sparse_ ? ControlView(sparse_matrix_) : ControlView(matrix_); }
 
-  /// The sparse reconstruction (sparse mode); meaningful only when synced.
-  const SparseFMatrix& sparse_matrix() const { return sparse_matrix_; }
-  bool sparse() const { return sparse_; }
+  /// The dense reconstruction (dense mode); meaningful only when synced.
+  const FMatrix& matrix() const { return matrix_; }
 
   /// True when the reconstruction is unusable for validating a read in
   /// `current`: not synced, stale, or past the TS decode window.
@@ -105,9 +102,6 @@ class DeltaMatrixTracker {
   void set_trace_now(SimTime now) { trace_now_ = now; }
 
  private:
-  template <typename OnAirMatrix>
-  void ObserveImpl(const DeltaControl& ctl, const OnAirMatrix& on_air_matrix);
-
   void EmitSyncEvent(TraceEventType type, Cycle cycle) {
     if (trace_ == nullptr) return;
     TraceEvent e;

@@ -17,6 +17,13 @@ Cycle ReadOnlyTxnProtocol::Stamp(Cycle raw, Cycle current) const {
   return codec_->Decode(codec_->Encode(raw), current);
 }
 
+ControlView ReadOnlyTxnProtocol::Control(const CycleSnapshot& snap) const {
+  // Grouped spectrum (Section 3.2.2): the column of ob_j is MC(., group(j)).
+  const ControlView broadcast =
+      snap.group_matrix.has_value() ? ControlView(*snap.group_matrix) : snap.control();
+  return control_override_.Or(broadcast);
+}
+
 bool ReadOnlyTxnProtocol::CheckFMatrix(const CycleSnapshot& snap, ObjectId ob) {
   if (hier_control_override_ != nullptr) {
     // Hierarchical view: no codec round trip (Validate rejects the wire
@@ -29,59 +36,21 @@ bool ReadOnlyTxnProtocol::CheckFMatrix(const CycleSnapshot& snap, ObjectId ob) {
                    hier_control_override_->EffectiveAt(r.object, ob)};
     return false;
   }
-  if (snap.group_matrix.has_value()) {
-    // Grouped spectrum (Section 3.2.2): MC(i, group(j)) < cycle.
-    const GroupMatrix& gm = *snap.group_matrix;
-    const uint32_t s = gm.partition().GroupOf(ob);
-    for (const ReadRecord& r : reads_) {
-      const Cycle c = Stamp(gm.At(r.object, s), snap.cycle);
-      if (c >= r.cycle) {
-        last_abort_ = {AbortCause::kControlConflict, r.object, ob, r.cycle, c};
-        return false;
-      }
-    }
-    return true;
-  }
   // read-condition(ob_j): for all (ob_i, cycle) in R_t : C(i, j) < cycle.
-  // Sparse representations answer the same condition in O(reads * log nnz)
-  // instead of touching a dense column; decisions and AbortInfo are
-  // bit-identical (SparseFMatrix::At is exact).
-  const SparseFMatrix* sparse = sparse_control_override_ != nullptr
-                                    ? sparse_control_override_
-                                    : snap.sparse_f_matrix.get();
-  if (sparse != nullptr && control_override_ == nullptr) {
-    if (!codec_.has_value()) {
-      const size_t fail = sparse->ReadConditionScan(reads_, ob);
-      if (fail == kReadConditionPass) return true;
-      const ReadRecord& r = reads_[fail];
-      last_abort_ = {AbortCause::kControlConflict, r.object, ob, r.cycle,
-                     sparse->At(r.object, ob)};
-      return false;
-    }
-    for (const ReadRecord& r : reads_) {
-      const Cycle c = Stamp(sparse->At(r.object, ob), snap.cycle);
-      if (c >= r.cycle) {
-        last_abort_ = {AbortCause::kControlConflict, r.object, ob, r.cycle, c};
-        return false;
-      }
-    }
-    return true;
-  }
-  // The column base is hoisted out of the per-read loop (it used to be
-  // re-derived from (r.object, ob) on every read record).
-  const std::span<const Cycle> col =
-      control_override_ != nullptr ? control_override_->Column(ob) : snap.f_matrix.Column(ob);
+  // Every representation answers it exactly (ControlView), so decisions and
+  // AbortInfo do not depend on how C is stored.
+  const ControlView control = Control(snap);
   if (!codec_.has_value()) {
     // No wire round trip: the raw scan early-exits at the first failing
     // read, exactly like the loop below.
-    const size_t fail = KernelReadConditionScan(col.data(), reads_.data(), reads_.size());
+    const size_t fail = control.ReadConditionScan(reads_, ob);
     if (fail == kReadConditionPass) return true;
     const ReadRecord& r = reads_[fail];
-    last_abort_ = {AbortCause::kControlConflict, r.object, ob, r.cycle, col[r.object]};
+    last_abort_ = {AbortCause::kControlConflict, r.object, ob, r.cycle, control.At(r.object, ob)};
     return false;
   }
   for (const ReadRecord& r : reads_) {
-    const Cycle c = Stamp(col[r.object], snap.cycle);
+    const Cycle c = Stamp(control.At(r.object, ob), snap.cycle);
     if (c >= r.cycle) {
       last_abort_ = {AbortCause::kControlConflict, r.object, ob, r.cycle, c};
       return false;
@@ -146,24 +115,11 @@ StatusOr<ObjectVersion> ReadOnlyTxnProtocol::Read(const CycleSnapshot& snap, Obj
   const bool f_family =
       algorithm_ == Algorithm::kFMatrix || algorithm_ == Algorithm::kFMatrixNo;
   if (capture_columns_ && f_family && !snap.group_matrix.has_value()) {
-    const SparseFMatrix* sparse = sparse_control_override_ != nullptr
-                                      ? sparse_control_override_
-                                      : snap.sparse_f_matrix.get();
-    if (sparse != nullptr && control_override_ == nullptr) {
-      if (sparse->num_objects() > 0) {
-        sparse->MaterializeColumn(ob, column);
-        for (Cycle& c : column) c = Stamp(c, snap.cycle);
-      }
-    } else {
-      const uint32_t fm_n = control_override_ != nullptr ? control_override_->num_objects()
-                                                         : snap.f_matrix.num_objects();
-      if (fm_n > 0) {
-        const std::span<const Cycle> raw = control_override_ != nullptr
-                                               ? control_override_->Column(ob)
-                                               : snap.f_matrix.Column(ob);
-        column.reserve(raw.size());
-        for (Cycle c : raw) column.push_back(Stamp(c, snap.cycle));
-      }
+    const ControlView control = Control(snap);
+    if (control.num_objects() > 0) {
+      const std::span<const Cycle> raw = control.Column(ob, column_scratch_);
+      column.reserve(raw.size());
+      for (Cycle c : raw) column.push_back(Stamp(c, snap.cycle));
     }
   }
   Record(ob, snap.cycle, version, std::move(column));

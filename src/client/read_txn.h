@@ -20,6 +20,7 @@
 
 #include "common/statusor.h"
 #include "matrix/control_info.h"
+#include "matrix/control_view.h"
 #include "obs/trace.h"
 #include "server/broadcast_server.h"
 
@@ -67,34 +68,23 @@ class ReadOnlyTxnProtocol {
   /// Clears all per-attempt state for a restart.
   void Reset();
 
-  /// Substitutes `matrix` for the snapshot's f_matrix in every F-family
-  /// check and column capture (nullptr restores the broadcast matrix). Used
-  /// in snapshot+delta mode, where the client validates against its locally
-  /// reconstructed matrix instead of an on-air full matrix. The caller owns
-  /// the matrix and must keep it in sync with the snapshot being read.
-  /// Decisions stay bit-identical to full-mode validation as long as the
-  /// reconstruction is congruent to the server matrix mod 2^ts: Stamp()
-  /// re-round-trips every entry through the codec, and Decode(Encode(x), c)
-  /// depends on x only through x mod 2^ts.
-  void set_control_override(const FMatrix* matrix) { control_override_ = matrix; }
-  const FMatrix* control_override() const { return control_override_; }
-
-  /// Sparse-representation variant of set_control_override: validates and
-  /// captures columns from `matrix` instead of the snapshot. Used in sparse
-  /// snapshot+delta mode, where the tracker reconstructs a SparseFMatrix.
-  /// Takes precedence over a dense override when both are set (they are
-  /// never both set by the sims). Same congruence argument applies.
-  void set_sparse_control_override(const SparseFMatrix* matrix) {
-    sparse_control_override_ = matrix;
-  }
-  const SparseFMatrix* sparse_control_override() const { return sparse_control_override_; }
+  /// Replaces the control source of every F-family check and column capture
+  /// (an empty view restores the snapshot's: its group_matrix when it has
+  /// one, else CycleSnapshot::control()). Delta mode passes the tracker's
+  /// reconstruction, channel mode the receiver's decoded columns; the caller
+  /// keeps the matrix in sync with the snapshot being read. Decisions stay
+  /// bit-identical to full-mode validation while the source is congruent to
+  /// the server matrix mod 2^ts: Stamp() re-round-trips every entry through
+  /// the codec, and Decode(Encode(x), c) depends on x only mod 2^ts.
+  void set_control_override(ControlView source) { control_override_ = source; }
+  ControlView control_override() const { return control_override_; }
 
   /// Routes every F-family check through a hierarchical matrix
   /// (MatrixMode::kHier): unrefined columns validate against the group
   /// aggregate (conservative — spurious aborts only), refined ones against
   /// the exact column. Mutable because scans record spurious-abort evidence
-  /// for the refinement policy. Takes precedence over every other control
-  /// source; incompatible with the cache and the wire codec (enforced by
+  /// for the refinement policy. Takes precedence over the control source;
+  /// incompatible with the cache and the wire codec (enforced by
   /// SimConfig::Validate).
   void set_hier_control_override(HierMatrix* matrix) { hier_control_override_ = matrix; }
   HierMatrix* hier_control_override() const { return hier_control_override_; }
@@ -134,6 +124,9 @@ class ReadOnlyTxnProtocol {
   /// Control-entry view with optional wire-codec round trip.
   Cycle Stamp(Cycle raw, Cycle current) const;
 
+  /// The control source in force for `snap` (see set_control_override).
+  ControlView Control(const CycleSnapshot& snap) const;
+
   bool CheckFMatrix(const CycleSnapshot& snap, ObjectId ob);
   bool CheckRMatrix(const CycleSnapshot& snap, ObjectId ob);
   bool CheckDatacycle(const CycleSnapshot& snap, ObjectId ob);
@@ -143,8 +136,7 @@ class ReadOnlyTxnProtocol {
 
   Algorithm algorithm_;
   std::optional<CycleStampCodec> codec_;
-  const FMatrix* control_override_ = nullptr;
-  const SparseFMatrix* sparse_control_override_ = nullptr;
+  ControlView control_override_;
   HierMatrix* hier_control_override_ = nullptr;
   const std::vector<ObjectVersion>* value_override_ = nullptr;
   bool capture_columns_ = true;
@@ -153,6 +145,7 @@ class ReadOnlyTxnProtocol {
   /// Per read: the control column consulted (F-family, ungrouped only;
   /// empty otherwise). Needed to validate later *stale* cached reads.
   std::vector<std::vector<Cycle>> columns_;
+  std::vector<Cycle> column_scratch_;  // a sparse column materialized by Read
   Cycle first_read_cycle_ = 0;
   AbortInfo last_abort_;
 };

@@ -44,18 +44,12 @@ ReadTxn ClientSession::NewTxn() const {
   // reads; without a cache it is pure overhead.
   protocol.set_capture_columns(config_.enable_cache);
   // Delta mode: every F-family check reads the locally reconstructed matrix.
-  if (tracker_ != nullptr) {
-    if (tracker_->sparse()) {
-      protocol.set_sparse_control_override(&tracker_->sparse_matrix());
-    } else {
-      protocol.set_control_override(&tracker_->matrix());
-    }
-  }
+  if (tracker_ != nullptr) protocol.set_control_override(tracker_->view());
   // Channel mode: data pages (and, in full control mode, control columns)
   // come off the reassembled frames.
   if (receiver_ != nullptr) {
     protocol.set_value_override(&receiver_->values());
-    if (tracker_ == nullptr) protocol.set_control_override(&receiver_->matrix());
+    if (tracker_ == nullptr) protocol.set_control_override(receiver_->matrix());
   }
   if (hier_ != nullptr) protocol.set_hier_control_override(hier_);
   return txn;
@@ -72,11 +66,7 @@ void ClientSession::ReceiveCycle(const CycleSnapshot& snap, std::span<const Fram
   if (receiver_ != nullptr) {
     receiver_->IngestCycle(snap.cycle, channel->Transmit(client, frames), now);
   } else if (tracker_ != nullptr) {
-    if (snap.sparse_f_matrix != nullptr) {
-      tracker_->Observe(*snap.delta, *snap.sparse_f_matrix);
-    } else {
-      tracker_->Observe(*snap.delta, snap.f_matrix);
-    }
+    tracker_->Observe(*snap.delta, snap.control());
   }
   // Test knob: model a client that missed this cycle's control block.
   if (tracker_ != nullptr && config_.delta_desync_at_cycle != 0 &&

@@ -282,11 +282,6 @@ void FMatrix::DrainTouchedColumns(std::vector<ObjectId>& out) {
   for (ObjectId j : out) touched_mask_[j] = 0;
 }
 
-bool FMatrix::ReadCondition(std::span<const ReadRecord> reads, ObjectId j) const {
-  return KernelReadConditionScan(ColumnPtr(j), reads.data(), reads.size()) ==
-         kReadConditionPass;
-}
-
 FMatrix FMatrixFromDefinition(const History& history,
                               const std::unordered_map<TxnId, Cycle>& commit_cycles,
                               uint32_t num_objects) {

@@ -138,9 +138,6 @@ class FMatrix {
   /// never re-allocates on the steady-state path.
   void DrainTouchedColumns(std::vector<ObjectId>& out);
 
-  /// The F-Matrix read condition for reading ob_j given the reads so far.
-  bool ReadCondition(std::span<const ReadRecord> reads, ObjectId j) const;
-
   friend bool operator==(const FMatrix& a, const FMatrix& b) {
     return a.n_ == b.n_ && a.cols_ == b.cols_;
   }

@@ -39,10 +39,4 @@ GroupMatrix::GroupMatrix(const ObjectPartition& partition, const FMatrix& full)
   }
 }
 
-bool GroupMatrix::ReadCondition(std::span<const ReadRecord> reads, ObjectId j) const {
-  const uint32_t s = partition_.GroupOf(j);
-  const Cycle* col = data_.data() + static_cast<size_t>(s) * n_;
-  return KernelReadConditionScan(col, reads.data(), reads.size()) == kReadConditionPass;
-}
-
 }  // namespace bcc

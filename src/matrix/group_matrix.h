@@ -53,9 +53,11 @@ class GroupMatrix {
   /// MC(i, s).
   Cycle At(ObjectId i, uint32_t group) const { return data_[static_cast<size_t>(group) * n_ + i]; }
 
-  /// Group-matrix read condition for reading ob_j:
-  ///   for all (ob_i, cycle) in R_t : MC(i, group(j)) < cycle
-  bool ReadCondition(std::span<const ReadRecord> reads, ObjectId j) const;
+  /// Group column s: MC(0..n-1, s), contiguous. The read condition for
+  /// ob_j scans column group(j) (ControlView::ReadConditionScan).
+  std::span<const Cycle> Column(uint32_t group) const {
+    return {data_.data() + static_cast<size_t>(group) * n_, n_};
+  }
 
  private:
   uint32_t n_, g_;

@@ -8,8 +8,10 @@
 // base pointers over the flat column-major storage so the compiler can
 // auto-vectorize them (no aliasing through this->, no per-iteration index
 // arithmetic, trivially countable trip counts), and shared by FMatrix,
-// GroupMatrix and DeltaCodec::DiffColumns. kernels.cc is compiled
-// with vectorization-friendly flags (see src/matrix/CMakeLists.txt).
+// GroupMatrix, DeltaCodec::DiffColumns and ControlView (whose
+// ReadConditionScan runs the scan over dense and group columns).
+// kernels.cc is compiled with vectorization-friendly flags (see
+// src/matrix/CMakeLists.txt).
 
 #ifndef BCC_MATRIX_KERNELS_H_
 #define BCC_MATRIX_KERNELS_H_

@@ -195,10 +195,6 @@ size_t SparseFMatrix::ReadConditionScan(std::span<const ReadRecord> reads, Objec
   return kReadConditionPass;
 }
 
-bool SparseFMatrix::ReadCondition(std::span<const ReadRecord> reads, ObjectId j) const {
-  return ReadConditionScan(reads, j) == kReadConditionPass;
-}
-
 uint64_t SparseFMatrix::CompactModulo(const CycleStampCodec& codec, Cycle current) {
   uint64_t dropped = 0;
   // Shared payloads must stay shared after compaction (they are the memory
@@ -308,22 +304,6 @@ bool operator==(const SparseFMatrix& a, const SparseFMatrix& b) {
       }
     }
     if (both_implicit && ca.floor != cb.floor) return false;
-  }
-  return true;
-}
-
-bool operator==(const SparseFMatrix& s, const FMatrix& d) {
-  if (s.num_objects() != d.num_objects()) return false;
-  const uint32_t n = s.num_objects();
-  for (ObjectId j = 0; j < n; ++j) {
-    const std::span<const Cycle> col = d.Column(j);
-    const SparseColumnData& sc = s.Column(j);
-    size_t e = 0;
-    for (ObjectId i = 0; i < n; ++i) {
-      Cycle v = sc.floor;
-      if (e < sc.entries.size() && sc.entries[e].row == i) v = sc.entries[e++].value;
-      if (v != col[i]) return false;
-    }
   }
   return true;
 }

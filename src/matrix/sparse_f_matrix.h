@@ -136,9 +136,6 @@ class SparseFMatrix {
   /// column), or kReadConditionPass. O(reads * log nnz(column j)).
   size_t ReadConditionScan(std::span<const ReadRecord> reads, ObjectId j) const;
 
-  /// The read condition itself (true = all reads pass).
-  bool ReadCondition(std::span<const ReadRecord> reads, ObjectId j) const;
-
   /// Wraparound-horizon compaction: rewrites every entry (and floor) to its
   /// windowed decode at `current`, dropping entries whose residue matches the
   /// column floor's. Every rewritten value is congruent mod 2^ts to — and at
@@ -188,10 +185,6 @@ class SparseFMatrix {
   std::vector<ObjectId> touched_cols_;
   std::vector<uint8_t> touched_mask_;
 };
-
-/// Entry-wise comparison against the dense oracle.
-bool operator==(const SparseFMatrix& s, const FMatrix& d);
-inline bool operator==(const FMatrix& d, const SparseFMatrix& s) { return s == d; }
 
 /// Wire size of the sparse control encoding: a 32-bit non-empty-column
 /// count, then per non-empty column its id (ceil(log2 n) bits), floor

@@ -291,24 +291,12 @@ StatusOr<std::vector<DeltaCodec::Entry>> DeltaCodec::Unpack(std::span<const uint
   return out;
 }
 
-std::vector<uint8_t> PackMatrix(const FMatrix& matrix, const CycleStampCodec& codec) {
+std::vector<uint8_t> PackMatrix(ControlView matrix, const CycleStampCodec& codec) {
   BitWriter writer;
   const uint32_t n = matrix.num_objects();
+  std::vector<Cycle> scratch;
   for (ObjectId j = 0; j < n; ++j) {
-    for (const Cycle c : matrix.Column(j)) writer.Write(codec.Encode(c), codec.bits());
-  }
-  return std::move(writer).Take();
-}
-
-std::vector<uint8_t> PackMatrix(const SparseFMatrix& matrix, const CycleStampCodec& codec) {
-  // Byte-identical to the dense packing: the on-air format does not change
-  // with the server's in-memory representation.
-  BitWriter writer;
-  const uint32_t n = matrix.num_objects();
-  std::vector<Cycle> column;
-  for (ObjectId j = 0; j < n; ++j) {
-    matrix.MaterializeColumn(j, column);
-    for (const Cycle c : column) writer.Write(codec.Encode(c), codec.bits());
+    for (const Cycle c : matrix.Column(j, scratch)) writer.Write(codec.Encode(c), codec.bits());
   }
   return std::move(writer).Take();
 }

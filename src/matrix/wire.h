@@ -20,6 +20,7 @@
 #include "common/cycle_stamp.h"
 #include "common/statusor.h"
 #include "matrix/control_info.h"
+#include "matrix/control_view.h"
 #include "matrix/f_matrix.h"
 #include "matrix/sparse_f_matrix.h"
 
@@ -130,13 +131,12 @@ class DeltaCodec {
 
 /// Packs a full matrix into the on-air bitstream: n^2 TS-bit residues,
 /// column-major and contiguous (no per-column padding), zero-padded to whole
-/// bytes — exactly FullMatrixControlBits(n, ts) data bits. The sparse
-/// overload produces byte-identical output (the on-air format stays dense so
-/// frames, and therefore seeded loss patterns, are bit-identical across
+/// bytes — exactly FullMatrixControlBits(n, ts) data bits. The bytes do not
+/// depend on the representation (the on-air format stays dense so frames,
+/// and therefore seeded loss patterns, are bit-identical across
 /// representations; the sparse saving is in server memory and maintenance,
 /// and in the delta/sparse accounting paths).
-std::vector<uint8_t> PackMatrix(const FMatrix& matrix, const CycleStampCodec& codec);
-std::vector<uint8_t> PackMatrix(const SparseFMatrix& matrix, const CycleStampCodec& codec);
+std::vector<uint8_t> PackMatrix(ControlView matrix, const CycleStampCodec& codec);
 
 /// Inverse of PackMatrix, decoding every residue anchored at `current`, with
 /// the same strict framing rules as UnpackStamps.

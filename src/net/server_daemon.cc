@@ -551,13 +551,10 @@ Status ServerDaemon::Run(ServerReport* report) {
 
   const CycleSnapshot& snap = server_->snapshot();
   uint64_t digest = DigestValues(snap.values);
-  // Sparse mode leaves the snapshot's dense matrix empty; the sparse At()
-  // returns the same absolute values, so the digest is representation-
-  // independent (a sparse daemon still matches a dense in-process oracle).
-  const CycleStampCodec digest_codec(sim_.timestamp_bits);
-  digest = snap.sparse_f_matrix != nullptr
-               ? DigestMatrixResidues(*snap.sparse_f_matrix, digest_codec, digest)
-               : DigestMatrixResidues(snap.f_matrix, digest_codec, digest);
+  // Every representation's At() returns the same absolute values, so the
+  // digest is representation-independent (a sparse daemon still matches a
+  // dense in-process oracle).
+  digest = DigestMatrixResidues(snap.control(), CycleStampCodec(sim_.timestamp_bits), digest);
   stats_.digest = digest;
   if (registry_ != nullptr) stats_.metrics_json = registry_->ToJson();
   if (metrics_logger_ != nullptr) {

@@ -52,10 +52,10 @@ void BroadcastServer::BeginCycle(Cycle cycle, SimTime start_time,
   }
   snapshot_ = std::make_shared<CycleSnapshot>(BuildSnapshot(cycle, start_time, manager));
   const CycleSnapshot& snap = *snapshot_;
-  table_bytes_copied_ += snap.values.table_bytes() + snap.f_matrix.column_pages().table_bytes();
-  if (snap.sparse_f_matrix != nullptr) {
-    table_bytes_copied_ += snap.sparse_f_matrix->column_pages().table_bytes();
-  }
+  // A sparse snapshot's page table is the size of the live one's (0 when
+  // the manager keeps no sparse matrix).
+  table_bytes_copied_ += snap.values.table_bytes() + snap.f_matrix.column_pages().table_bytes() +
+                         manager.sparse_f_matrix().column_pages().table_bytes();
   live_page_bytes_copied_ = PageBytesCopied(manager.store().committed()) +
                             PageBytesCopied(manager.f_matrix().column_pages()) +
                             PageBytesCopied(manager.sparse_f_matrix().column_pages());
@@ -70,13 +70,8 @@ void BroadcastServer::EnableDeltaBroadcast(const CycleStampCodec& codec,
 void BroadcastServer::AttachDeltaControl(std::span<const ObjectId> touched_columns) {
   assert(started_ && delta_.has_value());
   assert(!snapshot_->delta.has_value() && "one AttachDeltaControl per BeginCycle");
-  if (snapshot_->sparse_f_matrix != nullptr) {
-    snapshot_->delta =
-        delta_->BuildControl(*snapshot_->sparse_f_matrix, touched_columns, snapshot_->cycle);
-  } else {
-    snapshot_->delta =
-        delta_->BuildControl(snapshot_->f_matrix, touched_columns, snapshot_->cycle);
-  }
+  snapshot_->delta =
+      delta_->BuildControl(snapshot_->control(), touched_columns, snapshot_->cycle);
 }
 
 SimTime BroadcastServer::ObjectAvailableTime(ObjectId ob) const {

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "des/event_queue.h"
+#include "matrix/control_view.h"
 #include "matrix/group_matrix.h"
 #include "matrix/wire.h"
 #include "server/delta_broadcast.h"
@@ -42,15 +43,19 @@ struct CycleSnapshot {
   /// Present when the manager maintains the sparse representation
   /// (MatrixMode::kSparse): the beginning-of-cycle control matrix as shared
   /// immutable columns. Value-identical to what f_matrix would hold; when
-  /// set, f_matrix is left empty (n = 0) and consumers — read validation,
-  /// delta diffing, frame packing — use this instead, producing bit-identical
-  /// decisions and on-air bytes.
+  /// set, f_matrix is left empty (n = 0) and control() views this instead,
+  /// so every consumer produces bit-identical decisions and on-air bytes.
   std::shared_ptr<const SparseFMatrix> sparse_f_matrix;
   /// Present in snapshot+delta mode: the sparse control block this cycle
-  /// puts on the air instead of (notionally) the full matrix. f_matrix is
+  /// puts on the air instead of (notionally) the full matrix. control() is
   /// still populated — it is what a refresh broadcasts and what tests
   /// cross-check reconstruction against.
   std::optional<DeltaControl> delta;
+
+  /// The exact control matrix of this cycle, whatever its representation:
+  /// the sparse one when set, the dense one otherwise. Every consumer that
+  /// reads C (validation, packing, delta diffing, digests) reads it here.
+  ControlView control() const { return ControlView(sparse_f_matrix).Or(f_matrix); }
 };
 
 /// The slot a client reading `ob` at time `t` (in the cycle that starts at

@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "common/cycle_stamp.h"
+#include "matrix/control_view.h"
 #include "matrix/wire.h"
 
 namespace bcc {
@@ -32,7 +33,7 @@ struct DeltaControl {
   /// True when this cycle carries the full matrix (scheduled refresh or
   /// adaptive fallback); clients may (re)synchronize from it regardless of
   /// their previous state. The full matrix itself travels as the snapshot's
-  /// f_matrix — entries is empty in that case.
+  /// control() matrix — entries is empty in that case.
   bool full_refresh = false;
   /// True when the refresh was the periodic scheduled one (implicit from the
   /// cycle count); false for the adaptive fallback taken when the delta
@@ -81,22 +82,17 @@ class DeltaBroadcaster {
   uint64_t refresh_period() const { return refresh_period_; }
 
   /// Produces the control block for cycle `cycle`, whose beginning-of-cycle
-  /// matrix is `current` and whose commits since the previous call rewrote
-  /// (at most) `touched_columns`. Calls must be made for consecutive cycles
-  /// (cycle = previous call's cycle + 1, except the first). O(n * touched)
-  /// for the diff; the next diff base then shares `current`'s column pages
-  /// (O(n) pointers, refresh or not).
-  DeltaControl BuildControl(const FMatrix& current, std::span<const ObjectId> touched_columns,
+  /// matrix is `current` (dense or sparse, the same representation on every
+  /// call of a run) and whose commits since the previous call rewrote (at
+  /// most) `touched_columns`. Calls must be made for consecutive cycles
+  /// (cycle = previous call's cycle + 1, except the first). The refresh
+  /// policy and bit accounting do not depend on the representation; the
+  /// diff does: O(n * touched) over dense columns, an O(nnz) merge walk over
+  /// sparse ones. The next diff base then shares `current`'s pages (dense:
+  /// O(n) pointers) or payloads (sparse: O(n) shared-pointer copies on a
+  /// refresh, one pointer install per touched column otherwise).
+  DeltaControl BuildControl(ControlView current, std::span<const ObjectId> touched_columns,
                             Cycle cycle);
-
-  /// Sparse-representation server (MatrixMode::kSparse): identical entries,
-  /// refresh policy, and bit accounting, but the diff is an O(nnz) merge
-  /// walk, a refresh folds the base in O(n) shared-pointer copies, and a
-  /// delta folds only the touched columns in O(1) pointer installs each.
-  /// The diff bases are kept per representation; a run must use one
-  /// overload family consistently.
-  DeltaControl BuildControl(const SparseFMatrix& current,
-                            std::span<const ObjectId> touched_columns, Cycle cycle);
 
  private:
   uint32_t n_;
@@ -105,9 +101,16 @@ class DeltaBroadcaster {
   bool started_ = false;
   Cycle last_cycle_ = 0;
   Cycle last_refresh_cycle_ = 0;
-  /// The matrix as of the previous cycle's broadcast — the diff base. The
-  /// dense base is a page-shared snapshot of the previous matrix; the sparse
-  /// one is sized by its first BuildControl, so neither representation
+  /// The entries of `current` that differ from the diff base.
+  std::vector<DeltaCodec::Entry> DiffAgainstBase(ControlView current,
+                                                 std::span<const ObjectId> touched_columns) const;
+  /// Makes `current` the next diff base.
+  void Rebase(ControlView current, std::span<const ObjectId> touched_columns, bool refresh);
+
+  /// The matrix as of the previous cycle's broadcast — the diff base, in
+  /// the representation BuildControl is fed. The dense base is a
+  /// page-shared snapshot of the previous matrix; the sparse one is sized
+  /// by the first (always a refresh) Rebase, so neither representation
   /// materializes the other's base.
   FMatrix prev_;
   SparseFMatrix sparse_prev_{0};

@@ -22,6 +22,7 @@
 
 #include "history/history.h"
 #include "history/object_id.h"
+#include "matrix/control_view.h"
 #include "matrix/f_matrix.h"
 #include "matrix/hier_matrix.h"
 #include "matrix/sparse_f_matrix.h"
@@ -106,6 +107,10 @@ class ServerTxnManager {
     const_cast<ServerTxnManager*>(this)->FlushCommitBatch();
     return sparse_f_matrix_;
   }
+
+  /// The exact control matrix: the sparse one when maintained, the dense
+  /// one otherwise (flushes the pending batch like f_matrix()).
+  ControlView control() const { return ControlView(sparse_f_matrix()).Or(f_matrix()); }
 
   /// Stable snapshot of the sparse matrix for the cycle's CycleSnapshot:
   /// the column table's pages and their payloads are shared with the live

@@ -324,13 +324,8 @@ Status BroadcastSim::VerifyDeltaTrackers() const {
   if (!ran_) return Status::FailedPrecondition("VerifyDeltaTrackers requires a completed Run");
   const CycleStampCodec codec(config_.timestamp_bits);
   const CycleSnapshot& final_snap = server_->snapshot();
-  const FMatrix& truth = final_snap.f_matrix;
+  const ControlView truth = final_snap.control();
   const Cycle cycle = final_snap.cycle;
-  // Sparse mode: truth and (direct-mode) reconstructions are SparseFMatrix.
-  const auto truth_at = [&](ObjectId i, ObjectId j) {
-    return final_snap.sparse_f_matrix != nullptr ? final_snap.sparse_f_matrix->At(i, j)
-                                                 : truth.At(i, j);
-  };
   for (size_t c = 0; c < sessions_.size(); ++c) {
     const DeltaMatrixTracker& tracker = *sessions_[c]->tracker();
     if (!tracker.synced()) continue;  // desync knob, or real loss in channel mode
@@ -344,15 +339,15 @@ Status BroadcastSim::VerifyDeltaTrackers() const {
           static_cast<unsigned long long>(tracker.last_sync()),
           static_cast<unsigned long long>(cycle)));
     }
+    const ControlView reconstruction = tracker.view();
     for (ObjectId j = 0; j < config_.num_objects; ++j) {
       for (ObjectId i = 0; i < config_.num_objects; ++i) {
-        const Cycle mine =
-            tracker.sparse() ? tracker.sparse_matrix().At(i, j) : tracker.matrix().At(i, j);
-        if (codec.Encode(mine) != codec.Encode(truth_at(i, j))) {
+        const Cycle mine = reconstruction.At(i, j);
+        if (codec.Encode(mine) != codec.Encode(truth.At(i, j))) {
           return Status::Internal(StrFormat(
               "client %zu reconstruction diverges at C(%u, %u): %llu !~ %llu (mod 2^%u)", c, i,
               j, static_cast<unsigned long long>(mine),
-              static_cast<unsigned long long>(truth_at(i, j)), config_.timestamp_bits));
+              static_cast<unsigned long long>(truth.At(i, j)), config_.timestamp_bits));
         }
       }
     }

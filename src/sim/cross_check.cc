@@ -22,18 +22,12 @@ struct RunView {
 };
 
 /// Value-equality of two managers' control matrices across representations:
-/// every representation both maintain must agree, and a sparse matrix only
-/// one side maintains must equal the other side's dense oracle.
+/// the exact matrices (ServerTxnManager::control()) must agree, and so must
+/// the dense matrices when both also maintain one alongside a sparse one.
 bool ServerMatricesEqual(const ServerTxnManager& a, const ServerTxnManager& b) {
-  const bool a_sparse = a.sparse_f_matrix().num_objects() > 0;
-  const bool b_sparse = b.sparse_f_matrix().num_objects() > 0;
-  if (a_sparse && b_sparse && !(a.sparse_f_matrix() == b.sparse_f_matrix())) return false;
-  if (a_sparse && !b_sparse && !(a.sparse_f_matrix() == b.f_matrix())) return false;
-  if (b_sparse && !a_sparse && !(b.sparse_f_matrix() == a.f_matrix())) return false;
-  const bool a_dense = a.f_matrix().num_objects() > 0;
-  const bool b_dense = b.f_matrix().num_objects() > 0;
-  if ((a_dense && b_dense) || (!a_sparse && !b_sparse)) return a.f_matrix() == b.f_matrix();
-  return true;
+  if (!(a.control() == b.control())) return false;
+  const bool both_dense = a.f_matrix().num_objects() > 0 && b.f_matrix().num_objects() > 0;
+  return !both_dense || a.f_matrix() == b.f_matrix();
 }
 
 /// Diffs what two runs of one seeded workload must share: every client's

@@ -198,8 +198,7 @@ TEST(ClientSessionTest, DirectModeValidatesAgainstTheSnapshot) {
     config.enable_cache = cache;
     ClientSession session(config, Rng(1));
     const ReadTxn txn = session.NewTxn();
-    EXPECT_EQ(txn.protocol.control_override(), nullptr);
-    EXPECT_EQ(txn.protocol.sparse_control_override(), nullptr);
+    EXPECT_EQ(txn.protocol.control_override().num_objects(), 0u);
     EXPECT_EQ(txn.protocol.value_override(), nullptr);
     EXPECT_EQ(txn.protocol.hier_control_override(), nullptr);
     EXPECT_EQ(txn.protocol.capture_columns(), cache);
@@ -212,10 +211,9 @@ TEST(ClientSessionTest, DirectModeValidatesAgainstTheSnapshot) {
 TEST(ClientSessionTest, DeltaModeValidatesAgainstTheTracker) {
   ClientSession session(DeltaConfig(), Rng(1));
   ASSERT_NE(session.tracker(), nullptr);
-  EXPECT_FALSE(session.tracker()->sparse());
   const ReadTxn txn = session.NewTxn();
-  EXPECT_EQ(txn.protocol.control_override(), &session.tracker()->matrix());
-  EXPECT_EQ(txn.protocol.sparse_control_override(), nullptr);
+  EXPECT_EQ(txn.protocol.control_override().dense(), &session.tracker()->matrix());
+  EXPECT_EQ(txn.protocol.control_override().sparse(), nullptr);
   EXPECT_EQ(txn.protocol.value_override(), nullptr);
 }
 
@@ -224,10 +222,10 @@ TEST(ClientSessionTest, SparseDeltaModeValidatesAgainstTheSparseTracker) {
   config.matrix_mode = MatrixMode::kSparse;
   ClientSession session(config, Rng(1));
   ASSERT_NE(session.tracker(), nullptr);
-  EXPECT_TRUE(session.tracker()->sparse());
   const ReadTxn txn = session.NewTxn();
-  EXPECT_EQ(txn.protocol.sparse_control_override(), &session.tracker()->sparse_matrix());
-  EXPECT_EQ(txn.protocol.control_override(), nullptr);
+  EXPECT_NE(txn.protocol.control_override().sparse(), nullptr);
+  EXPECT_EQ(txn.protocol.control_override().sparse(), session.tracker()->view().sparse());
+  EXPECT_EQ(txn.protocol.control_override().dense(), nullptr);
 }
 
 TEST(ClientSessionTest, ChannelModeValidatesAgainstTheReceiver) {
@@ -236,7 +234,7 @@ TEST(ClientSessionTest, ChannelModeValidatesAgainstTheReceiver) {
   EXPECT_EQ(session.tracker(), nullptr);
   const ReadTxn txn = session.NewTxn();
   EXPECT_EQ(txn.protocol.value_override(), &session.receiver()->values());
-  EXPECT_EQ(txn.protocol.control_override(), &session.receiver()->matrix());
+  EXPECT_EQ(txn.protocol.control_override().dense(), &session.receiver()->matrix());
 }
 
 TEST(ClientSessionTest, ChannelDeltaModeReadsValuesOffFramesAndControlOffTheTracker) {
@@ -247,11 +245,10 @@ TEST(ClientSessionTest, ChannelDeltaModeReadsValuesOffFramesAndControlOffTheTrac
   ClientSession session(config, Rng(1));
   ASSERT_NE(session.receiver(), nullptr);
   ASSERT_NE(session.tracker(), nullptr);
-  EXPECT_FALSE(session.tracker()->sparse());
   const ReadTxn txn = session.NewTxn();
   EXPECT_EQ(txn.protocol.value_override(), &session.receiver()->values());
-  EXPECT_EQ(txn.protocol.control_override(), &session.tracker()->matrix());
-  EXPECT_EQ(txn.protocol.sparse_control_override(), nullptr);
+  EXPECT_EQ(txn.protocol.control_override().dense(), &session.tracker()->matrix());
+  EXPECT_EQ(txn.protocol.control_override().sparse(), nullptr);
 }
 
 TEST(ClientSessionTest, HierModeValidatesAgainstTheHierarchy) {
@@ -261,7 +258,7 @@ TEST(ClientSessionTest, HierModeValidatesAgainstTheHierarchy) {
   ClientSession session(config, Rng(1), &hier);
   const ReadTxn txn = session.NewTxn();
   EXPECT_EQ(txn.protocol.hier_control_override(), &hier);
-  EXPECT_EQ(txn.protocol.control_override(), nullptr);
+  EXPECT_EQ(txn.protocol.control_override().num_objects(), 0u);
 }
 
 // ------------------------------------------------------------ read gate --

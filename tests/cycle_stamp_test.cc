@@ -4,7 +4,9 @@
 
 #include "client/read_txn.h"
 #include "common/rng.h"
+#include "matrix/control_view.h"
 #include "matrix/f_matrix.h"
+#include "matrix/kernels.h"
 
 namespace bcc {
 namespace {
@@ -123,8 +125,8 @@ TEST(CycleStampTest, WindowedDecodeCausesSpuriousAbortsOnlyThroughFMatrix) {
                          rng.NextBounded(static_cast<uint64_t>(current) + 1)});
       }
       for (ObjectId j = 0; j < n; ++j) {
-        if (decoded_m.ReadCondition(reads, j)) {
-          ASSERT_TRUE(true_m.ReadCondition(reads, j))
+        if (ControlView(decoded_m).ReadConditionScan(reads, j) == kReadConditionPass) {
+          ASSERT_EQ(ControlView(true_m).ReadConditionScan(reads, j), kReadConditionPass)
               << "bits=" << bits << " trial=" << trial
               << ": decoded matrix accepted a read the true matrix rejects";
         }

@@ -7,6 +7,7 @@
 #include "common/format.h"
 #include "common/rng.h"
 #include "history/history.h"
+#include "matrix/control_view.h"
 #include "matrix/kernels.h"
 
 namespace bcc {
@@ -109,16 +110,16 @@ TEST(FMatrixTest, ReadConditionUsesColumnOfTargetObject) {
   // Client read ob0 in cycle 4 (after the write committed): reading ob1 now
   // is fine (C(0,1)=3 < 4).
   const std::vector<ReadRecord> reads_ok{{0, 4}};
-  EXPECT_TRUE(c.ReadCondition(reads_ok, 1));
+  EXPECT_EQ(ControlView(c).ReadConditionScan(reads_ok, 1), kReadConditionPass);
   // Client read ob0 in cycle 2 (before): C(0,1)=3 >= 2 -> reject.
   const std::vector<ReadRecord> reads_bad{{0, 2}};
-  EXPECT_FALSE(c.ReadCondition(reads_bad, 1));
+  EXPECT_EQ(ControlView(c).ReadConditionScan(reads_bad, 1), 0u);
 }
 
 TEST(FMatrixTest, ReadConditionVacuousOnFirstRead) {
   FMatrix c(2);
   c.ApplyCommit({}, std::vector<ObjectId>{0, 1}, 9);
-  EXPECT_TRUE(c.ReadCondition({}, 0));
+  EXPECT_EQ(ControlView(c).ReadConditionScan({}, 0), kReadConditionPass);
 }
 
 TEST(FMatrixTest, SelfWriteSetsDiagonalAndCrossEntries) {

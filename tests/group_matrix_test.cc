@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "matrix/control_view.h"
+#include "matrix/kernels.h"
 #include "server/txn_manager.h"
 
 namespace bcc {
@@ -61,6 +63,14 @@ TEST(GroupMatrixTest, EntriesAreColumnMaxima) {
       EXPECT_EQ(gm.At(i, s), expected);
     }
   }
+  // The view reads column j as the group column MC(., group(j)).
+  const ControlView view(gm);
+  std::vector<Cycle> scratch;
+  EXPECT_EQ(view.num_objects(), 6u);
+  for (ObjectId j = 0; j < 6; ++j) {
+    EXPECT_EQ(view.Column(j, scratch).data(), gm.Column(p.GroupOf(j)).data());
+    for (ObjectId i = 0; i < 6; ++i) EXPECT_EQ(view.At(i, j), gm.At(i, p.GroupOf(j)));
+  }
 }
 
 TEST(GroupMatrixTest, SingletonGroupsEqualFullMatrix) {
@@ -70,6 +80,10 @@ TEST(GroupMatrixTest, SingletonGroupsEqualFullMatrix) {
   for (ObjectId i = 0; i < n; ++i) {
     for (ObjectId j = 0; j < n; ++j) EXPECT_EQ(gm.At(i, gm.partition().GroupOf(j)), full.At(i, j));
   }
+  EXPECT_TRUE(ControlView(gm) == ControlView(full));
+  EXPECT_TRUE(ControlView(gm) == ControlView(SparseFMatrix::FromDense(full)));
+  // Coarser groups raise entries, so the views differ.
+  EXPECT_FALSE(ControlView(GroupMatrix(ObjectPartition::Blocks(n, 1), full)) == ControlView(full));
 }
 
 TEST(GroupMatrixTest, OneGroupEqualsMcVector) {
@@ -106,9 +120,12 @@ TEST(GroupMatrixTest, ReadConditionMonotoneInGroupCount) {
           {static_cast<ObjectId>(rng.NextBounded(n)), 1 + rng.NextBounded(30)});
     }
     const ObjectId target = static_cast<ObjectId>(rng.NextBounded(n));
-    const bool coarse_ok = coarse.ReadCondition(reads, target);
-    const bool mid_ok = mid.ReadCondition(reads, target);
-    const bool fine_ok = fine.ReadCondition(reads, target);
+    const auto passes = [&](const GroupMatrix& gm) {
+      return ControlView(gm).ReadConditionScan(reads, target) == kReadConditionPass;
+    };
+    const bool coarse_ok = passes(coarse);
+    const bool mid_ok = passes(mid);
+    const bool fine_ok = passes(fine);
     if (coarse_ok) {
       EXPECT_TRUE(mid_ok);
     }
@@ -129,7 +146,10 @@ TEST(GroupMatrixTest, FinestPartitionMatchesFMatrixCondition) {
       reads.push_back({static_cast<ObjectId>(rng.NextBounded(n)), 1 + rng.NextBounded(30)});
     }
     const ObjectId target = static_cast<ObjectId>(rng.NextBounded(n));
-    EXPECT_EQ(gm.ReadCondition(reads, target), full.ReadCondition(reads, target));
+    const size_t first_failing = ControlView(gm).ReadConditionScan(reads, target);
+    EXPECT_EQ(first_failing, ControlView(full).ReadConditionScan(reads, target));
+    EXPECT_EQ(first_failing,
+              KernelReadConditionScan(full.Column(target).data(), reads.data(), reads.size()));
   }
 }
 

@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <tuple>
+
 #include "client/cache.h"
+#include "client/delta_tracker.h"
+#include "common/format.h"
 #include "common/rng.h"
 #include "server/broadcast_server.h"
 
@@ -193,27 +198,161 @@ TEST_F(ReadTxnTest, CommitReturnsReadCount) {
   EXPECT_EQ(p.Commit(), 2u);
 }
 
-TEST_F(ReadTxnTest, FMatrixAbortReportsFirstFailingReadInRecordOrder) {
+// Where ReadOnlyTxnProtocol reads C from: the snapshot in either
+// representation, an override in either representation, or a delta
+// tracker's reconstruction. How C is stored must not change any decision.
+enum class ControlSource {
+  kSnapshotDense,
+  kSnapshotSparse,
+  kDenseOverride,
+  kSparseOverride,
+  kTrackerView,
+};
+
+const char* ControlSourceName(ControlSource source) {
+  switch (source) {
+    case ControlSource::kSnapshotDense: return "SnapshotDense";
+    case ControlSource::kSnapshotSparse: return "SnapshotSparse";
+    case ControlSource::kDenseOverride: return "DenseOverride";
+    case ControlSource::kSparseOverride: return "SparseOverride";
+    case ControlSource::kTrackerView: return "TrackerView";
+  }
+  return "?";
+}
+
+/// (control source, wire codec on).
+class ReadTxnSourceTest : public ::testing::TestWithParam<std::tuple<ControlSource, bool>> {};
+
+TEST_P(ReadTxnSourceTest, FMatrixAbortReportsFirstFailingReadInRecordOrder) {
   // Early-exit regression for the vectorized read-condition scan: when
   // several recorded reads fail against the same column, the abort must be
   // attributed to the FIRST failing read in record order — the scan may not
-  // run to the end and report a later conflict.
-  ReadOnlyTxnProtocol p(Algorithm::kFMatrix);
-  const CycleSnapshot& first = Snap(1);
-  ASSERT_TRUE(p.Read(first, 0).ok());
-  ASSERT_TRUE(p.Read(first, 1).ok());
-  ASSERT_TRUE(p.Read(first, 2).ok());
+  // run to the end and report a later conflict. Every control source, with
+  // the codec off or on, gives the same decision and AbortInfo.
+  constexpr uint32_t kObjects = 5;
+  const auto [source, codec_on] = GetParam();
+  const bool sparse =
+      source == ControlSource::kSnapshotSparse || source == ControlSource::kSparseOverride;
+  TxnManagerOptions options;
+  options.maintain_f_matrix = !sparse;
+  options.maintain_sparse_matrix = sparse;
+  ServerTxnManager mgr(kObjects, options);
+  const BroadcastGeometry geometry = ComputeGeometry(Algorithm::kFMatrix, kObjects, 100, 8);
+  BroadcastServer server(kObjects, geometry);
+  std::optional<CycleStampCodec> codec;
+  if (codec_on) codec.emplace(8);
+  ReadOnlyTxnProtocol p(Algorithm::kFMatrix, codec);
+  server.BeginCycle(1, 1000, mgr);
+  ASSERT_TRUE(p.Read(server.snapshot(), 0).ok());
+  ASSERT_TRUE(p.Read(server.snapshot(), 1).ok());
+  ASSERT_TRUE(p.Read(server.snapshot(), 2).ok());
   // Three same-cycle commits make ob4's value depend on overwrites of ob1
   // AND ob2 (reads 1 and 2 both fail); ob0 stays clean (read 0 passes).
-  Commit(1, {}, {1}, 1);
-  Commit(2, {}, {2}, 1);
-  Commit(3, {1, 2}, {4}, 1);
-  EXPECT_TRUE(p.Read(Snap(2), 4).status().IsAborted());
+  mgr.ExecuteAndCommit(ServerTxn{1, {}, {1}}, 1);
+  mgr.ExecuteAndCommit(ServerTxn{2, {}, {2}}, 1);
+  mgr.ExecuteAndCommit(ServerTxn{3, {1, 2}, {4}}, 1);
+  server.BeginCycle(2, 2000, mgr);
+  const CycleSnapshot& live = server.snapshot();
+
+  // An override must be what the protocol reads: the snapshot it is handed
+  // then carries an all-zero matrix, which would accept the read.
+  ServerTxnManager idle(kObjects, options);
+  BroadcastServer idle_server(kObjects, geometry);
+  idle_server.BeginCycle(2, 2000, idle);
+  const FMatrix dense_copy = mgr.f_matrix().Snapshot();
+  const SparseFMatrix sparse_copy = mgr.sparse_f_matrix().Snapshot();
+  DeltaMatrixTracker tracker(kObjects, CycleStampCodec(8));
+  DeltaControl refresh;
+  refresh.cycle = 2;
+  refresh.full_refresh = true;
+  const CycleSnapshot* read_from = &idle_server.snapshot();
+  switch (source) {
+    case ControlSource::kSnapshotDense:
+    case ControlSource::kSnapshotSparse:
+      read_from = &live;
+      break;
+    case ControlSource::kDenseOverride:
+      p.set_control_override(dense_copy);
+      break;
+    case ControlSource::kSparseOverride:
+      p.set_control_override(sparse_copy);
+      break;
+    case ControlSource::kTrackerView:
+      tracker.Observe(refresh, live.control());
+      p.set_control_override(tracker.view());
+      break;
+  }
+  EXPECT_TRUE(p.Read(*read_from, 4).status().IsAborted());
   EXPECT_EQ(p.last_abort().cause, AbortCause::kControlConflict);
   EXPECT_EQ(p.last_abort().ob_i, 1u) << "must be the first failing read, not a later one";
   EXPECT_EQ(p.last_abort().ob_j, 4u);
   EXPECT_EQ(p.last_abort().read_cycle, 1u);
   EXPECT_EQ(p.last_abort().c_ij, 1u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Sources, ReadTxnSourceTest,
+    ::testing::Combine(::testing::Values(ControlSource::kSnapshotDense,
+                                         ControlSource::kSnapshotSparse,
+                                         ControlSource::kDenseOverride,
+                                         ControlSource::kSparseOverride,
+                                         ControlSource::kTrackerView),
+                       ::testing::Bool()),
+    [](const ::testing::TestParamInfo<std::tuple<ControlSource, bool>>& info) {
+      return StrFormat("%s%s", ControlSourceName(std::get<0>(info.param)),
+                       std::get<1>(info.param) ? "Codec" : "Raw");
+    });
+
+TEST_F(ReadTxnTest, GroupedAbortReportsTheGroupColumnEntry) {
+  // Section 3.2.2: with groups {ob0, ob1, ob2} and {ob3, ob4}, reading ob3
+  // checks MC(i, group(3)) = max(C(i, 3), C(i, 4)). C(1, 3) = 0 would
+  // accept; MC(1, group(3)) = C(1, 4) = 1 aborts, and AbortInfo carries
+  // the group entry, with the codec off or on.
+  server_.SetPartition(ObjectPartition::Blocks(kObjects, 2));
+  ReadOnlyTxnProtocol raw(Algorithm::kFMatrix);
+  ReadOnlyTxnProtocol coded(Algorithm::kFMatrix, CycleStampCodec(8));
+  const CycleSnapshot& first = Snap(1);
+  for (ReadOnlyTxnProtocol* p : {&raw, &coded}) {
+    ASSERT_TRUE(p->Read(first, 0).ok());
+    ASSERT_TRUE(p->Read(first, 1).ok());
+  }
+  Commit(1, {}, {1}, 1);
+  Commit(2, {1}, {4}, 1);
+  const CycleSnapshot& snap = Snap(2);
+  ASSERT_EQ(snap.f_matrix.At(1, 3), 0u);
+  for (ReadOnlyTxnProtocol* p : {&raw, &coded}) {
+    EXPECT_TRUE(p->Read(snap, 3).status().IsAborted());
+    EXPECT_EQ(p->last_abort().cause, AbortCause::kControlConflict);
+    EXPECT_EQ(p->last_abort().ob_i, 1u);
+    EXPECT_EQ(p->last_abort().ob_j, 3u);
+    EXPECT_EQ(p->last_abort().read_cycle, 1u);
+    EXPECT_EQ(p->last_abort().c_ij, 1u) << "c_ij must be MC(1, group(3)), not C(1, 3)";
+  }
+}
+
+TEST_F(ReadTxnTest, SettingAControlSourceReplacesThePreviousOne) {
+  // One control source at a time, whatever its representation: the last
+  // one set wins, and an empty view restores the snapshot's own matrix.
+  const CycleSnapshot first = Snap(1);
+  Commit(1, {}, {1}, 1);
+  Commit(2, {1}, {4}, 1);  // C(1, 4) = 1: reading ob4 after ob1@1 aborts
+  const CycleSnapshot& snap = Snap(2);
+  const FMatrix conflicting = mgr_.f_matrix().Snapshot();
+  const SparseFMatrix blank(kObjects);
+  const auto read_ob4_after_ob1 = [&](ReadOnlyTxnProtocol& p) {
+    p.Reset();
+    EXPECT_TRUE(p.Read(first, 1).ok());
+    return p.Read(snap, 4).ok();
+  };
+  ReadOnlyTxnProtocol p(Algorithm::kFMatrix);
+  p.set_control_override(conflicting);
+  p.set_control_override(blank);
+  EXPECT_TRUE(read_ob4_after_ob1(p)) << "the sparse source must replace the dense one";
+  p.set_control_override(conflicting);
+  EXPECT_FALSE(read_ob4_after_ob1(p)) << "the dense source must replace the sparse one";
+  p.set_control_override(blank);
+  p.set_control_override(ControlView());
+  EXPECT_FALSE(read_ob4_after_ob1(p)) << "an empty view must restore the snapshot's matrix";
 }
 
 TEST_F(ReadTxnTest, SameCycleReadsAlwaysConsistent) {

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "matrix/control_view.h"
 #include "matrix/kernels.h"
 #include "matrix/wire.h"
 
@@ -89,9 +90,29 @@ TEST(SparseFMatrixTest, MatchesDenseOracleAcrossSeeds) {
       const uint32_t commits = 1 + static_cast<uint32_t>(rng.NextBounded(3));
       for (uint32_t c = 0; c < commits; ++c) pair.RandomCommit(rng, cycle, 5);
     }
-    ASSERT_TRUE(pair.sparse == pair.dense) << "seed " << seed;
+    // Equality across representations goes through ControlView; the
+    // same-representation comparisons are the direct calls.
+    const ControlView sparse_view(pair.sparse), dense_view(pair.dense);
+    ASSERT_TRUE(sparse_view == dense_view) << "seed " << seed;
     ASSERT_TRUE(pair.sparse.ToDense() == pair.dense) << "seed " << seed;
-    ASSERT_TRUE(SparseFMatrix::FromDense(pair.dense) == pair.sparse) << "seed " << seed;
+    ASSERT_TRUE(dense_view == ControlView(pair.sparse.ToDense())) << "seed " << seed;
+    const SparseFMatrix from_dense = SparseFMatrix::FromDense(pair.dense);
+    ASSERT_TRUE(from_dense == pair.sparse) << "seed " << seed;
+    ASSERT_TRUE(ControlView(from_dense) == sparse_view) << "seed " << seed;
+    for (ObjectId j = 0; j < n; ++j) {
+      for (ObjectId i = 0; i < n; ++i) {
+        ASSERT_EQ(sparse_view.At(i, j), pair.sparse.At(i, j)) << "seed " << seed;
+        ASSERT_EQ(dense_view.At(i, j), pair.dense.At(i, j)) << "seed " << seed;
+      }
+    }
+    // A single differing entry breaks equality in every representation mix.
+    FMatrix changed = pair.dense.Snapshot();
+    changed.Set(n - 1, 0, changed.At(n - 1, 0) + 1);
+    const SparseFMatrix changed_sparse = SparseFMatrix::FromDense(changed);
+    ASSERT_FALSE(sparse_view == ControlView(changed)) << "seed " << seed;
+    ASSERT_FALSE(dense_view == ControlView(changed)) << "seed " << seed;
+    ASSERT_FALSE(sparse_view == ControlView(changed_sparse)) << "seed " << seed;
+    ASSERT_FALSE(dense_view == ControlView(changed_sparse)) << "seed " << seed;
 
     // nnz accounting must agree with a from-scratch recount.
     const SparseFMatrix recount = SparseFMatrix::FromDense(pair.sparse.ToDense());
@@ -123,7 +144,10 @@ TEST(SparseFMatrixTest, ReadConditionScanMatchesDenseKernel) {
         const size_t want = KernelReadConditionScan(column.data(), reads.data(), reads.size());
         ASSERT_EQ(pair.sparse.ReadConditionScan(reads, j), want)
             << "seed " << seed << " cycle " << cycle;
-        ASSERT_EQ(pair.sparse.ReadCondition(reads, j), want == kReadConditionPass);
+        ASSERT_EQ(ControlView(pair.sparse).ReadConditionScan(reads, j), want)
+            << "seed " << seed << " cycle " << cycle;
+        ASSERT_EQ(ControlView(pair.dense).ReadConditionScan(reads, j), want)
+            << "seed " << seed << " cycle " << cycle;
       }
     }
   }
@@ -177,7 +201,7 @@ TEST(SparseFMatrixTest, SetMatchesDenseIncludingErasure) {
       pair.dense.Set(i, j, c);
       pair.sparse.Set(i, j, c);
     }
-    ASSERT_TRUE(pair.sparse == pair.dense) << "seed " << seed;
+    ASSERT_TRUE(ControlView(pair.sparse) == ControlView(pair.dense)) << "seed " << seed;
   }
 }
 
@@ -189,7 +213,7 @@ TEST(SparseFMatrixTest, FromDenseUsesMostFrequentValueAsFloor) {
   dense.Set(5, 3, 41);
   dense.Set(9, 3, 2);
   const SparseFMatrix sparse = SparseFMatrix::FromDense(dense);
-  EXPECT_TRUE(sparse == dense);
+  EXPECT_TRUE(ControlView(sparse) == ControlView(dense));
   EXPECT_EQ(sparse.ColumnData(3)->floor, 40u);
   EXPECT_EQ(sparse.ColumnNnz(3), 2u);
 }
@@ -301,7 +325,8 @@ TEST(SparseWireTest, DiffColumnsMatchesDenseOracle) {
         // identically on both sides).
         DeltaCodec::Apply(&prev_dense, want, codec, cycle);
         DeltaCodec::Apply(&prev_sparse, got, codec, cycle);
-        ASSERT_TRUE(prev_sparse == prev_dense) << "seed " << seed << " cycle " << cycle;
+        ASSERT_TRUE(ControlView(prev_sparse) == ControlView(prev_dense))
+            << "seed " << seed << " cycle " << cycle;
       }
     }
   }
@@ -315,7 +340,7 @@ TEST(SparseWireTest, ApplyHandlesDuplicateEntriesLastWins) {
       {1, 2, codec.Encode(5)}, {1, 2, codec.Encode(9)}, {3, 2, codec.Encode(7)}};
   DeltaCodec::Apply(&dense, entries, codec, 10);
   DeltaCodec::Apply(&sparse, entries, codec, 10);
-  EXPECT_TRUE(sparse == dense);
+  EXPECT_TRUE(ControlView(sparse) == ControlView(dense));
   EXPECT_EQ(sparse.At(1, 2), 9u);
 }
 
@@ -333,11 +358,17 @@ TEST(SparseFMatrixTest, MaterializeColumnMatchesDense) {
   Rng rng(42);
   Pair pair(14);
   for (Cycle cycle = 1; cycle <= 25; ++cycle) pair.RandomCommit(rng, cycle, 4);
-  std::vector<Cycle> got;
+  std::vector<Cycle> got, scratch;
   for (ObjectId j = 0; j < 14; ++j) {
     pair.sparse.MaterializeColumn(j, got);
     const std::span<const Cycle> want = pair.dense.Column(j);
-    ASSERT_TRUE(std::equal(got.begin(), got.end(), want.begin(), want.end())) << "col " << j;
+    ASSERT_TRUE(std::ranges::equal(got, want)) << "col " << j;
+    // Through the view: the dense column is the stored page itself, the
+    // sparse one the materialized column.
+    const std::span<const Cycle> dense_col = ControlView(pair.dense).Column(j, scratch);
+    EXPECT_EQ(dense_col.data(), want.data()) << "col " << j;
+    ASSERT_TRUE(std::ranges::equal(ControlView(pair.sparse).Column(j, scratch), want))
+        << "col " << j;
   }
 }
 
