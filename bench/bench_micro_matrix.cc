@@ -11,7 +11,6 @@
 #include <benchmark/benchmark.h>
 
 #include <cstring>
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -202,30 +201,28 @@ void BM_PagedSnapshotValues(benchmark::State& state) {
 }
 BENCHMARK(BM_PagedSnapshotValues)->Arg(10'000)->Arg(100'000);
 
-// The column table alone: each commit installs one shared payload in its
-// write-set columns (what ApplyCommit does after its O(nnz) merge, which is
-// left out here). Every column starts non-empty, as on a long run.
+// The column table: each commit installs one payload, its write-set rows at
+// the commit cycle, in its write-set columns (ApplyCommit with an empty read
+// set, so no merge). Every column starts non-empty, as on a long run.
 void BM_PagedSnapshotSparseMatrix(benchmark::State& state) {
   const uint32_t n = static_cast<uint32_t>(state.range(0));
   const auto sets = CycleWriteSets(n);
-  std::vector<std::shared_ptr<const SparseColumnData>> payloads(sets.size());
-  for (size_t k = 0; k < payloads.size(); ++k) {
-    auto col = std::make_shared<SparseColumnData>();
-    col->floor = 1 + k;
-    payloads[k] = std::move(col);
-  }
   SparseFMatrix matrix(n);
-  for (ObjectId j = 0; j < n; ++j) matrix.AssignColumn(j, payloads[j % payloads.size()]);
+  std::vector<ObjectId> all(n);
+  for (ObjectId j = 0; j < n; ++j) all[j] = j;
+  matrix.ApplyCommit({}, all, 1);
   std::optional<SparseFMatrix> held(matrix.Snapshot());
   const uint64_t before = matrix.column_pages().pages_copied();
   size_t next = 0;
+  Cycle cycle = 2;
   for (auto _ : state) {
     for (uint32_t c = 0; c < kCommitsPerCycle; ++c, next = (next + 1) % sets.size()) {
-      for (ObjectId w : sets[next]) matrix.AssignColumn(w, payloads[next]);
+      matrix.ApplyCommit({}, sets[next], cycle);
     }
     held.reset();
     held.emplace(matrix.Snapshot());
     benchmark::DoNotOptimize(held);
+    ++cycle;
   }
   ReportBytesCopied(state, matrix.column_pages(), before);
 }

@@ -4,12 +4,13 @@
 // state").
 //
 // The n entries live in pages of one length, fixed at construction, behind
-// a table of raw pointers. No page carries a reference count: copying the
-// container memcpys the table and registers the copy with a ledger shared
-// by every container descended from the same original, so a cycle snapshot
-// costs one synchronised operation plus an O(number of pages) memcpy, and
-// dropping it only unregisters it. The live container copies a page on its
-// first write after a copy and retires the page it replaced.
+// a table of raw pointers. Entries are trivially copyable, and no page
+// carries a reference count: copying the container memcpys the table and
+// registers the copy with a ledger shared by every container descended from
+// the same original, so a cycle snapshot costs one synchronised operation
+// plus an O(number of pages) memcpy, and dropping it only unregisters it.
+// The live container copies a page (a memcpy) on its first write after a
+// copy and retires the page it replaced.
 //
 // Copy-on-write is decided by a generation rule, never by who else holds a
 // page: each page records the generation in which its container created it,
@@ -34,6 +35,12 @@
 // pages a copy may still see hands them to the ledger; the next copy of the
 // original frees those no live pin can see, and the last member of the
 // ledger frees the rest.
+//
+// Entries that point at objects the container's user creates (the sparse
+// matrix's column payloads) can follow the same rules: stamp the object
+// with generation() when it is created, test Owns() for ownership, and
+// retire a dropped object with RetireStamp() until Reclaimable() says no
+// live copy can see it.
 //
 // A fresh container of the default page length shares one static zero page
 // across all its slots, so construction is O(n / kPageEntries). A container
@@ -73,13 +80,13 @@ namespace bcc {
 
 template <typename T>
 class CowPages {
+  static_assert(std::is_trivially_copyable_v<T>,
+                "pages are copied and freed as raw bytes; hold handles as plain pointers");
+
  public:
-  /// Default entries per page, chosen per element type by a sweep at the
-  /// uplink write rate (DESIGN.md §4g). Copying a page of trivially copyable
-  /// entries is a memcpy, so those pages are large and the table small;
-  /// copying a page of handles bumps one reference count per entry, so
-  /// those pages are small.
-  static constexpr uint32_t kPageShift = std::is_trivially_copyable_v<T> ? 5 : 3;
+  /// Default entries per page, chosen by a sweep at the uplink write rate
+  /// (DESIGN.md §4g).
+  static constexpr uint32_t kPageShift = 5;
   static constexpr uint32_t kPageEntries = 1u << kPageShift;
   static constexpr size_t kPageBytes = kPageEntries * sizeof(T);
   /// Reclaimed pages kept for reuse by later page copies; the rest are freed.
@@ -186,6 +193,23 @@ class CowPages {
   /// taken.
   size_t retired_pages() const { return retired_.size() - retired_head_; }
 
+  /// The live generation: what an object the writer creates now is stamped
+  /// with. A stamp equal to it means no other container can see the object.
+  uint64_t generation() const { return gen_.load(std::memory_order_relaxed); }
+  /// Whether an object stamped `gen` was created by this container (since it
+  /// began) rather than borrowed from the container it was copied from.
+  bool Owns(uint64_t gen) const { return gen >= first_gen_; }
+  /// The retirement stamp of an owned object dropped now: every copy that
+  /// can see it has a lower pin, and every later copy a pin at least this.
+  /// Needs a ledger: call only for an object stamped below generation().
+  uint64_t RetireStamp() const {
+    const Ledger* ledger = ledger_.load(std::memory_order_relaxed);
+    assert(ledger != nullptr);
+    return ledger->clock.load(std::memory_order_relaxed) + 1;
+  }
+  /// Whether no live copy can see an object retired with `stamp`.
+  bool Reclaimable(uint64_t stamp) const { return stamp <= LowWatermark(); }
+
   /// Entry-wise equality; shared pages compare by identity.
   friend bool operator==(const CowPages& a, const CowPages& b) {
     if (a.n_ != b.n_ || a.num_pages_ != b.num_pages_) return false;
@@ -250,19 +274,18 @@ class CowPages {
                                       sizeof(PageBuffer));
   }
 
+  /// A page of `entries` uninitialized entries, created in `gen`.
+  static PageBuffer* AllocatePage(uint32_t entries, uint64_t gen) {
+    void* raw = ::operator new(sizeof(PageBuffer) + size_t{entries} * sizeof(T));
+    return new (raw) PageBuffer{gen};
+  }
   /// A page of `entries` value-initialized entries, created in `gen`.
   static PageBuffer* NewPage(uint32_t entries, uint64_t gen) {
-    void* raw = ::operator new(sizeof(PageBuffer) + size_t{entries} * sizeof(T));
-    auto* page = new (raw) PageBuffer{gen};
+    PageBuffer* page = AllocatePage(entries, gen);
     std::uninitialized_value_construct_n(Entries(page), entries);
     return page;
   }
-  static void DeletePage(PageBuffer* page, uint32_t entries) {
-    std::destroy_n(Entries(page), entries);
-    page->~PageBuffer();
-    ::operator delete(page);
-  }
-  void DeletePage(PageBuffer* page) const { DeletePage(page, page_entries_); }
+  static void DeletePage(PageBuffer* page) { ::operator delete(page); }
 
   /// Shared by every slot of a fresh multi-page container of the default
   /// page length; never written or freed.
@@ -325,7 +348,7 @@ class CowPages {
       }
       ledger->PublishWatermark();
       if (other.pin_ == 0 && !ledger->orphans.empty()) {
-        FreeUnpinnedOrphans(*ledger, page_entries_);
+        FreeUnpinnedOrphans(*ledger);
       }
       if (num_pages_ > 1 && !ledger->spare_tables.empty()) {
         heap_pages_ = std::move(ledger->spare_tables.back());
@@ -365,8 +388,8 @@ class CowPages {
   void CopyPage(uint32_t p) {
     PageBuffer* old = pages_[p];
     PageBuffer* fresh = TakeFreePage();
-    if (fresh == nullptr) fresh = NewPage(page_entries_, 0);
-    std::copy_n(Entries(old), page_entries_, Entries(fresh));
+    if (fresh == nullptr) fresh = AllocatePage(page_entries_, 0);
+    std::memcpy(static_cast<void*>(Entries(fresh)), Entries(old), page_bytes());
     fresh->gen = gen_.load(std::memory_order_relaxed);
     if (old->gen >= first_gen_) Retire(old);
     pages_[p] = fresh;
@@ -381,10 +404,8 @@ class CowPages {
   /// taken while it was in the table can see it, and the next pin handed
   /// out is past them all.
   void Retire(PageBuffer* page) {
-    const Ledger* ledger = ledger_.load(std::memory_order_relaxed);
-    assert(ledger != nullptr);
-    const uint64_t hidden_from = ledger->clock.load(std::memory_order_relaxed) + 1;
-    if (hidden_from <= LowWatermark()) {
+    const uint64_t hidden_from = RetireStamp();
+    if (Reclaimable(hidden_from)) {
       Recycle(page);
     } else {
       retired_.push_back(Retired{page, hidden_from});
@@ -393,10 +414,6 @@ class CowPages {
 
   void Recycle(PageBuffer* page) {
     if (free_.size() < kMaxFreePages) {
-      // Let go of stale handles now rather than when the page is reused.
-      if constexpr (!std::is_trivially_destructible_v<T>) {
-        std::fill_n(Entries(page), page_entries_, T{});
-      }
       free_.push_back(page);
     } else {
       DeletePage(page);
@@ -427,11 +444,11 @@ class CowPages {
   }
 
   /// Frees the orphans no live pin can see (under the ledger's lock).
-  static void FreeUnpinnedOrphans(Ledger& ledger, uint32_t page_entries) {
+  static void FreeUnpinnedOrphans(Ledger& ledger) {
     const uint64_t watermark = ledger.low_watermark.load(std::memory_order_relaxed);
     std::erase_if(ledger.orphans, [&](const Retired& r) {
       if (r.hidden_from > watermark) return false;
-      DeletePage(r.page, page_entries);
+      DeletePage(r.page);
       return true;
     });
   }
@@ -444,7 +461,7 @@ class CowPages {
     if (num_pages_ > 0) {
       // Never copied since it began: no other container saw its own pages.
       const bool shared_out = gen_.load(std::memory_order_relaxed) != first_gen_;
-      if (!shared_out) ForEachOwnedPage([this](PageBuffer* page) { DeletePage(page); });
+      if (!shared_out) ForEachOwnedPage(DeletePage);
       Ledger* ledger = ledger_.exchange(nullptr, std::memory_order_relaxed);
       bool last = false;
       if (ledger != nullptr) {
@@ -467,7 +484,7 @@ class CowPages {
         }
       }
       if (last) {
-        if (shared_out) ForEachOwnedPage([this](PageBuffer* page) { DeletePage(page); });
+        if (shared_out) ForEachOwnedPage(DeletePage);
         for (const Retired& r : ledger->orphans) DeletePage(r.page);
         delete ledger;
       }

@@ -14,12 +14,6 @@ unsigned IndexBits(uint32_t count) {
   return count > 1 ? static_cast<unsigned>(std::bit_width(count - 1)) : 0u;
 }
 
-const std::shared_ptr<const SparseColumnData>& EmptyGroupColumn() {
-  static const std::shared_ptr<const SparseColumnData> empty =
-      std::make_shared<const SparseColumnData>();
-  return empty;
-}
-
 }  // namespace
 
 HierMatrix::HierMatrix(uint32_t num_objects, HierMatrixOptions options)
@@ -54,7 +48,7 @@ void HierMatrix::InstallPartition(std::vector<std::vector<ObjectId>> members) {
       ++moved;
     }
   }
-  group_cols_.assign(g, EmptyGroupColumn());
+  group_cols_.assign(g, SparseColumnData{});
   group_dirty_.assign(g, 1);
   group_spurious_.assign(g, 0);
   // Mapping update on the air: every object's new group id.
@@ -96,32 +90,28 @@ void HierMatrix::EnsureGroup(uint32_t s) {
       if (e.value > floor) rebuild_scratch_.push_back(e);
     }
   }
-  if (rebuild_scratch_.empty() && floor == 0) {
-    group_cols_[s] = EmptyGroupColumn();
-    return;
-  }
   std::sort(rebuild_scratch_.begin(), rebuild_scratch_.end(),
             [](const SparseColumnData::Entry& a, const SparseColumnData::Entry& b) {
               return a.row < b.row;
             });
-  auto data = std::make_shared<SparseColumnData>();
-  data->floor = floor;
+  SparseColumnData& data = group_cols_[s];
+  data.floor = floor;
+  data.entries.clear();
   for (size_t k = 0; k < rebuild_scratch_.size();) {
     Cycle value = rebuild_scratch_[k].value;
     const ObjectId row = rebuild_scratch_[k].row;
     while (++k < rebuild_scratch_.size() && rebuild_scratch_[k].row == row) {
       value = std::max(value, rebuild_scratch_[k].value);
     }
-    data->entries.push_back({row, value});
+    data.entries.push_back({row, value});
   }
-  group_cols_[s] = std::move(data);
 }
 
 Cycle HierMatrix::EffectiveAt(ObjectId i, ObjectId j) {
   if (refined_[j]) return exact_.At(i, j);
   const uint32_t s = group_of_[j];
   EnsureGroup(s);
-  return group_cols_[s]->At(i);
+  return group_cols_[s].At(i);
 }
 
 size_t HierMatrix::ReadConditionScan(std::span<const ReadRecord> reads, ObjectId j,
@@ -132,7 +122,7 @@ size_t HierMatrix::ReadConditionScan(std::span<const ReadRecord> reads, ObjectId
   }
   const uint32_t s = group_of_[j];
   EnsureGroup(s);
-  const SparseColumnData& col = *group_cols_[s];
+  const SparseColumnData& col = group_cols_[s];
   for (size_t k = 0; k < reads.size(); ++k) {
     if (col.At(reads[k].object) >= reads[k].cycle) {
       // The coarse view aborts this read. If the exact matrix would have
@@ -242,7 +232,7 @@ uint64_t HierMatrix::ControlBits(unsigned ts_bits) {
   uint64_t bits = 32;  // group-count header
   for (uint32_t s = 0; s < num_groups(); ++s) {
     EnsureGroup(s);
-    const SparseColumnData& col = *group_cols_[s];
+    const SparseColumnData& col = group_cols_[s];
     if (col.floor == 0 && col.entries.empty()) continue;
     bits += g_bits + ts_bits + 32 + col.entries.size() * (n_bits + ts_bits);
   }

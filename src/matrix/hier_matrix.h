@@ -38,7 +38,6 @@
 #ifndef BCC_MATRIX_HIER_MATRIX_H_
 #define BCC_MATRIX_HIER_MATRIX_H_
 
-#include <memory>
 #include <span>
 #include <vector>
 
@@ -142,8 +141,8 @@ class HierMatrix {
   std::vector<uint32_t> group_of_;
   std::vector<std::vector<ObjectId>> members_;  ///< sorted object ids per group
 
-  // Lazy group aggregates.
-  std::vector<std::shared_ptr<const SparseColumnData>> group_cols_;
+  // Lazy group aggregates, held by value.
+  std::vector<SparseColumnData> group_cols_;
   std::vector<uint8_t> group_dirty_;
 
   // Refinement state.

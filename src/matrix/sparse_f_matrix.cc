@@ -15,10 +15,63 @@ bool ColumnIsEmpty(const SparseColumnData& col) {
   return col.floor == 0 && col.entries.empty();
 }
 
-/// What a null column handle reads as.
+/// What a null column pointer reads as.
 const SparseColumnData kEmptyColumn;
 
 }  // namespace
+
+struct SparseFMatrix::Payload : SparseColumnData {
+  /// The creating matrix's table generation at creation.
+  uint64_t gen = 0;
+  /// Slots of the owner's live table pointing at it; the owner's thread only.
+  uint32_t refs = 0;
+  /// Index in the owner pool's `payloads`.
+  uint32_t slot = 0;
+};
+
+struct SparseFMatrix::PayloadPool {
+  /// A dropped payload and the retirement stamp from which no copy sees it.
+  struct Retired {
+    Payload* payload;
+    uint64_t hidden_from;
+  };
+
+  /// The pool the owner's table borrowed payloads from when this one began.
+  std::shared_ptr<const PayloadPool> borrowed;
+  /// Every payload created here and not yet freed: live and retired.
+  std::vector<Payload*> payloads;
+  /// Dropped payloads by ascending stamp; the first retired_head are freed.
+  std::vector<Retired> retired;
+  size_t retired_head = 0;
+
+  PayloadPool() = default;
+  PayloadPool(const PayloadPool&) = delete;
+  PayloadPool& operator=(const PayloadPool&) = delete;
+  ~PayloadPool() {
+    for (Payload* p : payloads) delete p;
+  }
+
+  void Free(Payload* p) {
+    payloads.back()->slot = p->slot;
+    payloads[p->slot] = payloads.back();
+    payloads.pop_back();
+    delete p;
+  }
+
+  /// Frees every retired payload no live copy of `table` can see.
+  void Reclaim(const ColumnTable& table) {
+    while (retired_head < retired.size() && table.Reclaimable(retired[retired_head].hidden_from)) {
+      Free(retired[retired_head++].payload);
+    }
+    if (retired_head == retired.size()) {
+      retired.clear();
+      retired_head = 0;
+    } else if (retired_head * 2 > retired.size()) {
+      retired.erase(retired.begin(), retired.begin() + static_cast<ptrdiff_t>(retired_head));
+      retired_head = 0;
+    }
+  }
+};
 
 Cycle SparseColumnData::At(ObjectId row) const {
   const auto it = std::lower_bound(
@@ -29,16 +82,67 @@ Cycle SparseColumnData::At(ObjectId row) const {
 }
 
 const SparseColumnData& SparseFMatrix::Column(ObjectId j) const {
-  const std::shared_ptr<const SparseColumnData>& col = cols_[j];
+  const Payload* col = cols_[j];
   return col != nullptr ? *col : kEmptyColumn;
 }
 
 SparseFMatrix SparseFMatrix::Snapshot() const {
   SparseFMatrix snap(0);
   snap.cols_ = cols_;
+  snap.pool_ = pool_;
   snap.nnz_ = nnz_;
   snap.nonempty_cols_ = nonempty_cols_;
   return snap;
+}
+
+uint32_t SparseFMatrix::ColumnPayloadRefs(ObjectId j) const {
+  const Payload* col = cols_[j];
+  return col != nullptr && cols_.Owns(col->gen) ? col->refs : 0;
+}
+
+size_t SparseFMatrix::retired_payloads() const {
+  return pool_.owned ? pool_.pool->retired.size() - pool_.pool->retired_head : 0;
+}
+
+size_t SparseFMatrix::owned_payloads() const {
+  return pool_.owned ? pool_.pool->payloads.size() : 0;
+}
+
+SparseFMatrix::Payload* SparseFMatrix::NewPayload() {
+  if (!pool_.owned) {
+    auto fresh = std::make_shared<PayloadPool>();
+    fresh->borrowed = std::move(pool_.pool);
+    pool_.pool = std::move(fresh);
+    pool_.owned = true;
+  }
+  PayloadPool& pool = *pool_.pool;
+  pool.Reclaim(cols_);
+  auto* p = new Payload();
+  p->gen = cols_.generation();
+  p->slot = static_cast<uint32_t>(pool.payloads.size());
+  pool.payloads.push_back(p);
+  return p;
+}
+
+SparseFMatrix::Payload* SparseFMatrix::Seal(Payload* p) {
+  if (!ColumnIsEmpty(*p)) return p;
+  pool_.pool->Free(p);
+  return nullptr;
+}
+
+void SparseFMatrix::Drop(Payload* p) {
+  ++payloads_dropped_;
+  // Created since the table was last copied: no other matrix can see it.
+  if (p->gen == cols_.generation()) {
+    pool_.pool->Free(p);
+    return;
+  }
+  const uint64_t hidden_from = cols_.RetireStamp();
+  if (cols_.Reclaimable(hidden_from)) {
+    pool_.pool->Free(p);
+  } else {
+    pool_.pool->retired.push_back({p, hidden_from});
+  }
 }
 
 void SparseFMatrix::MarkTouched(ObjectId j) {
@@ -48,8 +152,7 @@ void SparseFMatrix::MarkTouched(ObjectId j) {
   touched_cols_.push_back(j);
 }
 
-void SparseFMatrix::Account(ObjectId j, const SparseColumnData& next) {
-  const SparseColumnData& cur = Column(j);
+void SparseFMatrix::Account(const SparseColumnData& cur, const SparseColumnData& next) {
   nnz_ += next.entries.size();
   nnz_ -= cur.entries.size();
   if (ColumnIsEmpty(cur) != ColumnIsEmpty(next)) {
@@ -61,10 +164,13 @@ void SparseFMatrix::Account(ObjectId j, const SparseColumnData& next) {
   }
 }
 
-void SparseFMatrix::AssignColumn(ObjectId j, std::shared_ptr<const SparseColumnData> data) {
-  if (data != nullptr && ColumnIsEmpty(*data)) data.reset();
-  Account(j, data != nullptr ? *data : kEmptyColumn);
-  cols_.Mutable(j) = std::move(data);
+void SparseFMatrix::Install(ObjectId j, Payload* next) {
+  Payload*& slot = cols_.Mutable(j);
+  Payload* const cur = slot;
+  Account(cur != nullptr ? *cur : kEmptyColumn, next != nullptr ? *next : kEmptyColumn);
+  if (next != nullptr) ++next->refs;
+  slot = next;
+  if (cur != nullptr && cols_.Owns(cur->gen) && --cur->refs == 0) Drop(cur);
   MarkTouched(j);
 }
 
@@ -122,7 +228,7 @@ void SparseFMatrix::ApplyCommit(std::span<const ObjectId> read_set,
   // One payload for every write-set column: dep with WS rows at commit_cycle.
   ws_scratch_.assign(write_set.begin(), write_set.end());
   std::sort(ws_scratch_.begin(), ws_scratch_.end());
-  auto next = std::make_shared<SparseColumnData>();
+  Payload* next = NewPayload();
   next->floor = dep_floor;
   next->entries.reserve(merge_scratch_.size() + ws_scratch_.size());
   size_t d = 0;
@@ -135,39 +241,43 @@ void SparseFMatrix::ApplyCommit(std::span<const ObjectId> read_set,
   }
   while (d < merge_scratch_.size()) next->entries.push_back(merge_scratch_[d++]);
 
-  std::shared_ptr<const SparseColumnData> shared = std::move(next);
+  next = Seal(next);
   // Original write-set order, so dirty tracking matches FMatrix first-touch
   // order exactly.
-  for (ObjectId j : write_set) AssignColumn(j, shared);
+  for (ObjectId j : write_set) Install(j, next);
 }
 
 void SparseFMatrix::ApplyCommitBatch(std::span<const CommitSets> commits, Cycle commit_cycle) {
   for (const CommitSets& c : commits) ApplyCommit(c.read_set, c.write_set, commit_cycle);
 }
 
-void SparseFMatrix::SetInColumn(ObjectId j, ObjectId i, Cycle c) {
-  const SparseColumnData& cur = Column(j);
-  if (cur.At(i) == c) {
+void SparseFMatrix::Set(ObjectId i, ObjectId j, Cycle c) {
+  if (Column(j).At(i) == c) {
     MarkTouched(j);  // a rewrite with an equal value still counts as touched
     return;
   }
-  auto next = std::make_shared<SparseColumnData>();
-  next->floor = cur.floor;
-  next->entries.reserve(cur.entries.size() + 1);
-  bool placed = false;
-  for (const SparseColumnData::Entry& e : cur.entries) {
-    if (e.row == i) continue;
-    if (!placed && e.row > i) {
-      if (c != cur.floor) next->entries.push_back({i, c});
-      placed = true;
-    }
-    next->entries.push_back(e);
-  }
-  if (!placed && c != cur.floor) next->entries.push_back({i, c});
-  AssignColumn(j, std::move(next));
+  const SparseColumnData::Entry update{i, c};
+  MergeIntoColumn(j, {&update, 1});
 }
 
-void SparseFMatrix::Set(ObjectId i, ObjectId j, Cycle c) { SetInColumn(j, i, c); }
+void SparseFMatrix::MergeIntoColumn(ObjectId j,
+                                    std::span<const SparseColumnData::Entry> updates) {
+  const SparseColumnData& cur = Column(j);
+  Payload* next = NewPayload();
+  next->floor = cur.floor;
+  next->entries.reserve(cur.entries.size() + updates.size());
+  size_t ic = 0;
+  for (size_t u = 0; u < updates.size(); ++u) {
+    if (u + 1 < updates.size() && updates[u + 1].row == updates[u].row) continue;  // last wins
+    while (ic < cur.entries.size() && cur.entries[ic].row < updates[u].row) {
+      next->entries.push_back(cur.entries[ic++]);
+    }
+    if (ic < cur.entries.size() && cur.entries[ic].row == updates[u].row) ++ic;
+    if (updates[u].value != next->floor) next->entries.push_back(updates[u]);
+  }
+  while (ic < cur.entries.size()) next->entries.push_back(cur.entries[ic++]);
+  Install(j, Seal(next));
+}
 
 void SparseFMatrix::EnableDirtyTracking() {
   track_dirty_ = true;
@@ -198,17 +308,17 @@ size_t SparseFMatrix::ReadConditionScan(std::span<const ReadRecord> reads, Objec
 uint64_t SparseFMatrix::CompactModulo(const CycleStampCodec& codec, Cycle current) {
   uint64_t dropped = 0;
   // Shared payloads must stay shared after compaction (they are the memory
-  // win), so rewritten payloads are memoized by source pointer.
-  std::unordered_map<const SparseColumnData*, std::shared_ptr<const SparseColumnData>> rewritten;
-  // The empty column (null handle) is memoized under nullptr.
+  // win), so rewritten payloads are memoized by source payload; the empty
+  // column is memoized under &kEmptyColumn.
+  std::unordered_map<const SparseColumnData*, Payload*> rewritten;
   for (ObjectId j = 0; j < num_objects(); ++j) {
-    const SparseColumnData* key = cols_[j].get();
+    Payload* const cur = cols_[j];
     const SparseColumnData& src = Column(j);
-    auto it = rewritten.find(key);
+    auto it = rewritten.find(&src);
     if (it == rewritten.end()) {
       const Cycle floor = codec.Decode(codec.Encode(src.floor), current);
       bool changed = floor != src.floor;
-      auto next = std::make_shared<SparseColumnData>();
+      Payload* next = NewPayload();
       next->floor = floor;
       next->entries.reserve(src.entries.size());
       for (const SparseColumnData::Entry& e : src.entries) {
@@ -217,15 +327,17 @@ uint64_t SparseFMatrix::CompactModulo(const CycleStampCodec& codec, Cycle curren
         if (value == floor) continue;  // congruent to the floor: now implicit
         next->entries.push_back({e.row, value});
       }
-      if (changed && ColumnIsEmpty(*next)) next.reset();
-      it = rewritten
-               .emplace(key, changed ? std::shared_ptr<const SparseColumnData>(std::move(next))
-                                     : cols_[j])
-               .first;
+      if (changed) {
+        next = Seal(next);
+      } else {
+        pool_.pool->Free(next);
+        next = cur;
+      }
+      it = rewritten.emplace(&src, next).first;
     }
-    if (it->second.get() != key) {
-      dropped += src.entries.size() - (it->second ? it->second->entries.size() : 0);
-      AssignColumn(j, it->second);
+    if (it->second != cur) {
+      dropped += src.entries.size() - (it->second != nullptr ? it->second->entries.size() : 0);
+      Install(j, it->second);
     }
   }
   return dropped;
@@ -266,12 +378,12 @@ SparseFMatrix SparseFMatrix::FromDense(const FMatrix& dense) {
       }
       a = b;
     }
-    auto data = std::make_shared<SparseColumnData>();
+    Payload* data = sparse.NewPayload();
     data->floor = floor;
     for (ObjectId i = 0; i < n; ++i) {
       if (col[i] != floor) data->entries.push_back({i, col[i]});
     }
-    sparse.AssignColumn(j, std::move(data));
+    sparse.Install(j, sparse.Seal(data));
   }
   return sparse;
 }
@@ -283,11 +395,11 @@ bool operator==(const SparseFMatrix& a, const SparseFMatrix& b) {
     const SparseColumnData& ca = a.Column(j);
     const SparseColumnData& cb = b.Column(j);
     if (&ca == &cb) continue;
-    // Merge walk over both entry lists; rows implicit in both compare floors.
+    // Merge walk over both entry lists, counting the rows explicit on either
+    // side; if some row is implicit on both, the floors must match too.
     size_t ia = 0, ib = 0;
-    bool both_implicit =
-        ca.entries.size() + cb.entries.size() < n;  // some row implicit in both
-    while (ia < ca.entries.size() || ib < cb.entries.size()) {
+    uint64_t explicit_rows = 0;
+    for (; ia < ca.entries.size() || ib < cb.entries.size(); ++explicit_rows) {
       const bool take_a = ib == cb.entries.size() ||
                           (ia < ca.entries.size() && ca.entries[ia].row <= cb.entries[ib].row);
       const bool take_b = ia == ca.entries.size() ||
@@ -303,7 +415,7 @@ bool operator==(const SparseFMatrix& a, const SparseFMatrix& b) {
         ++ib;
       }
     }
-    if (both_implicit && ca.floor != cb.floor) return false;
+    if (explicit_rows < n && ca.floor != cb.floor) return false;
   }
   return true;
 }

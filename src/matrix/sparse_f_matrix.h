@@ -8,7 +8,7 @@
 //
 //   1. Theorem 2 writes the SAME content into every write-set column of a
 //      commit (C(i, j) = commit_cycle for i in WS, dep(i) otherwise — nothing
-//      depends on j within WS). One immutable ColumnData is built per commit
+//      depends on j within WS). One immutable payload is built per commit
 //      and shared by every WS column, so per-commit maintenance is
 //      O(sum nnz(RS) + |WS| log |WS|), independent of n.
 //   2. Entries only become non-default through commits, and a run of C
@@ -17,6 +17,21 @@
 //      wraparound horizon stay distinct in value but are indistinguishable
 //      mod 2^ts to every wire-codec consumer; CompactModulo exploits that —
 //      see below.)
+//
+// Payload lifetime (DESIGN.md §4g). The column table is a CowPages of plain
+// payload pointers, null for the empty column, so a snapshot or a page copy
+// moves pointers and touches no reference count. Payloads are created only
+// by the matrix and never change once installed. Each records the table
+// generation of the matrix that created it, so the CowPages rule tells
+// owned payloads from borrowed ones, as it does for pages. The owner counts,
+// on its own thread, the slots of its live table that point at each payload
+// it owns; a payload whose count drops to 0 is freed at once if no copy was
+// taken since it was created, else retired and freed by the owner once the
+// table's low watermark shows no live copy can see it. Copies share one
+// reference to the owner's payload pool, so payloads stay readable through
+// them after the owner dies; the pool, and the payloads in it, go with the
+// last of them. A matrix copied from another keeps that pool alive and
+// creates payloads in a pool of its own from its first write on.
 //
 // Exactness invariant: At(i, j) returns the exact absolute cycle the dense
 // FMatrix would hold — the sparse form is a representation change only, so
@@ -46,11 +61,9 @@
 
 namespace bcc {
 
-/// One immutable sparse column. Shared (shared_ptr) between all columns a
-/// commit wrote, between consecutive cycle snapshots, and between the server
-/// matrix and client trackers that adopted it on a refresh. An empty column
-/// (floor 0, no entries) is held as a null handle instead, so copying a page
-/// of the column table touches no shared refcount for it.
+/// One sparse column: a matrix's immutable column payload (shared by all
+/// the columns a commit wrote, by consecutive cycle snapshots and by client
+/// trackers that adopted a refresh), or a column held by value.
 struct SparseColumnData {
   struct Entry {
     ObjectId row;
@@ -70,9 +83,17 @@ struct SparseColumnData {
 /// FMatrix maintained by the same ApplyCommit stream; all hot operations are
 /// O(nnz of the columns involved), never O(n).
 class SparseFMatrix {
+  /// A column payload: the column plus its owner's bookkeeping.
+  struct Payload;
+  /// Every payload one matrix created and has not freed.
+  struct PayloadPool;
+
  public:
-  /// All entries start at cycle 0: every column is a null (empty) handle in
-  /// one shared zero page, so construction is O(n / page size).
+  /// The column table: one payload pointer per column, null if empty.
+  using ColumnTable = CowPages<Payload*>;
+
+  /// All entries start at cycle 0: every column is a null (empty) pointer
+  /// in one shared zero page, so construction is O(n / page size).
   explicit SparseFMatrix(uint32_t num_objects) : cols_(num_objects) {}
 
   uint32_t num_objects() const { return cols_.size(); }
@@ -89,22 +110,26 @@ class SparseFMatrix {
   uint32_t nonempty_columns() const { return nonempty_cols_; }
 
   /// Column j's payload; an empty column reads as one static empty payload.
+  /// Two columns sharing a payload return the same object.
   const SparseColumnData& Column(ObjectId j) const;
-  /// Column j's shared handle; nullptr for an empty column.
-  const std::shared_ptr<const SparseColumnData>& ColumnData(ObjectId j) const {
-    return cols_[j];
-  }
-  /// Installs a shared column payload (tracker refresh adoption, delta-base
-  /// folds); null or empty installs the empty column. Updates nnz accounting
-  /// and dirty tracking like a rewrite.
-  void AssignColumn(ObjectId j, std::shared_ptr<const SparseColumnData> data);
 
   /// The immutable copy a cycle snapshot holds: shares every page of the
   /// column table (the live matrix copies a page on its next write to it)
-  /// and leaves out dirty tracking and commit scratch. O(n / page size).
+  /// and the payload pool, and leaves out dirty tracking and commit scratch.
+  /// O(n / page size).
   SparseFMatrix Snapshot() const;
   /// The paged column table (snapshot cost accounting and tests).
-  const CowPages<std::shared_ptr<const SparseColumnData>>& column_pages() const { return cols_; }
+  const ColumnTable& column_pages() const { return cols_; }
+
+  /// Payload accounting (tests): the slots of this matrix's table that point
+  /// at column j's payload if this matrix created it (0 for an empty or
+  /// borrowed column); payloads it dropped from its table (cumulative); the
+  /// dropped ones a live copy may still see, not yet freed; and all payloads
+  /// it created and has not freed.
+  uint32_t ColumnPayloadRefs(ObjectId j) const;
+  uint64_t payloads_dropped() const { return payloads_dropped_; }
+  size_t retired_payloads() const;
+  size_t owned_payloads() const;
 
   /// Materializes column j into `out` (resized to n). O(n) — wire packing
   /// and oracle checks only, never on the commit path.
@@ -122,6 +147,9 @@ class SparseFMatrix {
   /// Point write via copy-on-write column rebuild (client reconstruction and
   /// tests; the server path goes through ApplyCommit). O(nnz(column j)).
   void Set(ObjectId i, ObjectId j, Cycle c);
+  /// Writes `updates` (ascending by row; of equal rows the last wins) into
+  /// column j with one payload rebuild. O(nnz(column j) + |updates|).
+  void MergeIntoColumn(ObjectId j, std::span<const SparseColumnData::Entry> updates);
 
   /// Dirty-column tracking with FMatrix semantics: first-touch order, each
   /// column at most once, O(1) per written column.
@@ -158,14 +186,40 @@ class SparseFMatrix {
   friend bool operator==(const SparseFMatrix& a, const SparseFMatrix& b);
 
  private:
-  /// Rebuilds column j's payload with entry (i -> c) inserted/updated/erased
-  /// per the value-vs-floor rule.
-  void SetInColumn(ObjectId j, ObjectId i, Cycle c);
-  void MarkTouched(ObjectId j);
-  /// nnz/nonempty accounting for replacing column j's payload with `next`.
-  void Account(ObjectId j, const SparseColumnData& next);
+  /// The payload pool this matrix creates payloads in once it owns one, or
+  /// until then the pool of the matrix it was copied from. A copy shares the
+  /// pool without owning it.
+  struct PoolRef {
+    std::shared_ptr<PayloadPool> pool;
+    bool owned = false;
+    PoolRef() = default;
+    PoolRef(const PoolRef& other) : pool(other.pool) {}
+    PoolRef& operator=(const PoolRef& other) {
+      if (this != &other) {
+        pool = other.pool;
+        owned = false;
+      }
+      return *this;
+    }
+    PoolRef(PoolRef&&) noexcept = default;
+    PoolRef& operator=(PoolRef&&) noexcept = default;
+  };
 
-  CowPages<std::shared_ptr<const SparseColumnData>> cols_;
+  /// A fresh payload owned by this matrix, stamped with its generation.
+  Payload* NewPayload();
+  /// `p`, or null (freeing `p`) if it is the empty column.
+  Payload* Seal(Payload* p);
+  /// Points column j at `next` (null or a payload this matrix created).
+  void Install(ObjectId j, Payload* next);
+  /// Frees or retires an owned payload no slot of the live table points at.
+  void Drop(Payload* p);
+  void MarkTouched(ObjectId j);
+  /// nnz/nonempty accounting for replacing column payload `cur` with `next`.
+  void Account(const SparseColumnData& cur, const SparseColumnData& next);
+
+  ColumnTable cols_;
+  PoolRef pool_;
+  uint64_t payloads_dropped_ = 0;
   uint64_t nnz_ = 0;
   uint32_t nonempty_cols_ = 0;
 

@@ -197,21 +197,7 @@ void DeltaCodec::Apply(SparseFMatrix* base, std::span<const Entry> entries,
                      [](const SparseColumnData::Entry& a, const SparseColumnData::Entry& b) {
                        return a.row < b.row;
                      });
-    const SparseColumnData& cur = base->Column(j);
-    auto next = std::make_shared<SparseColumnData>();
-    next->floor = cur.floor;
-    next->entries.reserve(cur.entries.size() + updates.size());
-    size_t ic = 0;
-    for (size_t u = 0; u < updates.size(); ++u) {
-      if (u + 1 < updates.size() && updates[u + 1].row == updates[u].row) continue;  // last wins
-      while (ic < cur.entries.size() && cur.entries[ic].row < updates[u].row) {
-        next->entries.push_back(cur.entries[ic++]);
-      }
-      if (ic < cur.entries.size() && cur.entries[ic].row == updates[u].row) ++ic;
-      if (updates[u].value != next->floor) next->entries.push_back(updates[u]);
-    }
-    while (ic < cur.entries.size()) next->entries.push_back(cur.entries[ic++]);
-    base->AssignColumn(j, std::move(next));
+    base->MergeIntoColumn(j, updates);
   }
 }
 

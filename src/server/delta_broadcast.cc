@@ -1,7 +1,6 @@
 #include "server/delta_broadcast.h"
 
 #include <cassert>
-#include <utility>
 
 namespace bcc {
 
@@ -43,7 +42,7 @@ DeltaControl DeltaBroadcaster::BuildControl(ControlView current,
     ctl.control_bits = ctl.full_bits;
     last_refresh_cycle_ = cycle;
   }
-  Rebase(current, touched_columns, refresh);
+  Rebase(current);
 
   started_ = true;
   last_cycle_ = cycle;
@@ -58,20 +57,15 @@ std::vector<DeltaCodec::Entry> DeltaBroadcaster::DiffAgainstBase(
   return DeltaCodec::DiffColumns(prev_, *current.dense(), touched_columns, codec_);
 }
 
-void DeltaBroadcaster::Rebase(ControlView current, std::span<const ObjectId> touched_columns,
-                              bool refresh) {
+void DeltaBroadcaster::Rebase(ControlView current) {
+  // Sharing the pages costs one pointer per page (dense: per column) on
+  // every cycle, refresh or delta. (Folding just the touched columns would
+  // yield the same base, since they cover every column that changed.)
   if (const SparseFMatrix* sparse = current.sparse()) {
-    if (refresh) {
-      sparse_prev_ = *sparse;  // O(n) shared-pointer copies; payloads shared
-    } else {
-      for (ObjectId j : touched_columns) sparse_prev_.AssignColumn(j, sparse->ColumnData(j));
-    }
-    return;
+    sparse_prev_ = sparse->Snapshot();
+  } else {
+    prev_ = current.dense()->Snapshot();
   }
-  // Sharing the column pages costs O(n) pointers on every cycle, refresh or
-  // delta. (Folding just the touched columns yields the same base, since
-  // they cover every column that changed.)
-  prev_ = current.dense()->Snapshot();
 }
 
 }  // namespace bcc

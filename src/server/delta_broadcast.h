@@ -88,9 +88,10 @@ class DeltaBroadcaster {
   /// (cycle = previous call's cycle + 1, except the first). The refresh
   /// policy and bit accounting do not depend on the representation; the
   /// diff does: O(n * touched) over dense columns, an O(nnz) merge walk over
-  /// sparse ones. The next diff base then shares `current`'s pages (dense:
-  /// O(n) pointers) or payloads (sparse: O(n) shared-pointer copies on a
-  /// refresh, one pointer install per touched column otherwise).
+  /// sparse ones. The next diff base is a snapshot of `current` in either
+  /// representation: a copy of its page table (dense: n column pointers;
+  /// sparse: n / page length page pointers, the payloads shared by pointer),
+  /// which pins `current`'s pages and payloads for one cycle.
   DeltaControl BuildControl(ControlView current, std::span<const ObjectId> touched_columns,
                             Cycle cycle);
 
@@ -105,13 +106,12 @@ class DeltaBroadcaster {
   std::vector<DeltaCodec::Entry> DiffAgainstBase(ControlView current,
                                                  std::span<const ObjectId> touched_columns) const;
   /// Makes `current` the next diff base.
-  void Rebase(ControlView current, std::span<const ObjectId> touched_columns, bool refresh);
+  void Rebase(ControlView current);
 
   /// The matrix as of the previous cycle's broadcast — the diff base, in
-  /// the representation BuildControl is fed. The dense base is a
-  /// page-shared snapshot of the previous matrix; the sparse one is sized
-  /// by the first (always a refresh) Rebase, so neither representation
-  /// materializes the other's base.
+  /// the representation BuildControl is fed: a page-shared snapshot of the
+  /// previous matrix, so neither representation materializes the other's
+  /// base.
   FMatrix prev_;
   SparseFMatrix sparse_prev_{0};
 };

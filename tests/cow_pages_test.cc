@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <deque>
@@ -11,8 +12,11 @@
 #include <thread>
 #include <vector>
 
+#include "common/cycle_stamp.h"
 #include "common/rng.h"
 #include "matrix/f_matrix.h"
+#include "matrix/sparse_f_matrix.h"
+#include "matrix/wire.h"
 
 namespace bcc {
 namespace {
@@ -24,6 +28,42 @@ std::vector<uint64_t> Contents(const Pages& pages) {
   std::vector<uint64_t> out(pages.size());
   for (uint32_t i = 0; i < pages.size(); ++i) out[i] = pages[i];
   return out;
+}
+
+/// A deep copy of every column of `m`.
+std::vector<SparseColumnData> DeepColumns(const SparseFMatrix& m) {
+  std::vector<SparseColumnData> out;
+  out.reserve(m.num_objects());
+  for (ObjectId j = 0; j < m.num_objects(); ++j) out.push_back(m.Column(j));
+  return out;
+}
+
+bool ReadsBack(const SparseFMatrix& m, const std::vector<SparseColumnData>& columns) {
+  if (m.num_objects() != columns.size()) return false;
+  for (ObjectId j = 0; j < m.num_objects(); ++j) {
+    const SparseColumnData& col = m.Column(j);
+    if (col.floor != columns[j].floor || col.entries != columns[j].entries) return false;
+  }
+  return true;
+}
+
+/// A batch of `commits` random commits over n objects.
+std::vector<CommitSets> RandomBatch(Rng& rng, uint32_t n, size_t commits) {
+  std::vector<CommitSets> batch(commits);
+  for (CommitSets& c : batch) {
+    c.read_set = rng.SampleWithoutReplacement(n, 1 + static_cast<uint32_t>(rng.NextBounded(3)));
+    c.write_set = rng.SampleWithoutReplacement(n, 1 + static_cast<uint32_t>(rng.NextBounded(4)));
+  }
+  return batch;
+}
+
+/// Payloads `m` created that its own table points at.
+size_t DistinctOwnedPayloads(const SparseFMatrix& m) {
+  std::set<const SparseColumnData*> seen;
+  for (ObjectId j = 0; j < m.num_objects(); ++j) {
+    if (m.ColumnPayloadRefs(j) > 0) seen.insert(&m.Column(j));
+  }
+  return seen.size();
 }
 
 TEST(CowPagesTest, StartsValueInitialized) {
@@ -199,36 +239,45 @@ TEST(CowPagesTest, ReaderHoldsSnapshotWhileWriterRunsNextCycle) {
   EXPECT_EQ(live.pages_copied(), kCycles * live.num_pages());
 }
 
-TEST(CowPagesTest, SnapshotLeavesPayloadUseCountsUnchanged) {
-  // Pages carry no reference count, and copying the table copies no entry:
-  // taking and dropping a snapshot touches no payload's count.
-  using Handles = CowPages<std::shared_ptr<int>>;
-  constexpr uint32_t kN = 5 * Handles::kPageEntries + 3;
-  std::vector<std::shared_ptr<int>> payloads;
-  Handles live(kN);
-  for (uint32_t i = 0; i < kN; ++i) {
-    payloads.push_back(std::make_shared<int>(static_cast<int>(i)));
-    live.Set(i, payloads.back());
-  }
+TEST(CowPagesTest, SnapshotLeavesPayloadLiveCountsUnchanged) {
+  // The column table holds plain payload pointers, and copying it copies no
+  // entry: taking and dropping snapshots, and copies of them, leaves every
+  // payload's live count (the owner's table slots pointing at it) as it was.
+  constexpr uint32_t kN = 5 * kP + 3;
+  SparseFMatrix live(kN);
+  Rng rng(7);
+  for (Cycle cycle = 1; cycle <= 40; ++cycle) live.ApplyCommitBatch(RandomBatch(rng, kN, 1), cycle);
   const auto counts = [&] {
-    std::vector<long> out;
-    for (const auto& p : payloads) out.push_back(p.use_count());
+    std::vector<uint32_t> out;
+    for (ObjectId j = 0; j < kN; ++j) out.push_back(live.ColumnPayloadRefs(j));
     return out;
   };
-  const std::vector<long> before = counts();
-  ASSERT_EQ(before.front(), 2);
+  const std::vector<uint32_t> before = counts();
+  ASSERT_GT(*std::max_element(before.begin(), before.end()), 1u);
   {
-    const Handles snap = live;
-    const Handles copy_of_snap = snap;
+    const SparseFMatrix snap = live.Snapshot();
+    const SparseFMatrix copy_of_snap = snap.Snapshot();
     EXPECT_EQ(counts(), before);
-    EXPECT_EQ(*copy_of_snap[kN - 1], static_cast<int>(kN - 1));
+    // A copy borrows every payload: it counts none of them.
+    for (ObjectId j = 0; j < kN; ++j) EXPECT_EQ(copy_of_snap.ColumnPayloadRefs(j), 0u) << j;
+    EXPECT_TRUE(copy_of_snap == live);
   }
   EXPECT_EQ(counts(), before);
-  // A write after the drop copies one page (one count per entry on it) and
-  // hands the replaced page back for reuse with its handles released.
-  live.Set(0, std::make_shared<int>(-1));
-  EXPECT_EQ(payloads[0].use_count(), 1);
-  for (uint32_t i = 1; i < kN; ++i) EXPECT_EQ(payloads[i].use_count(), 2) << i;
+  // A write after the drop moves one slot from the old payload to the new.
+  ObjectId j = 0;
+  while (before[j] < 2) ++j;
+  live.Set(kN - 1, j, 1000);
+  EXPECT_EQ(live.ColumnPayloadRefs(j), 1u);
+  // The columns that shared j's old payload each count one slot fewer.
+  uint32_t dropped_slots = 0;
+  const std::vector<uint32_t> after = counts();
+  for (ObjectId k = 0; k < kN; ++k) {
+    if (k != j && after[k] != before[k]) {
+      EXPECT_EQ(after[k], before[k] - 1) << k;
+      ++dropped_slots;
+    }
+  }
+  EXPECT_EQ(dropped_slots, before[j] - 1);
 }
 
 TEST(CowPagesTest, RetiredBacklogStaysWithinThePagesReplacedSinceTheOldestLiveCopy) {
@@ -427,6 +476,197 @@ TEST(CowPagesTest, ReaderHoldsDenseMatrixSnapshotAcrossTheNextCommitBatch) {
   // previous cycle's snapshot.
   EXPECT_GT(live.snapshot_columns_copied(), 0u);
   EXPECT_EQ(live.column_pages().page_bytes(), kN * sizeof(Cycle));
+}
+
+TEST(CowPagesTest, ReaderHoldsSparseMatrixSnapshotAcrossTheNextCommitBatch) {
+  // The sparse twin of the dense test above: the writer folds one commit
+  // batch per cycle into a sparse F-Matrix and publishes a snapshot with a
+  // deep copy of its columns; a reader holds each snapshot across the next
+  // batch, checks it against the deep copy, adopts it through Snapshot() into
+  // a copy of its own that it writes with DeltaCodec::Apply (a delta
+  // tracker), and drops both on its own thread.
+  constexpr uint32_t kN = 4 * kP + 5;
+  constexpr Cycle kCycles = 200;
+  constexpr Cycle current = kCycles + 1;  // above every stamp the writer folds
+  const CycleStampCodec codec(16);
+  struct Published {
+    SparseFMatrix snap;
+    std::vector<SparseColumnData> columns;
+  };
+  SparseFMatrix live(kN);
+  std::mutex mu;
+  std::shared_ptr<const Published> published;
+  std::atomic<bool> done{false};
+  std::atomic<uint64_t> mismatches{0};
+  std::atomic<uint64_t> checked{0};
+  std::thread reader([&] {
+    Rng rng(29);
+    while (!done.load(std::memory_order_acquire)) {
+      std::shared_ptr<const Published> held;
+      {
+        const std::lock_guard<std::mutex> lock(mu);
+        held = published;
+      }
+      if (held == nullptr) continue;
+      if (!ReadsBack(held->snap, held->columns)) mismatches.fetch_add(1);
+      SparseFMatrix mine = held->snap.Snapshot();
+      std::vector<DeltaCodec::Entry> delta;
+      for (ObjectId col : rng.SampleWithoutReplacement(kN, 3)) {
+        for (ObjectId row : rng.SampleWithoutReplacement(kN, 2)) {
+          delta.push_back({row, col, codec.Encode(current)});
+        }
+      }
+      std::sort(delta.begin(), delta.end(), [](const auto& a, const auto& b) {
+        return a.col != b.col ? a.col < b.col : a.row < b.row;
+      });
+      DeltaCodec::Apply(&mine, delta, codec, current);
+      for (const DeltaCodec::Entry& e : delta) {
+        if (mine.At(e.row, e.col) != current) mismatches.fetch_add(1);
+      }
+      if (!ReadsBack(held->snap, held->columns)) mismatches.fetch_add(1);
+      checked.fetch_add(1, std::memory_order_relaxed);
+    }
+  });
+  Rng rng(17);
+  for (Cycle cycle = 1; cycle <= kCycles; ++cycle) {
+    live.ApplyCommitBatch(RandomBatch(rng, kN, 6), cycle);
+    auto next = std::make_shared<const Published>(Published{live.Snapshot(), DeepColumns(live)});
+    const std::lock_guard<std::mutex> lock(mu);
+    published = std::move(next);
+  }
+  while (checked.load(std::memory_order_relaxed) == 0) std::this_thread::yield();
+  done.store(true, std::memory_order_release);
+  reader.join();
+  EXPECT_EQ(mismatches.load(), 0u);
+  EXPECT_GT(live.payloads_dropped(), 0u);
+}
+
+TEST(CowPagesTest, RetiredPayloadBacklogStaysWithinThePayloadsDroppedSinceTheOldestLiveCopy) {
+  // The payload twin of the page backlog test: 200 cycles of snapshot /
+  // commit batch / drops with random lifetimes. After every commit, the
+  // payloads retired but not yet freed are at most the payloads the owner
+  // dropped since the oldest live copy was taken.
+  constexpr uint32_t kN = 12 * kP;
+  SparseFMatrix live(kN);
+  Rng rng(11);
+  struct Held {
+    SparseFMatrix copy;
+    uint64_t dropped_at;  ///< live.payloads_dropped() when it was taken
+  };
+  std::deque<Held> held;
+  size_t max_backlog = 0;
+  for (Cycle cycle = 1; cycle <= 200; ++cycle) {
+    held.push_back({live.Snapshot(), live.payloads_dropped()});
+    // A copy of a copy shares its source's pin (a tracker adopting it).
+    if (rng.NextInt(0, 3) == 0) {
+      held.push_back({held.back().copy.Snapshot(), held.back().dropped_at});
+    }
+    for (const CommitSets& c : RandomBatch(rng, kN, static_cast<size_t>(rng.NextInt(0, 30)))) {
+      live.ApplyCommit(c.read_set, c.write_set, cycle);
+      uint64_t oldest = live.payloads_dropped();
+      for (const Held& h : held) oldest = std::min(oldest, h.dropped_at);
+      ASSERT_LE(live.retired_payloads(), live.payloads_dropped() - oldest) << "cycle " << cycle;
+    }
+    max_backlog = std::max(max_backlog, live.retired_payloads());
+    while (!held.empty() && rng.NextInt(0, 2) != 0) held.pop_front();
+    if (held.size() > 1 && rng.NextInt(0, 3) == 0) {
+      held.erase(held.begin() + static_cast<ptrdiff_t>(rng.NextInt(0, held.size() - 1)));
+    }
+  }
+  EXPECT_GT(max_backlog, 0u);
+  // With every copy gone, the next commit frees the whole backlog.
+  held.clear();
+  { const SparseFMatrix last = live.Snapshot(); }
+  live.ApplyCommit(std::vector<ObjectId>{1}, std::vector<ObjectId>{2}, 201);
+  EXPECT_EQ(live.retired_payloads(), 0u);
+  EXPECT_EQ(live.owned_payloads(), DistinctOwnedPayloads(live));
+}
+
+TEST(CowPagesTest, NoPayloadOutlivesTheLastMatrixThatCanSeeIt) {
+  // Random snapshot / copy-of-copy / tracker write / drop sequences over one
+  // live matrix: every matrix always reads back its own deep copy (a payload
+  // freed too early is a use-after-free under ASan), and once every copy is
+  // gone the owner's next write frees every payload its table no longer
+  // holds. Payloads a dead owner leaves to its copies go with the last of
+  // them (LeakSanitizer checks the rest).
+  for (uint64_t seed = 1; seed <= 10; ++seed) {
+    SCOPED_TRACE(seed);
+    Rng rng(seed);
+    const auto n = static_cast<uint32_t>(rng.NextInt(2, 5 * kP));
+    auto live = std::make_unique<SparseFMatrix>(n);
+    std::vector<SparseFMatrix> copies;
+    std::vector<std::vector<SparseColumnData>> oracle;
+    Cycle cycle = 1;
+    for (int op = 0; op < 300; ++op) {
+      const int kind = static_cast<int>(rng.NextInt(0, 9));
+      if (kind < 4) {
+        live->ApplyCommitBatch(RandomBatch(rng, n, static_cast<size_t>(rng.NextInt(1, 5))),
+                               cycle++);
+      } else if (kind < 6 && copies.size() < 6) {
+        // A snapshot of the live matrix, or of one of its copies.
+        const auto k = static_cast<size_t>(rng.NextInt(0, copies.size()));
+        const SparseFMatrix& from = k == copies.size() ? *live : copies[k];
+        copies.push_back(from.Snapshot());
+        oracle.push_back(DeepColumns(copies.back()));
+      } else if (kind < 8 && !copies.empty()) {
+        // A tracker writing its copy.
+        const auto k = static_cast<size_t>(rng.NextInt(0, copies.size() - 1));
+        const auto i = static_cast<ObjectId>(rng.NextInt(0, n - 1));
+        const auto j = static_cast<ObjectId>(rng.NextInt(0, n - 1));
+        copies[k].Set(i, j, cycle + 100);
+        oracle[k] = DeepColumns(copies[k]);
+      } else if (!copies.empty()) {
+        const auto k = static_cast<size_t>(rng.NextInt(0, copies.size() - 1));
+        copies.erase(copies.begin() + static_cast<ptrdiff_t>(k));
+        oracle.erase(oracle.begin() + static_cast<ptrdiff_t>(k));
+      }
+      for (size_t k = 0; k < copies.size(); ++k) {
+        ASSERT_TRUE(ReadsBack(copies[k], oracle[k])) << "op " << op << " copy " << k;
+      }
+      if (op % 50 == 49) {
+        copies.clear();
+        oracle.clear();
+        live->ApplyCommitBatch(RandomBatch(rng, n, 1), cycle++);
+        ASSERT_EQ(live->retired_payloads(), 0u) << "op " << op;
+        ASSERT_EQ(live->owned_payloads(), DistinctOwnedPayloads(*live)) << "op " << op;
+      }
+    }
+    // The owner dies first; its copies stay readable until they go too.
+    copies.push_back(live->Snapshot());
+    oracle.push_back(DeepColumns(copies.back()));
+    live.reset();
+    for (size_t k = 0; k < copies.size(); ++k) EXPECT_TRUE(ReadsBack(copies[k], oracle[k])) << k;
+  }
+}
+
+TEST(CowPagesTest, PayloadOwnerDestroyedBeforeItsSnapshotAndTrackerCopyLeavesBothReadable) {
+  constexpr uint32_t kN = 3 * kP + 1;
+  Rng rng(5);
+  auto live = std::make_unique<SparseFMatrix>(kN);
+  Cycle cycle = 1;
+  for (; cycle <= 20; ++cycle) live->ApplyCommitBatch(RandomBatch(rng, kN, 4), cycle);
+  const SparseFMatrix snap = live->Snapshot();
+  const std::vector<SparseColumnData> snap_columns = DeepColumns(snap);
+  // The tracker adopts the snapshot and writes: it owns the payloads it
+  // creates and borrows the rest.
+  SparseFMatrix tracker = snap.Snapshot();
+  tracker.Set(0, 1, 500);
+  tracker.Set(kN - 1, kN - 1, 501);
+  EXPECT_EQ(tracker.owned_payloads(), 2u);
+  const std::vector<SparseColumnData> tracker_columns = DeepColumns(tracker);
+  // The owner replaces payloads both of them read, then dies.
+  for (; cycle <= 40; ++cycle) live->ApplyCommitBatch(RandomBatch(rng, kN, 4), cycle);
+  EXPECT_GT(live->retired_payloads(), 0u);
+  live.reset();
+  EXPECT_TRUE(ReadsBack(snap, snap_columns));
+  EXPECT_TRUE(ReadsBack(tracker, tracker_columns));
+  // The tracker keeps writing over borrowed and owned columns alike.
+  tracker.Set(2, 1, 502);
+  tracker.Set(3, 2, 503);
+  EXPECT_EQ(tracker.At(0, 1), 500u);
+  EXPECT_EQ(tracker.At(2, 1), 502u);
+  EXPECT_EQ(tracker.At(3, 2), 503u);
+  EXPECT_TRUE(ReadsBack(snap, snap_columns));
 }
 
 }  // namespace

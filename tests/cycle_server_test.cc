@@ -365,7 +365,7 @@ SimConfig UplinkShape(uint32_t num_objects) {
 }
 
 TEST(CycleServerTest, SnapshotBytesScaleWithTouchedPagesNotObjects) {
-  using Columns = CowPages<std::shared_ptr<const SparseColumnData>>;
+  using Columns = SparseFMatrix::ColumnTable;
   constexpr Cycle kCycles = 30;
   std::map<uint32_t, double> mean_total;
   for (const uint32_t n : {10'000u, 100'000u}) {

@@ -68,9 +68,12 @@ TEST(SparseFMatrixTest, WriteSetColumnsShareOnePayload) {
   // matrix must materialize that content once.
   SparseFMatrix c(8);
   c.ApplyCommit({}, std::vector<ObjectId>{1, 4, 6}, 1);
-  EXPECT_EQ(c.ColumnData(1).get(), c.ColumnData(4).get());
-  EXPECT_EQ(c.ColumnData(4).get(), c.ColumnData(6).get());
-  EXPECT_NE(c.ColumnData(0).get(), c.ColumnData(1).get());
+  EXPECT_EQ(&c.Column(1), &c.Column(4));
+  EXPECT_EQ(&c.Column(4), &c.Column(6));
+  EXPECT_NE(&c.Column(0), &c.Column(1));
+  EXPECT_EQ(c.ColumnPayloadRefs(1), 3u);
+  EXPECT_EQ(c.ColumnPayloadRefs(0), 0u);
+  EXPECT_EQ(c.owned_payloads(), 1u);
 }
 
 TEST(SparseFMatrixTest, EmptyWriteSetIsNoOp) {
@@ -214,8 +217,27 @@ TEST(SparseFMatrixTest, FromDenseUsesMostFrequentValueAsFloor) {
   dense.Set(9, 3, 2);
   const SparseFMatrix sparse = SparseFMatrix::FromDense(dense);
   EXPECT_TRUE(ControlView(sparse) == ControlView(dense));
-  EXPECT_EQ(sparse.ColumnData(3)->floor, 40u);
+  EXPECT_EQ(sparse.Column(3).floor, 40u);
   EXPECT_EQ(sparse.ColumnNnz(3), 2u);
+}
+
+TEST(SparseFMatrixTest, EqualityComparesFloorsOfRowsImplicitOnBothSides) {
+  // Explicit rows {0, 1} on both sides (2 + 2 >= n), yet row 2 is implicit
+  // on both and reads each side's floor: 5 against 6.
+  FMatrix a(3), b(3);
+  const Cycle col_a[] = {7, 9, 5}, col_b[] = {7, 9, 6};
+  for (ObjectId i = 0; i < 3; ++i) {
+    a.Set(i, 0, col_a[i]);
+    b.Set(i, 0, col_b[i]);
+  }
+  const SparseFMatrix sa = SparseFMatrix::FromDense(a);
+  const SparseFMatrix sb = SparseFMatrix::FromDense(b);
+  ASSERT_EQ(sa.ColumnNnz(0), 2u);
+  ASSERT_EQ(sb.ColumnNnz(0), 2u);
+  EXPECT_NE(sa.At(2, 0), sb.At(2, 0));
+  EXPECT_FALSE(sa == sb);
+  EXPECT_FALSE(ControlView(sa) == ControlView(sb));
+  EXPECT_TRUE(sa == SparseFMatrix::FromDense(a));
 }
 
 TEST(SparseFMatrixTest, CompactModuloPreservesResiduesAndDecodes) {
