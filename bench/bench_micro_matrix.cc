@@ -2,7 +2,7 @@
 // hot paths: Theorem 2 incremental maintenance (per-commit and cycle-fused),
 // client read-condition checks, per-cycle snapshotting (full copy and the
 // paged dense columns / values / sparse column table),
-// group-matrix derivation and delta diffs.
+// group-matrix derivation, dirty-column tracking and delta diffs.
 //
 // Besides google-benchmark's own console output, `--json_out=F` emits every
 // result row as JSON through obs/json.h (bcc.perf_trajectory.v1 row shape),
@@ -54,6 +54,26 @@ void BM_FMatrixApplyCommit(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_FMatrixApplyCommit)->Arg(100)->Arg(300)->Arg(1000);
+
+// The same commit with dirty-column tracking on (delta broadcast mode), the
+// touched list drained once per 8-commit cycle: the tracking cost is this
+// row minus BM_FMatrixApplyCommit at the same n, and it stays flat in n.
+void BM_FMatrixApplyCommitTracked(benchmark::State& state) {
+  const uint32_t n = static_cast<uint32_t>(state.range(0));
+  FMatrix c = WarmMatrix(n);
+  c.EnableDirtyTracking();
+  Rng rng(7);
+  const auto reads = rng.SampleWithoutReplacement(n, 4);
+  const auto writes = rng.SampleWithoutReplacement(n, 4);
+  Cycle cycle = 1000;
+  for (auto _ : state) {
+    c.ApplyCommit(reads, writes, cycle++);
+    if ((cycle & 7) == 0) benchmark::DoNotOptimize(c.TakeTouchedColumns());
+    benchmark::DoNotOptimize(c);
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_FMatrixApplyCommitTracked)->Arg(100)->Arg(300)->Arg(1000);
 
 // A saturated broadcast cycle's commit queue: one commit per object slot
 // (the Fig. 4a regime at large n), Table 1-shaped read/write sets.
@@ -252,6 +272,48 @@ void BM_DeltaDiff(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_DeltaDiff);
+
+// One broadcast cycle's delta (8 commits between snapshots) at growing n:
+// DiffColumns scans only the columns the dirty tracker recorded
+// (O(n * touched)); Diff rescans all n^2 entries.
+struct CycleDelta {
+  FMatrix prev;
+  FMatrix cur;
+  std::vector<ObjectId> touched;
+};
+
+CycleDelta OneCycleDelta(uint32_t n) {
+  CycleDelta d{WarmMatrix(n), FMatrix(n), {}};
+  d.cur = d.prev;
+  d.cur.EnableDirtyTracking();
+  Rng rng(13);
+  for (Cycle cycle = 1000; cycle < 1008; ++cycle) {
+    d.cur.ApplyCommit(rng.SampleWithoutReplacement(n, 4), rng.SampleWithoutReplacement(n, 4),
+                      cycle);
+  }
+  d.touched = d.cur.TakeTouchedColumns();
+  return d;
+}
+
+void BM_DeltaDiffColumns(benchmark::State& state) {
+  const CycleDelta d = OneCycleDelta(static_cast<uint32_t>(state.range(0)));
+  const CycleStampCodec codec(8);
+  for (auto _ : state) {
+    auto diff = DeltaCodec::DiffColumns(d.prev, d.cur, d.touched, codec);
+    benchmark::DoNotOptimize(diff);
+  }
+}
+BENCHMARK(BM_DeltaDiffColumns)->Arg(100)->Arg(300)->Arg(1000);
+
+void BM_DeltaDiffFullScan(benchmark::State& state) {
+  const CycleDelta d = OneCycleDelta(static_cast<uint32_t>(state.range(0)));
+  const CycleStampCodec codec(8);
+  for (auto _ : state) {
+    auto diff = DeltaCodec::Diff(d.prev, d.cur, codec);
+    benchmark::DoNotOptimize(diff);
+  }
+}
+BENCHMARK(BM_DeltaDiffFullScan)->Arg(100)->Arg(300)->Arg(1000);
 
 // Tees every per-iteration result to the console reporter AND collects it as
 // a (name, ns/op, counters) row for the trajectory file. Format-independent

@@ -39,11 +39,11 @@ void PrintHelp() {
       "  --clients=N               concurrent clients          (1)\n"
       "  --update-fraction=F       client update txn share     (0)\n"
       "  --cache-cycles=F          currency bound T in cycles  (0 = off)\n"
-      "  --groups=N                grouped-control columns     (0 = native)\n"
       "  --hot-set=N --hot-freq=N  multi-speed disk            (off)\n"
       "  --hot-access=F            client+server hot-set skew  (uniform)\n"
       "  --matrix=dense|sparse|group:G|hier  control-matrix representation\n"
-      "                            (dense; sparse = CSC O(nnz), hier =\n"
+      "                            (dense; sparse = CSC O(nnz), group:G =\n"
+      "                            G grouped-control columns (§3.2.2), hier =\n"
       "                            adaptive group hierarchy; DESIGN.md §4l)\n"
       "  --compaction-period=N     sparse wraparound compaction every N\n"
       "                            cycles (0 = off; needs wire codec)\n"
@@ -136,8 +136,6 @@ int main(int argc, char** argv) {
       config.client_update_fraction = std::strtod(v, nullptr);
     } else if (ParseFlag(argv[i], "--cache-cycles", &v)) {
       cache_cycles = std::strtod(v, nullptr);
-    } else if (ParseFlag(argv[i], "--groups", &v)) {
-      config.num_groups = static_cast<uint32_t>(std::strtoul(v, nullptr, 10));
     } else if (ParseFlag(argv[i], "--hot-set", &v)) {
       config.hot_set_size = static_cast<uint32_t>(std::strtoul(v, nullptr, 10));
     } else if (ParseFlag(argv[i], "--hot-freq", &v)) {

@@ -9,7 +9,7 @@
 // clients can resynchronize. The broadcast geometry is unchanged: the slot
 // layout still reserves the full-matrix control share, so delta mode alters
 // no timing; the savings show up in the bit accounting
-// (DeltaControl::control_bits vs full_bits) that bench_delta_broadcast and
+// (DeltaControl::control_bits vs full_bits) that `bench_paper --figure=delta` and
 // SimMetrics report.
 
 #ifndef BCC_SERVER_DELTA_BROADCAST_H_
@@ -69,7 +69,7 @@ struct DeltaControl {
 /// rides in the fixed slot framing. (A deployment with variable-size control
 /// slots would spend up to 32 extra header bits to mark the unscheduled
 /// adaptive refresh.) This makes control_bits <= full_bits an invariant of
-/// every cycle, which bench_delta_broadcast asserts.
+/// every cycle, which `bench_paper --figure=delta` asserts.
 class DeltaBroadcaster {
  public:
   /// `refresh_period` >= 1: a scheduled full refresh at least every that
